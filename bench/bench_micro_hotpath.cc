@@ -26,6 +26,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
+#include <optional>
 #include <span>
 #include <string>
 #include <thread>
@@ -298,14 +299,17 @@ RekeyResult BenchRekeyBatch(size_t depth) {
   };
 
   // Identity check: after rekeying with either entry point under the same
-  // context, the queue visits in the same (v_c, seq) order.
+  // context, a drained copy of the queue serves the same (v_c, seq) order.
   const DispatchContext check_ctx{.now = MsToSim(10), .head = 2000};
-  std::vector<RequestId> scalar_order, batch_order;
+  const auto drain_order = [](Dispatcher copy) {
+    std::vector<RequestId> order;
+    while (std::optional<Request> r = copy.Pop()) order.push_back(r->id);
+    return order;
+  };
   rekey_scalar(check_ctx);
-  d.ForEach([&](const Request& r) { scalar_order.push_back(r.id); });
+  const std::vector<RequestId> scalar_order = drain_order(d);
   rekey_batch(check_ctx);
-  d.ForEach([&](const Request& r) { batch_order.push_back(r.id); });
-  if (scalar_order != batch_order) {
+  if (drain_order(d) != scalar_order) {
     std::fprintf(stderr, "batch rekey order mismatch at depth %zu\n", depth);
     std::abort();
   }

@@ -4,9 +4,8 @@
 // std::function is the wrong tool for "call me back during this call":
 // constructing one from a capturing lambda heap-allocates (beyond the
 // small-buffer size) and every invocation goes through two indirections.
-// The dispatcher's rekey/visitation hooks and the scheduler's
-// ForEachWaiting are invoked once per pending request on every dispatch,
-// so those costs land on the simulator's innermost loop.
+// The dispatcher's rekey hooks are invoked once per waiting request on
+// every queue swap, so those costs land on the scheduler's hot path.
 //
 // FunctionRef is two words (object pointer + trampoline pointer), is
 // trivially copyable, and never allocates. Like std::string_view it does

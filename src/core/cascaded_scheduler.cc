@@ -132,8 +132,4 @@ std::optional<Request> CascadedSfcScheduler::Dispatch(
   return dispatcher_->Pop();
 }
 
-void CascadedSfcScheduler::ForEachWaiting(FunctionRef<void(const Request&)> fn) const {
-  dispatcher_->ForEach(fn);
-}
-
 }  // namespace csfc

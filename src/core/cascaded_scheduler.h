@@ -45,7 +45,6 @@ class CascadedSfcScheduler final : public Scheduler {
   CSFC_HOT CSFC_DETERMINISTIC
   std::optional<Request> Dispatch(const DispatchContext& ctx) override;
   size_t queue_size() const override { return dispatcher_->size(); }
-  void ForEachWaiting(FunctionRef<void(const Request&)> fn) const override;
   /// Emits characterize events (with the per-stage SFC1/SFC2/SFC3
   /// intermediate values) on every Enqueue and batch re-key, and wires
   /// the dispatcher's preempt / SP-promote / queue-swap / ER-reset

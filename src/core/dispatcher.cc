@@ -105,11 +105,6 @@ void ReferenceDispatcher::RekeyWaitingBatch(BatchRekeyFn key) {
   waiting_ = std::move(rekeyed);
 }
 
-void ReferenceDispatcher::ForEach(RequestVisitor fn) const {
-  for (const auto& [key, r] : active_) fn(r);
-  for (const auto& [key, r] : waiting_) fn(r);
-}
-
 // --------------------------------------------------------------------------
 // Dispatcher: the flat-queue implementation.
 // --------------------------------------------------------------------------
@@ -373,11 +368,6 @@ void Dispatcher::RekeyWaitingBatch(BatchRekeyFn key) {
   key(rekey_reqs_, rekey_vals_);
   waiting_.AssignKeys(rekey_vals_);
   CheckShadow();
-}
-
-void Dispatcher::ForEach(RequestVisitor fn) const {
-  active_.ForEachOrdered([&](uint32_t slot) { fn(pool_[slot]); });
-  waiting_.ForEachOrdered([&](uint32_t slot) { fn(pool_[slot]); });
 }
 
 }  // namespace csfc

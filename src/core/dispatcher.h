@@ -72,9 +72,6 @@ using RekeyFn = FunctionRef<CValue(const Request&)>;
 using BatchRekeyFn =
     FunctionRef<void(std::span<const Request* const>, std::span<CValue>)>;
 
-/// Pending-request visitor (metric walks, equivalence checks).
-using RequestVisitor = FunctionRef<void(const Request&)>;
-
 /// Queue discipline of the dispatcher.
 enum class QueueDiscipline {
   kNonPreemptive,
@@ -133,7 +130,6 @@ class ReferenceDispatcher {
   /// One-call batch rekey; observable behavior identical to RekeyWaiting
   /// with the equivalent per-request hook.
   void RekeyWaitingBatch(BatchRekeyFn key);
-  void ForEach(RequestVisitor fn) const;
 
   size_t size() const { return active_.size() + waiting_.size(); }
   bool empty() const { return size() == 0; }
@@ -206,10 +202,6 @@ class Dispatcher {
   /// re-characterization goes through Encapsulator::CharacterizeBatch
   /// instead of one full characterization dispatch per request.
   CSFC_HOT void RekeyWaitingBatch(BatchRekeyFn key);
-
-  /// Visits all pending requests (active then waiting, each in ascending
-  /// (v_c, seq) order).
-  void ForEach(RequestVisitor fn) const;
 
   /// Current blocking window (grows under ER).
   double current_window() const { return window_; }

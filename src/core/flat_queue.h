@@ -1,23 +1,19 @@
 // Cache-friendly priority queue for the dispatcher hot path.
 //
-// The dispatcher's q / q' queues need five operations: insert, pop-min,
-// peek-min, bulk rekey (batch re-characterization), and ordered visitation
-// (SP promotion scans and metric walks). A node-based std::map pays an
-// allocation plus pointer-chasing tree walks for every one of them; this
-// queue instead keeps (key, slot) entries in one contiguous 4-ary min-heap
-// keyed by (v_c, insertion sequence). Requests themselves live in a slot
-// pool owned by the dispatcher, so sift operations move 24-byte POD
-// entries over hot cache lines — never the ~100-byte Request payloads —
-// and moving an entry between queues (SP promotion, queue swap) never
-// touches the payload at all.
+// The dispatcher's q / q' queues need four operations: insert, pop-min,
+// peek-min, and bulk rekey (batch re-characterization). A node-based
+// std::map pays an allocation plus pointer-chasing tree walks for every
+// one of them; this queue instead keeps (key, slot) entries in one
+// contiguous 4-ary min-heap keyed by (v_c, insertion sequence). Requests
+// themselves live in a slot pool owned by the dispatcher, so sift
+// operations move 24-byte POD entries over hot cache lines — never the
+// ~100-byte Request payloads — and moving an entry between queues (SP
+// promotion, queue swap) never touches the payload at all.
 //
 // Ordering semantics are identical to the map it replaces: lower v_c
-// first, exact v_c ties broken FIFO by the insertion sequence number. The
-// heap is not globally sorted, so order-dependent walks (ForEachOrdered)
-// sort an index scratch vector on demand — those run once per dispatch in
-// metric paths, not per comparison.
+// first, exact v_c ties broken FIFO by the insertion sequence number.
 //
-// Callback-taking operations (Rekey, ForEachOrdered) are templates over
+// Callback-taking operations (Rekey, ForEachEntrySlot) are templates over
 // the callable type: the callable is invoked once per entry, so routing
 // it through std::function would put an indirect call (and a potential
 // allocation at the call site) inside the tightest dispatcher loops.
@@ -122,17 +118,6 @@ class SlotHeap {
     RekeyAll([&](size_t i) { return values[i]; });
   }
 
-  /// Visits all slots in ascending (v_c, seq) order. The sort scratch is a
-  /// member reused across calls: metric walks run once per dispatch, and a
-  /// fresh allocation per walk was measurable at simulation queue depths.
-  template <typename Fn>
-  void ForEachOrdered(Fn&& fn) const {
-    scratch_.assign(heap_.begin(), heap_.end());  // csfc:alloc-ok(sort scratch reused across walks)
-    std::sort(scratch_.begin(), scratch_.end(),
-              [](const Entry& a, const Entry& b) { return a.key < b.key; });
-    for (const Entry& e : scratch_) fn(e.slot);
-  }
-
   friend void swap(SlotHeap& a, SlotHeap& b) { a.heap_.swap(b.heap_); }
 
  private:
@@ -191,9 +176,6 @@ class SlotHeap {
   }
 
   std::vector<Entry> heap_;
-  // ForEachOrdered's sort buffer (scratch only: contents are meaningless
-  // between calls, so copies of the heap need not preserve it).
-  mutable std::vector<Entry> scratch_;
 };
 
 // Sift operations copy entries raw over hot cache lines; keys and entries
@@ -284,8 +266,9 @@ class BucketedSlotHeap {
   static constexpr uint32_t kMaxBuckets = 1u << 16;
 
   BucketedSlotHeap() = default;
-  // Entry storage is uniquely owned, so copies (the debug-build shadow
-  // dispatcher deep-copy) rebuild it; moves and swaps stay pointer-level.
+  // Entry storage is uniquely owned, so copies (Dispatcher copies, which
+  // tests drain to read a queue's contents) rebuild it; moves and swaps
+  // stay pointer-level.
   BucketedSlotHeap(const BucketedSlotHeap& other) { CopyFrom(other); }
   BucketedSlotHeap& operator=(const BucketedSlotHeap& other) {
     if (this != &other) CopyFrom(other);
@@ -537,26 +520,12 @@ class BucketedSlotHeap {
     }
   }
 
-  /// Visits all slots in ascending (v_c, seq) order (metric walks; cold).
-  template <typename Fn>
-  void ForEachOrdered(Fn&& fn) const {
-    scratch_.clear();
-    for (uint32_t b = FindNonEmptyFrom(0); b != kNoBucket;
-         b = FindNonEmptyFrom(b + 1)) {
-      const Bucket& m = buckets_[b];
-      scratch_.insert(scratch_.end(), m.data, m.data + m.len);  // csfc:alloc-ok(sort scratch reused across walks)
-    }
-    std::sort(scratch_.begin(), scratch_.end(), Less);
-    for (const Entry& e : scratch_) fn(e.slot);
-  }
-
   friend void swap(BucketedSlotHeap& a, BucketedSlotHeap& b) {
     a.buckets_.swap(b.buckets_);
     a.slab_.swap(b.slab_);
     a.storage_.swap(b.storage_);
     a.live_.swap(b.live_);
     a.summary_.swap(b.summary_);
-    a.scratch_.swap(b.scratch_);
     a.migrate_.swap(b.migrate_);
     std::swap(a.min_, b.min_);
     std::swap(a.size_, b.size_);
@@ -735,7 +704,7 @@ class BucketedSlotHeap {
     }
   }
 
-  /// Deep copy for the debug-build shadow-dispatcher clone (cold).
+  /// Deep copy behind the copy constructor and assignment (cold).
   void CopyFrom(const BucketedSlotHeap& o) {
     buckets_ = o.buckets_;
     live_ = o.live_;
@@ -760,7 +729,6 @@ class BucketedSlotHeap {
       }
       std::copy_n(o.buckets_[b].data, m.len, m.data);
     }
-    // scratch_ is meaningless between calls; leave the copy's empty.
   }
 
   /// One 16-byte Bucket record per range, in one dense array (16KB at
@@ -775,8 +743,6 @@ class BucketedSlotHeap {
   /// non-empty; bit w of summary_ set iff live_[w] != 0.
   std::vector<uint64_t> live_;
   std::vector<uint64_t> summary_;
-  /// ForEachOrdered's sort buffer (scratch only, like SlotHeap's).
-  mutable std::vector<Entry> scratch_;
   /// Rekey pass-2 list of entries that crossed a range boundary.
   std::vector<Migrant> migrate_;
   /// PrefetchFor's (v -> bucket) hint for the Push it fronts; NaN until
@@ -909,16 +875,6 @@ class DispatchQueue {
       for (const Entry& e : flat_.entries()) fn(e.slot);
     } else {
       calendar_.ForEachEntrySlot(std::forward<Fn>(fn));
-    }
-  }
-
-  /// Visits all slots in ascending (v_c, seq) order.
-  template <typename Fn>
-  void ForEachOrdered(Fn&& fn) const {
-    if (backend_ == QueueBackend::kFlat) {
-      flat_.ForEachOrdered(std::forward<Fn>(fn));
-    } else {
-      calendar_.ForEachOrdered(std::forward<Fn>(fn));
     }
   }
 

@@ -32,10 +32,4 @@ std::optional<Request> BucketScheduler::Dispatch(const DispatchContext&) {
   return std::nullopt;
 }
 
-void BucketScheduler::ForEachWaiting(FunctionRef<void(const Request&)> fn) const {
-  for (const auto& queue : queues_) {
-    for (const auto& [dl, r] : queue) fn(r);
-  }
-}
-
 }  // namespace csfc

@@ -31,7 +31,6 @@ class BucketScheduler final : public Scheduler {
   CSFC_HOT CSFC_DETERMINISTIC
   std::optional<Request> Dispatch(const DispatchContext& ctx) override;
   size_t queue_size() const override { return size_; }
-  void ForEachWaiting(FunctionRef<void(const Request&)> fn) const override;
 
  private:
   uint32_t BucketOf(PriorityLevel value_level) const;

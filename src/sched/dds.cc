@@ -13,7 +13,8 @@ uint64_t DdsScheduler::ScanKey(Cylinder cyl, Cylinder head) const {
 bool DdsScheduler::PlanFeasible(const DispatchContext& ctx) const {
   SimTime clock = ctx.now;
   Cylinder head = ctx.head;
-  for (const Request& r : plan_) {
+  for (const Planned& p : plan_) {
+    const Request& r = p.req;
     const double ms = disk_->SeekTimeMs(head, r.cylinder) +
                       disk_->AvgRotationalLatencyMs() +
                       disk_->TransferTimeMs(r.cylinder, r.bytes);
@@ -25,12 +26,18 @@ bool DdsScheduler::PlanFeasible(const DispatchContext& ctx) const {
 }
 
 void DdsScheduler::Enqueue(Request r, const DispatchContext& ctx) {
+  const PriorityLevel victim_level = r.priority(0);
+  EnqueueRanked(std::move(r), victim_level, ctx);
+}
+
+void DdsScheduler::EnqueueRanked(Request r, PriorityLevel victim_level,
+                                 const DispatchContext& ctx) {
   // Insert in C-SCAN order relative to the current head.
   const uint64_t key = ScanKey(r.cylinder, ctx.head);
-  auto pos = std::find_if(plan_.begin(), plan_.end(), [&](const Request& q) {
-    return ScanKey(q.cylinder, ctx.head) > key;
+  auto pos = std::find_if(plan_.begin(), plan_.end(), [&](const Planned& q) {
+    return ScanKey(q.req.cylinder, ctx.head) > key;
   });
-  plan_.insert(pos, std::move(r));
+  plan_.insert(pos, Planned{std::move(r), victim_level});
 
   // If the insertion broke a deadline, demote the lowest-priority request
   // to the tail — one victim per arrival, exactly as the paper describes
@@ -41,9 +48,9 @@ void DdsScheduler::Enqueue(Request r, const DispatchContext& ctx) {
     // Lowest priority = largest level number; ties demote the later one.
     size_t victim = 0;
     for (size_t i = 1; i + 1 < plan_.size(); ++i) {
-      if (plan_[i].priority(0) >= plan_[victim].priority(0)) victim = i;
+      if (plan_[i].victim_level >= plan_[victim].victim_level) victim = i;
     }
-    Request demoted = std::move(plan_[victim]);
+    Planned demoted = std::move(plan_[victim]);
     plan_.erase(plan_.begin() + static_cast<ptrdiff_t>(victim));
     plan_.push_back(std::move(demoted));
   }
@@ -51,13 +58,9 @@ void DdsScheduler::Enqueue(Request r, const DispatchContext& ctx) {
 
 std::optional<Request> DdsScheduler::Dispatch(const DispatchContext&) {
   if (plan_.empty()) return std::nullopt;
-  Request r = std::move(plan_.front());
+  Request r = std::move(plan_.front().req);
   plan_.erase(plan_.begin());
   return r;
-}
-
-void DdsScheduler::ForEachWaiting(FunctionRef<void(const Request&)> fn) const {
-  for (const Request& r : plan_) fn(r);
 }
 
 }  // namespace csfc

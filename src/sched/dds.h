@@ -26,13 +26,22 @@ class DdsScheduler final : public Scheduler {
   explicit DdsScheduler(const DiskModel* disk) : disk_(disk) {}
 
   std::string_view name() const override { return "dds"; }
+  /// Plans `r` with its dimension-0 level as its victim level.
   void Enqueue(Request r, const DispatchContext& ctx) override;
+  /// Plans `r` with an explicit victim level (larger = demoted first), as
+  /// SfcDdsScheduler does with its SFC1 level; `r` leaves unchanged.
+  void EnqueueRanked(Request r, PriorityLevel victim_level,
+                     const DispatchContext& ctx);
   CSFC_HOT CSFC_DETERMINISTIC
   std::optional<Request> Dispatch(const DispatchContext& ctx) override;
   size_t queue_size() const override { return plan_.size(); }
-  void ForEachWaiting(FunctionRef<void(const Request&)> fn) const override;
 
  private:
+  struct Planned {
+    Request req;
+    PriorityLevel victim_level = 0;
+  };
+
   // C-SCAN position key of a cylinder relative to the head: distance of
   // the upward sweep (with wraparound).
   uint64_t ScanKey(Cylinder cyl, Cylinder head) const;
@@ -42,7 +51,7 @@ class DdsScheduler final : public Scheduler {
   bool PlanFeasible(const DispatchContext& ctx) const;
 
   const DiskModel* disk_;
-  std::vector<Request> plan_;  // service order; front is served next
+  std::vector<Planned> plan_;  // service order; front is served next
 };
 
 }  // namespace csfc

@@ -18,8 +18,4 @@ std::optional<Request> EdfScheduler::Dispatch(const DispatchContext&) {
   return r;
 }
 
-void EdfScheduler::ForEachWaiting(FunctionRef<void(const Request&)> fn) const {
-  for (const auto& [key, r] : by_deadline_) fn(r);
-}
-
 }  // namespace csfc

@@ -21,7 +21,6 @@ class EdfScheduler final : public Scheduler {
   CSFC_HOT CSFC_DETERMINISTIC
   std::optional<Request> Dispatch(const DispatchContext& ctx) override;
   size_t queue_size() const override { return size_; }
-  void ForEachWaiting(FunctionRef<void(const Request&)> fn) const override;
 
  private:
   // (deadline, arrival) keyed; FIFO among exact ties via multimap order.

@@ -38,33 +38,12 @@ PriorityLevel SfcDdsScheduler::AbsolutePriority(const Request& r) const {
 }
 
 void SfcDdsScheduler::Enqueue(Request r, const DispatchContext& ctx) {
-  originals_[r.id] = r.priorities;
-  r.priorities = PriorityVec{AbsolutePriority(r)};
-  inner_.Enqueue(std::move(r), ctx);
+  const PriorityLevel level = AbsolutePriority(r);
+  inner_.EnqueueRanked(std::move(r), level, ctx);
 }
 
 std::optional<Request> SfcDdsScheduler::Dispatch(const DispatchContext& ctx) {
-  std::optional<Request> r = inner_.Dispatch(ctx);
-  if (!r) return r;
-  auto it = originals_.find(r->id);
-  if (it != originals_.end()) {
-    r->priorities = it->second;
-    originals_.erase(it);
-  }
-  return r;
-}
-
-void SfcDdsScheduler::ForEachWaiting(FunctionRef<void(const Request&)> fn) const {
-  inner_.ForEachWaiting([&](const Request& flattened) {
-    auto it = originals_.find(flattened.id);
-    if (it == originals_.end()) {
-      fn(flattened);
-      return;
-    }
-    Request restored = flattened;
-    restored.priorities = it->second;
-    fn(restored);
-  });
+  return inner_.Dispatch(ctx);
 }
 
 SfcBucketScheduler::SfcBucketScheduler(uint32_t levels, uint32_t buckets,
@@ -104,14 +83,6 @@ std::optional<Request> SfcBucketScheduler::Dispatch(
     return r;
   }
   return std::nullopt;
-}
-
-void SfcBucketScheduler::ForEachWaiting(FunctionRef<void(const Request&)> fn) const {
-  for (const auto& bucket : queues_) {
-    for (const auto& [band, group] : bucket) {
-      for (const auto& [cyl, r] : group) fn(r);
-    }
-  }
 }
 
 }  // namespace csfc

@@ -45,7 +45,6 @@ class SfcDdsScheduler final : public Scheduler {
   CSFC_HOT CSFC_DETERMINISTIC
   std::optional<Request> Dispatch(const DispatchContext& ctx) override;
   size_t queue_size() const override { return inner_.queue_size(); }
-  void ForEachWaiting(FunctionRef<void(const Request&)> fn) const override;
 
   /// The absolute priority level SFC1 assigns to `r` (exposed for tests).
   PriorityLevel AbsolutePriority(const Request& r) const;
@@ -55,9 +54,6 @@ class SfcDdsScheduler final : public Scheduler {
 
   CurvePtr curve_;
   DdsScheduler inner_;
-  // Original priority vectors, keyed by request id, so dispatched
-  // requests leave with their caller-visible priorities intact.
-  std::map<RequestId, PriorityVec> originals_;
 };
 
 /// BUCKET extended with an SFC3 stage: buckets are served highest-value
@@ -77,7 +73,6 @@ class SfcBucketScheduler final : public Scheduler {
   CSFC_HOT CSFC_DETERMINISTIC
   std::optional<Request> Dispatch(const DispatchContext& ctx) override;
   size_t queue_size() const override { return size_; }
-  void ForEachWaiting(FunctionRef<void(const Request&)> fn) const override;
 
  private:
   uint32_t BucketOf(PriorityLevel value_level) const;

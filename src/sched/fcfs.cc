@@ -15,8 +15,4 @@ std::optional<Request> FcfsScheduler::Dispatch(const DispatchContext&) {
   return r;
 }
 
-void FcfsScheduler::ForEachWaiting(FunctionRef<void(const Request&)> fn) const {
-  for (const Request& r : queue_) fn(r);
-}
-
 }  // namespace csfc

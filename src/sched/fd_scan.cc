@@ -71,8 +71,4 @@ std::optional<Request> FdScanScheduler::Dispatch(const DispatchContext& ctx) {
   return take(std::prev(it));  // first at/below head going down
 }
 
-void FdScanScheduler::ForEachWaiting(FunctionRef<void(const Request&)> fn) const {
-  for (const auto& [cyl, r] : by_cylinder_) fn(r);
-}
-
 }  // namespace csfc

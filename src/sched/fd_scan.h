@@ -25,7 +25,6 @@ class FdScanScheduler final : public Scheduler {
   CSFC_HOT CSFC_DETERMINISTIC
   std::optional<Request> Dispatch(const DispatchContext& ctx) override;
   size_t queue_size() const override { return size_; }
-  void ForEachWaiting(FunctionRef<void(const Request&)> fn) const override;
 
  private:
   // Estimated completion time if the head went straight to `r` now.

@@ -30,10 +30,4 @@ std::optional<Request> MultiQueueScheduler::Dispatch(
   return std::nullopt;
 }
 
-void MultiQueueScheduler::ForEachWaiting(FunctionRef<void(const Request&)> fn) const {
-  for (const auto& queue : queues_) {
-    for (const auto& [cyl, r] : queue) fn(r);
-  }
-}
-
 }  // namespace csfc

@@ -23,7 +23,6 @@ class MultiQueueScheduler final : public Scheduler {
   CSFC_HOT CSFC_DETERMINISTIC
   std::optional<Request> Dispatch(const DispatchContext& ctx) override;
   size_t queue_size() const override { return size_; }
-  void ForEachWaiting(FunctionRef<void(const Request&)> fn) const override;
 
  private:
   // queues_[level] is cylinder-ordered; level 0 = highest priority.

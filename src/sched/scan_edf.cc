@@ -24,10 +24,4 @@ std::optional<Request> ScanEdfScheduler::Dispatch(const DispatchContext& ctx) {
   return r;
 }
 
-void ScanEdfScheduler::ForEachWaiting(FunctionRef<void(const Request&)> fn) const {
-  for (const auto& [bucket, group] : buckets_) {
-    for (const auto& [cyl, r] : group) fn(r);
-  }
-}
-
 }  // namespace csfc

@@ -61,8 +61,4 @@ std::optional<Request> ScanScheduler::Dispatch(const DispatchContext& ctx) {
   return take(std::prev(it));
 }
 
-void ScanScheduler::ForEachWaiting(FunctionRef<void(const Request&)> fn) const {
-  for (const auto& [cyl, r] : by_cylinder_) fn(r);
-}
-
 }  // namespace csfc

@@ -27,7 +27,6 @@ class ScanScheduler final : public Scheduler {
   CSFC_HOT CSFC_DETERMINISTIC
   std::optional<Request> Dispatch(const DispatchContext& ctx) override;
   size_t queue_size() const override { return size_; }
-  void ForEachWaiting(FunctionRef<void(const Request&)> fn) const override;
 
   /// Current sweep direction (+1 toward higher cylinders). Exposed for
   /// tests.

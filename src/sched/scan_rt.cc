@@ -46,8 +46,4 @@ std::optional<Request> ScanRtScheduler::Dispatch(const DispatchContext&) {
   return r;
 }
 
-void ScanRtScheduler::ForEachWaiting(FunctionRef<void(const Request&)> fn) const {
-  for (const Request& r : plan_) fn(r);
-}
-
 }  // namespace csfc

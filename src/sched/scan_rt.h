@@ -25,7 +25,6 @@ class ScanRtScheduler final : public Scheduler {
   CSFC_HOT CSFC_DETERMINISTIC
   std::optional<Request> Dispatch(const DispatchContext& ctx) override;
   size_t queue_size() const override { return plan_.size(); }
-  void ForEachWaiting(FunctionRef<void(const Request&)> fn) const override;
 
  private:
   uint64_t ScanKey(Cylinder cyl, Cylinder head) const;

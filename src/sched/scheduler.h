@@ -17,7 +17,6 @@
 #include <string_view>
 #include <utility>
 
-#include "common/function_ref.h"
 #include "common/types.h"
 #include "workload/request.h"
 
@@ -69,12 +68,6 @@ class Scheduler {
 
   /// Number of pending requests.
   virtual size_t queue_size() const = 0;
-
-  /// Visits every pending request (order unspecified). Used by the metrics
-  /// layer to count priority inversions at dispatch time — once per
-  /// dispatch, so the visitor is a non-owning FunctionRef rather than a
-  /// std::function (no allocation, single indirection).
-  virtual void ForEachWaiting(FunctionRef<void(const Request&)> fn) const = 0;
 
   /// Observability hook. The simulator calls this at the start of every
   /// Run with the run's tracer; policies with internal state worth

@@ -72,8 +72,4 @@ std::optional<Request> SsedScheduler::Dispatch(const DispatchContext& ctx) {
   return r;
 }
 
-void SsedScheduler::ForEachWaiting(FunctionRef<void(const Request&)> fn) const {
-  for (const Request& r : queue_) fn(r);
-}
-
 }  // namespace csfc

@@ -36,7 +36,6 @@ class SsedScheduler final : public Scheduler {
   CSFC_HOT CSFC_DETERMINISTIC
   std::optional<Request> Dispatch(const DispatchContext& ctx) override;
   size_t queue_size() const override { return queue_.size(); }
-  void ForEachWaiting(FunctionRef<void(const Request&)> fn) const override;
 
  private:
   SsedVariant variant_;

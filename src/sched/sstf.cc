@@ -28,8 +28,4 @@ std::optional<Request> SstfScheduler::Dispatch(const DispatchContext& ctx) {
   return r;
 }
 
-void SstfScheduler::ForEachWaiting(FunctionRef<void(const Request&)> fn) const {
-  for (const auto& [cyl, r] : by_cylinder_) fn(r);
-}
-
 }  // namespace csfc

@@ -48,7 +48,7 @@ RunMetrics DiskServerSimulator::Run(RequestGenerator& gen, Scheduler& sched) {
       tracer_.set_now(now);
       std::optional<Request> r = sched.Dispatch(ctx);
       if (r) {
-        metrics.OnDispatch(*r, sched);
+        metrics.OnDispatch(*r, sched.queue_size());
         double seek_ms = 0.0;
         double service_ms = 0.0;
         switch (config_.service_model) {

@@ -1,6 +1,7 @@
 #include "stats/metrics.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 
 #include "obs/json.h"
@@ -123,6 +124,44 @@ std::string RunMetrics::ToJson() const {
   return w.Take();
 }
 
+void MetricsCollector::WaitingLevels::Add(PriorityLevel level) {
+  const size_t n = tree_.size() - 1;
+  if (level >= n) {
+    ++overflow_[level];
+    return;
+  }
+  for (size_t i = size_t{level} + 1; i <= n; i += i & -i) ++tree_[i];
+}
+
+void MetricsCollector::WaitingLevels::Remove(PriorityLevel level) {
+  const size_t n = tree_.size() - 1;
+  if (level >= n) {
+    const auto it = overflow_.find(level);
+    assert(it != overflow_.end() && "removed a level that was never added");
+    if (it != overflow_.end() && --it->second == 0) overflow_.erase(it);
+    return;
+  }
+  assert(CountBelow(level + 1) > CountBelow(level) &&
+         "removed a level that was never added");
+  for (size_t i = size_t{level} + 1; i <= n; i += i & -i) --tree_[i];
+}
+
+uint64_t MetricsCollector::WaitingLevels::CountBelow(
+    PriorityLevel level) const {
+  uint64_t count = 0;
+  for (size_t i = std::min(size_t{level}, tree_.size() - 1); i > 0;
+       i -= i & -i) {
+    count += tree_[i];
+  }
+  // Overflow keys are >= the grid size, so this adds nothing unless
+  // `level` itself lies past the grid.
+  for (auto it = overflow_.begin();
+       it != overflow_.end() && it->first < level; ++it) {
+    count += it->second;
+  }
+  return count;
+}
+
 MetricsCollector::MetricsCollector(const MetricsConfig& config)
     : dims_(config.dims), levels_(std::max(config.levels, 1u)) {
   metrics_.inversions_per_dim.assign(dims_, 0);
@@ -131,10 +170,13 @@ MetricsCollector::MetricsCollector(const MetricsConfig& config)
   metrics_.totals_per_dim_level.assign(
       dims_, std::vector<uint64_t>(levels_, 0));
   if (dims_ > 0) metrics_.response_per_level.resize(levels_);
+  waiting_.assign(dims_, WaitingLevels(levels_));
 }
 
 void MetricsCollector::OnArrival(const Request& r) {
   ++metrics_.arrivals;
+  const size_t dims = std::min<size_t>(dims_, r.priorities.size());
+  for (size_t k = 0; k < dims; ++k) waiting_[k].Add(r.priorities[k]);
   if (tracer_ != nullptr && tracer_->enabled()) {
     obs::TraceEvent e;
     e.kind = obs::TraceEventKind::kArrival;
@@ -147,7 +189,7 @@ void MetricsCollector::OnArrival(const Request& r) {
   }
 }
 
-void MetricsCollector::OnDispatch(const Request& r, const Scheduler& sched) {
+void MetricsCollector::OnDispatch(const Request& r, size_t queue_depth) {
   if (tracer_ != nullptr && tracer_->enabled()) {
     obs::TraceEvent e;
     e.kind = obs::TraceEventKind::kDispatch;
@@ -155,18 +197,18 @@ void MetricsCollector::OnDispatch(const Request& r, const Scheduler& sched) {
     e.id = r.id;
     e.cylinder = r.cylinder;
     e.level = r.priorities.empty() ? 0 : r.priorities[0];
-    e.queue_depth = sched.queue_size();
+    e.queue_depth = queue_depth;
     tracer_->Emit(e);
   }
-  if (dims_ == 0) return;
-  sched.ForEachWaiting([&](const Request& w) {
-    const size_t dims = std::min<size_t>(dims_, w.priorities.size());
-    for (size_t k = 0; k < dims; ++k) {
-      // Waiting request more important (smaller level) than the dispatched
-      // one on dimension k: one inversion.
-      if (w.priorities[k] < r.priority(k)) ++metrics_.inversions_per_dim[k];
-    }
-  });
+  // Dimensions `r` lacks rank it at level 0, below which nothing waits.
+  const size_t dims = std::min<size_t>(dims_, r.priorities.size());
+  for (size_t k = 0; k < dims; ++k) {
+    WaitingLevels& waiting = waiting_[k];
+    waiting.Remove(r.priorities[k]);
+    // Waiting requests more important (smaller level) than the dispatched
+    // one on dimension k: one inversion each.
+    metrics_.inversions_per_dim[k] += waiting.CountBelow(r.priorities[k]);
+  }
 }
 
 void MetricsCollector::OnCompletion(const Request& r, SimTime finish_time,

@@ -16,6 +16,7 @@
 #define CSFC_STATS_METRICS_H_
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -23,7 +24,6 @@
 #include "common/status.h"
 #include "common/types.h"
 #include "obs/tracer.h"
-#include "sched/scheduler.h"
 #include "workload/request.h"
 
 namespace csfc {
@@ -94,6 +94,12 @@ struct RunMetrics {
 /// Collects RunMetrics during a simulation. The simulator drives it; tests
 /// may drive it directly. When a tracer is attached it also emits the
 /// arrival / dispatch / completion / deadline-miss lifecycle events.
+///
+/// Call contract: OnArrival(r) as `r` enters the scheduler (before
+/// Enqueue) and OnDispatch(r, ...) as it leaves (after Dispatch), with the
+/// priorities it arrived with. The collector counts priority inversions
+/// against the requests that arrived and were not yet dispatched, so that
+/// set must be exactly the scheduler's queue.
 class MetricsCollector {
  public:
   /// `config.dims` QoS dimensions with `config.levels` levels each are
@@ -105,11 +111,14 @@ class MetricsCollector {
   /// null / disabled; must outlive the collector's On* calls).
   void set_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
 
+  /// Counts `r` as waiting.
   void OnArrival(const Request& r);
 
-  /// Called after `r` was removed from the scheduler queue, with the
-  /// scheduler still holding the remaining waiting requests.
-  void OnDispatch(const Request& r, const Scheduler& sched);
+  /// Stops counting `r` as waiting and charges, per dimension, one
+  /// inversion for every waiting request at a strictly more important
+  /// level. `queue_depth` (the scheduler's queue size after the dispatch)
+  /// only feeds the trace event.
+  void OnDispatch(const Request& r, size_t queue_depth);
 
   /// Called when service finishes. `seek_ms`/`service_ms` are that
   /// request's contributions.
@@ -120,9 +129,28 @@ class MetricsCollector {
   RunMetrics TakeMetrics() { return std::move(metrics_); }
 
  private:
+  /// Multiset of the waiting requests' levels on one dimension: a Fenwick
+  /// tree over the configured levels (O(log levels) per operation), plus
+  /// an ordered map for levels past them, which trace replays may carry
+  /// up to 2^32-1, so every count stays exact.
+  class WaitingLevels {
+   public:
+    explicit WaitingLevels(uint32_t levels) : tree_(size_t{levels} + 1, 0) {}
+    void Add(PriorityLevel level);
+    void Remove(PriorityLevel level);
+    /// Waiting entries with a level strictly below `level`.
+    uint64_t CountBelow(PriorityLevel level) const;
+
+   private:
+    std::vector<uint64_t> tree_;  ///< 1-based Fenwick tree over [0, levels)
+    std::map<PriorityLevel, uint64_t> overflow_;  ///< level -> count
+  };
+
   uint32_t dims_;
   uint32_t levels_;
   RunMetrics metrics_;
+  /// waiting_[k]: levels of the waiting requests on dimension k.
+  std::vector<WaitingLevels> waiting_;
   obs::Tracer* tracer_ = nullptr;
 };
 

@@ -244,6 +244,15 @@ DispatcherConfig CalCfg(QueueDiscipline disc, double w, bool sp, bool er,
   return c;
 }
 
+// Service order of everything `d` holds, read from a copy so the original
+// keeps replaying the trace.
+template <typename D>
+std::vector<RequestId> DrainCopy(D d) {
+  std::vector<RequestId> ids;
+  while (std::optional<Request> r = d.Pop()) ids.push_back(r->id);
+  return ids;
+}
+
 void ExpectAgree(const Dispatcher& cal, const Dispatcher& flat,
                  const ReferenceDispatcher& ref) {
   ASSERT_EQ(cal.size(), ref.size());
@@ -304,12 +313,9 @@ void ReplayThreeWay(const DispatcherConfig& cal_cfg, uint64_t seed,
       flat.RekeyWaiting(key);
       ref.RekeyWaiting(key);
     } else {
-      std::vector<RequestId> ca, fa, ra;
-      cal.ForEach([&](const Request& r) { ca.push_back(r.id); });
-      flat.ForEach([&](const Request& r) { fa.push_back(r.id); });
-      ref.ForEach([&](const Request& r) { ra.push_back(r.id); });
-      ASSERT_EQ(ca, ra);
-      ASSERT_EQ(fa, ra);
+      const std::vector<RequestId> ra = DrainCopy(ref);
+      ASSERT_EQ(DrainCopy(cal), ra);
+      ASSERT_EQ(DrainCopy(flat), ra);
     }
     ExpectAgree(cal, flat, ref);
   }

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "core/presets.h"
 
 namespace csfc {
@@ -69,9 +71,9 @@ TEST(CascadedSchedulerTest, QueueSizeAndForEachTrackBothQueues) {
   (*s)->Enqueue(Req(2, {0, 0}), ctx);   // preempts into q
   (*s)->Enqueue(Req(3, {15, 15}), ctx); // waits in q'
   EXPECT_EQ((*s)->queue_size(), 2u);
-  size_t seen = 0;
-  (*s)->ForEachWaiting([&](const Request&) { ++seen; });
-  EXPECT_EQ(seen, 2u);
+  std::vector<RequestId> drained;
+  while (auto r = (*s)->Dispatch(ctx)) drained.push_back(r->id);
+  EXPECT_EQ(drained, (std::vector<RequestId>{2, 3}));
 }
 
 TEST(CascadedSchedulerTest, DeterministicAcrossInstances) {

@@ -105,7 +105,7 @@ TEST_P(DispatcherPropertyTest, ForEachVisitsExactlyThePending) {
     }
   }
   std::map<RequestId, int> seen;
-  d.ForEach([&](const Request& r) { ++seen[r.id]; });
+  while (auto r = d.Pop()) ++seen[r->id];
   EXPECT_EQ(seen.size(), pending.size());
   for (const auto& [id, count] : seen) {
     EXPECT_EQ(count, 1);

@@ -64,11 +64,10 @@ TEST(FcfsTest, QueueSizeAndForEach) {
   s.Enqueue(Req(1, 1), ctx);
   s.Enqueue(Req(2, 2), ctx);
   EXPECT_EQ(s.queue_size(), 2u);
-  size_t seen = 0;
-  s.ForEachWaiting([&](const Request&) { ++seen; });
-  EXPECT_EQ(seen, 2u);
-  s.Dispatch(ctx);
+  EXPECT_EQ(s.Dispatch(ctx)->id, 1u);
   EXPECT_EQ(s.queue_size(), 1u);
+  EXPECT_EQ(DrainIds(s), (std::vector<RequestId>{2}));
+  EXPECT_EQ(s.queue_size(), 0u);
 }
 
 TEST(FcfsTest, EmptyDispatchReturnsNullopt) {

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <vector>
+
 #include "sched/bucket.h"
 
 namespace csfc {
@@ -84,20 +87,19 @@ TEST(SfcDdsTest, RestoresOriginalPriorities) {
   EXPECT_EQ(r->priorities[2], 11u);
 }
 
-TEST(SfcDdsTest, ForEachWaitingSeesOriginalPriorities) {
-  auto s = SfcDdsScheduler::Create(SharedDisk(), "hilbert", 2, 4);
+TEST(SfcDdsTest, RepeatedIdsKeepTheirOwnPriorities) {
+  // Traces may repeat request ids; each request must still leave with the
+  // vector it arrived with, whichever of a same-id pair dispatches first.
+  auto s = SfcDdsScheduler::Create(SharedDisk(), "hilbert", 3, 4);
   ASSERT_TRUE(s.ok());
   DispatchContext ctx{.now = 0, .head = 0};
-  (*s)->Enqueue(Req(1, 500, MsToSim(1000), {5, 9}), ctx);
-  size_t seen = 0;
-  (*s)->ForEachWaiting([&](const Request& r) {
-    ++seen;
-    ASSERT_EQ(r.priorities.size(), 2u);
-    EXPECT_EQ(r.priorities[0], 5u);
-    EXPECT_EQ(r.priorities[1], 9u);
-  });
-  EXPECT_EQ(seen, 1u);
-  EXPECT_EQ((*s)->queue_size(), 1u);
+  (*s)->Enqueue(Req(7, 500, MsToSim(1000), {1, 2, 3}), ctx);
+  (*s)->Enqueue(Req(7, 900, MsToSim(1000), {12, 13, 14}), ctx);
+  std::map<Cylinder, PriorityVec> served;
+  while (auto r = (*s)->Dispatch(ctx)) served[r->cylinder] = r->priorities;
+  ASSERT_EQ(served.size(), 2u);
+  EXPECT_EQ(served[500], (PriorityVec{1, 2, 3}));
+  EXPECT_EQ(served[900], (PriorityVec{12, 13, 14}));
 }
 
 // --- SfcBucketScheduler ----------------------------------------------------
@@ -142,9 +144,8 @@ TEST(SfcBucketTest, QueueSizeAndForEach) {
   s.Enqueue(Req(1, 10, MsToSim(100), {0}), ctx);
   s.Enqueue(Req(2, 20, MsToSim(200), {7}), ctx);
   EXPECT_EQ(s.queue_size(), 2u);
-  size_t seen = 0;
-  s.ForEachWaiting([&](const Request&) { ++seen; });
-  EXPECT_EQ(seen, 2u);
+  EXPECT_EQ(DrainIds(s), (std::vector<RequestId>{1, 2}));
+  EXPECT_EQ(s.queue_size(), 0u);
 }
 
 TEST(SfcBucketTest, SeekBeatsPlainBucketOnBandedWorkload) {

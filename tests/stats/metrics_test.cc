@@ -4,8 +4,6 @@
 
 #include <cmath>
 
-#include "sched/fcfs.h"
-
 namespace csfc {
 namespace {
 
@@ -101,23 +99,52 @@ TEST(MetricsCollectorTest, RelaxedDeadlinesNotTracked) {
 
 TEST(MetricsCollectorTest, InversionsAgainstWaitingQueue) {
   MetricsCollector c(MetricsConfig{.dims = 2, .levels = 8});
-  FcfsScheduler sched;
-  DispatchContext ctx;
-  sched.Enqueue(Req({0, 5}), ctx);  // higher on dim 0
-  sched.Enqueue(Req({7, 1}), ctx);  // higher on dim 1
   const Request dispatched = Req({3, 3});
-  c.OnDispatch(dispatched, sched);
+  c.OnArrival(Req({0, 5}));  // higher on dim 0
+  c.OnArrival(Req({7, 1}));  // higher on dim 1
+  c.OnArrival(dispatched);
+  c.OnDispatch(dispatched, /*queue_depth=*/2);
   EXPECT_EQ(c.metrics().inversions_per_dim[0], 1u);
   EXPECT_EQ(c.metrics().inversions_per_dim[1], 1u);
 }
 
 TEST(MetricsCollectorTest, EqualLevelsAreNotInversions) {
   MetricsCollector c(MetricsConfig{.dims = 1, .levels = 8});
-  FcfsScheduler sched;
-  DispatchContext ctx;
-  sched.Enqueue(Req({3}), ctx);
-  c.OnDispatch(Req({3}), sched);
+  c.OnArrival(Req({3}));
+  c.OnArrival(Req({3}));
+  c.OnDispatch(Req({3}), /*queue_depth=*/1);
   EXPECT_EQ(c.metrics().total_inversions(), 0u);
+}
+
+TEST(MetricsCollectorTest, InversionsCountOnlyStillWaitingRequests) {
+  MetricsCollector c(MetricsConfig{.dims = 1, .levels = 8});
+  c.OnArrival(Req({1}));
+  c.OnArrival(Req({5}));
+  c.OnArrival(Req({6}));
+  c.OnDispatch(Req({1}), /*queue_depth=*/2);  // nothing more important
+  c.OnDispatch(Req({6}), /*queue_depth=*/1);  // level 5 waits: one
+  c.OnDispatch(Req({5}), /*queue_depth=*/0);  // 1 and 6 already left
+  EXPECT_EQ(c.metrics().total_inversions(), 1u);
+}
+
+TEST(MetricsCollectorTest, LevelsBeyondTheGridCountExactly) {
+  // Trace replays may carry any uint32 level, and fewer (or more)
+  // dimensions than the collector tracks.
+  MetricsCollector c(MetricsConfig{.dims = 2, .levels = 4});
+  const Request none = Req({});
+  c.OnArrival(none);
+  c.OnArrival(Req({3, 9}));
+  c.OnArrival(Req({9}));
+  c.OnArrival(Req({4000000000u, 2, 1}));
+  const Request top = Req({4294967295u, 4294967295u});
+  c.OnArrival(top);
+  c.OnDispatch(top, /*queue_depth=*/4);
+  EXPECT_EQ(c.metrics().inversions_per_dim[0], 3u);
+  EXPECT_EQ(c.metrics().inversions_per_dim[1], 2u);
+  c.OnDispatch(Req({9}), /*queue_depth=*/3);  // only level 3 is below 9
+  EXPECT_EQ(c.metrics().inversions_per_dim[0], 4u);
+  c.OnDispatch(none, /*queue_depth=*/2);  // no levels: no inversions
+  EXPECT_EQ(c.metrics().total_inversions(), 6u);
 }
 
 TEST(MetricsCollectorTest, ResponseTimeTracked) {

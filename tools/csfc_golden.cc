@@ -87,12 +87,14 @@ class HashWriter : public obs::Writer {
 // — the simd-scalar CI flavor exists precisely to prove it changes
 // nothing), no entropy. Workload seeds are fixed here and nowhere else.
 
-Result<std::vector<Request>> PinnedWorkload(const std::string& kind,
-                                            uint64_t seed, uint64_t count) {
+Result<std::vector<Request>> PinnedWorkload(
+    const std::string& kind, uint64_t seed, uint64_t count,
+    std::optional<double> interarrival_ms = std::nullopt) {
   tools::WorkloadFlags wf;
   wf.kind = kind;
   wf.cfg.seed = seed;
   wf.cfg.count = count;
+  if (interarrival_ms) wf.cfg.mean_interarrival_ms = *interarrival_ms;
   wf.users = 6;              // mpeg streams / edl editors
   wf.duration_ms = 3000.0;   // mpeg horizon
   return tools::BuildWorkload(wf);
@@ -119,8 +121,9 @@ Result<ServerConfig> PinnedConfig(const std::string& sched,
 Result<std::string> SimDigest(const std::string& sched,
                               const std::string& queue,
                               const std::string& workload, uint64_t seed,
-                              std::optional<uint64_t> latency_seed) {
-  auto trace = PinnedWorkload(workload, seed, /*count=*/2000);
+                              std::optional<uint64_t> latency_seed,
+                              std::optional<double> interarrival_ms) {
+  auto trace = PinnedWorkload(workload, seed, /*count=*/2000, interarrival_ms);
   if (!trace.ok()) return trace.status();
   auto config = PinnedConfig(sched, queue);
   if (!config.ok()) return config.status();
@@ -292,7 +295,15 @@ struct GoldenEntry {
 };
 
 Result<std::string> ComputeSim(const GoldenEntry& e) {
-  return SimDigest(e.sched, e.queue, e.workload, e.seed, e.latency_seed);
+  return SimDigest(e.sched, e.queue, e.workload, e.seed, e.latency_seed,
+                   /*interarrival_ms=*/std::nullopt);
+}
+// Overload: arrivals every 2 ms outpace service, so the backlog grows with
+// the run and the inversion counts are pinned at queue depth, not only
+// over the near-empty queues of the default load.
+Result<std::string> ComputeSimOverload(const GoldenEntry& e) {
+  return SimDigest(e.sched, e.queue, e.workload, e.seed, e.latency_seed,
+                   /*interarrival_ms=*/2.0);
 }
 Result<std::string> ComputeServe(const GoldenEntry& e) {
   return ServeDigest(e.sched);
@@ -329,6 +340,8 @@ std::vector<GoldenEntry> BuildMatrix() {
   // distribution math across builds.
   m.push_back({"sim/csfc-calendar/synthetic-latency7", ComputeSim, "csfc",
                "calendar", "synthetic", 42, uint64_t{7}});
+  m.push_back({"sim/csfc-calendar/synthetic-overload", ComputeSimOverload,
+               "csfc", "calendar", "synthetic", 42, std::nullopt});
   m.push_back({"serve/csfc/virtual", ComputeServe, "csfc", "", "", 42,
                std::nullopt});
   m.push_back({"serve/edf/virtual", ComputeServe, "edf", "", "", 42,

@@ -40,9 +40,10 @@ int main(int argc, char** argv) {
   bool list = false;
 
   tools::FlagSet flags("csfc_sim");
-  flags.AddString("trace-in", "FILE", "replay a binary trace instead of generating",
-                  &trace_in);
-  flags.AddString("trace-out", "FILE", "save the generated workload as a binary trace",
+  flags.AddString("trace-in", "FILE",
+                  "replay a text trace file instead of generating", &trace_in);
+  flags.AddString("trace-out", "FILE",
+                  "save the generated workload as a text trace file",
                   &trace_out);
   flags.AddString("trace-jsonl", "FILE",
                   "stream lifecycle events as JSONL (DESIGN.md section 10)",
