@@ -18,7 +18,6 @@ struct Variant {
   bool sp;
   bool er;
   double e;
-  QueueBackend backend = QueueBackend::kFlat;
 };
 
 SchedulerFactory FactoryFor(const Variant& v) {
@@ -26,7 +25,6 @@ SchedulerFactory FactoryFor(const Variant& v) {
   cfg.dispatcher.discipline = v.discipline;
   cfg.dispatcher.expand_reset = v.er;
   cfg.dispatcher.expansion_factor = v.e;
-  cfg.dispatcher.queue_backend = v.backend;
   return bench::CascadedFactory(cfg);
 }
 
@@ -63,16 +61,6 @@ void Run() {
                         QueueDiscipline::kConditionallyPreemptive, 0.05, true,
                         true, e});
   }
-  // Queue-backend ablation: the calendar queue must reproduce the flat
-  // backend's scheduling metrics exactly (same service order by
-  // construction) — any drift in this table is a correctness bug, not a
-  // tuning choice. Its win is throughput, measured in bench_micro_hotpath.
-  variants.push_back({"conditional(cal)",
-                      QueueDiscipline::kConditionallyPreemptive, 0.05, true,
-                      false, 2, QueueBackend::kCalendar});
-  variants.push_back({"conditional+ER(cal)",
-                      QueueDiscipline::kConditionallyPreemptive, 0.05, true,
-                      true, 2, QueueBackend::kCalendar});
 
   std::vector<RunPoint> points;
   for (const Variant& v : variants) {
@@ -80,7 +68,7 @@ void Run() {
   }
   const std::vector<RunMetrics> results = bench::MustRunAll(points);
 
-  TablePrinter t({"discipline", "queue", "window", "SP", "ER(e)",
+  TablePrinter t({"discipline", "window", "SP", "ER(e)",
                   "inversions", "mean resp ms", "max resp ms",
                   "max resp lvl15"});
   for (size_t i = 0; i < variants.size(); ++i) {
@@ -91,9 +79,7 @@ void Run() {
     // a fully-preemptive dispatcher.
     const double worst_level_max =
         m.response_per_level.empty() ? 0.0 : m.response_per_level.back().max();
-    t.AddRow({v.label,
-              v.backend == QueueBackend::kCalendar ? "calendar" : "flat",
-              FormatDouble(v.window, 2), v.sp ? "on" : "off",
+    t.AddRow({v.label, FormatDouble(v.window, 2), v.sp ? "on" : "off",
               v.er ? FormatDouble(v.e, 1) : "off",
               std::to_string(m.total_inversions()),
               FormatDouble(m.response_ms.mean(), 1),

@@ -1,14 +1,12 @@
 // Hot-path microbenchmark: the two per-request costs the scheduler pays on
-// every arrival — Characterize (encapsulation) and dispatcher queue ops —
-// measured before/after the PR's optimizations on the same inputs:
+// every arrival — Characterize (encapsulation) and dispatcher queue ops:
 //
 //  * Characterize: direct per-request curve evaluation (enable_lut=false)
 //    vs. the precomputed lookup-table path (enable_lut=true), in
 //    requests/sec. Values are verified identical before timing.
-//  * Dispatcher: steady-state insert+pop pairs against the std::map
-//    ReferenceDispatcher vs. the flat-heap and calendar-queue Dispatcher
-//    backends at queue depths 10^2 through 10^6, in ops/sec (one op = one
-//    insert + one pop).
+//  * Dispatcher: steady-state insert+pop pairs against the calendar-queue
+//    Dispatcher at queue depths 10^2 through 10^6, in ops/sec (one op =
+//    one insert + one pop).
 //  * Service front-end: closed-loop soak of the MPSC ingest ring +
 //    dispatcher pump (src/svc) with oversubscribed producers — offer and
 //    dispatch throughput plus the enqueue-to-dispatch wait tail.
@@ -223,9 +221,8 @@ SimdResult BenchCharacterizeSimd(size_t batch, bool quick) {
   return r;
 }
 
-template <typename D>
-double TimeInsertPop(D& d, const std::vector<Request>& reqs, size_t depth,
-                     size_t ops) {
+double TimeInsertPop(Dispatcher& d, const std::vector<Request>& reqs,
+                     size_t depth, size_t ops) {
   // Prefill to the target depth, then run steady-state insert+pop pairs so
   // the queues stay at that depth throughout.
   uint64_t x = 1;
@@ -247,9 +244,7 @@ double TimeInsertPop(D& d, const std::vector<Request>& reqs, size_t depth,
 
 struct DispatcherResult {
   size_t depth;
-  double map_ops;
-  double flat_ops;
-  double calendar_ops;
+  double ops;
 };
 
 struct RekeyResult {
@@ -267,7 +262,6 @@ RekeyResult BenchRekeyBatch(size_t depth) {
       PresetFull("hilbert", 3, 4, 1.0, 3, 3832, 0.05, 700.0);
   const auto enc = MustCreate(ccfg.encapsulator, /*enable_lut=*/true);
   DispatcherConfig cfg;
-  cfg.queue_backend = QueueBackend::kFlat;  // section baseline is the flat heap
   cfg.discipline = QueueDiscipline::kNonPreemptive;  // all inserts land in q'
   auto created = Dispatcher::Create(cfg);
   if (!created.ok()) std::abort();
@@ -283,9 +277,7 @@ RekeyResult BenchRekeyBatch(size_t depth) {
   // The per-request arm is the path the batch API replaced: before the
   // batch rework, swap-time rekey reached Characterize through
   // std::function hook plumbing (dispatcher hook over queue callback), so
-  // the "before" arm routes through a std::function the same way — like
-  // the dispatcher section keeps the std::map ReferenceDispatcher as its
-  // before.
+  // the "before" arm routes through a std::function the same way.
   const auto rekey_scalar = [&](const DispatchContext& ctx) {
     const std::function<CValue(const Request&)> hook =
         [&](const Request& r) { return enc->Characterize(r, ctx); };
@@ -341,10 +333,7 @@ RekeyResult BenchRekeyBatch(size_t depth) {
 }
 
 DispatcherResult BenchDispatcher(size_t depth, bool quick) {
-  DispatcherConfig cfg;  // conditionally-preemptive, w = 0.05, SP on
-  cfg.queue_backend = QueueBackend::kFlat;  // the flat-vs-calendar ablation
-  DispatcherConfig calendar_cfg = cfg;
-  calendar_cfg.queue_backend = QueueBackend::kCalendar;
+  const DispatcherConfig cfg;  // conditionally-preemptive, w = 0.05, SP on
   const auto reqs = MakeRequests(1 << 12, 16, 3832);
   size_t ops = depth >= 10000 ? 200000 : 1000000;
   if (quick) ops = std::min<size_t>(ops, 50000);
@@ -352,23 +341,16 @@ DispatcherResult BenchDispatcher(size_t depth, bool quick) {
   // untimed queue ops); two reps keep the full sweep in budget.
   const int reps = (quick || depth >= 100000) ? 2 : 3;
 
-  ReferenceDispatcher ref(cfg);
-  auto flat = Dispatcher::Create(cfg);
-  auto calendar = Dispatcher::Create(calendar_cfg);
-  if (!flat.ok() || !calendar.ok()) std::abort();
+  auto d = Dispatcher::Create(cfg);
+  if (!d.ok()) std::abort();
 
-  TimeInsertPop(ref, reqs, depth, ops / 4);  // warmup
-  TimeInsertPop(*flat, reqs, depth, ops / 4);
-  TimeInsertPop(*calendar, reqs, depth, ops / 4);
-  // Best of several interleaved reps (same rationale as BenchRekeyBatch).
-  double map_rps = 0.0, flat_rps = 0.0, calendar_rps = 0.0;
+  TimeInsertPop(*d, reqs, depth, ops / 4);  // warmup
+  // Best of several reps (same rationale as BenchRekeyBatch).
+  double best = 0.0;
   for (int rep = 0; rep < reps; ++rep) {
-    map_rps = std::max(map_rps, TimeInsertPop(ref, reqs, depth, ops));
-    flat_rps = std::max(flat_rps, TimeInsertPop(*flat, reqs, depth, ops));
-    calendar_rps =
-        std::max(calendar_rps, TimeInsertPop(*calendar, reqs, depth, ops));
+    best = std::max(best, TimeInsertPop(*d, reqs, depth, ops));
   }
-  return DispatcherResult{depth, map_rps, flat_rps, calendar_rps};
+  return DispatcherResult{depth, best};
 }
 
 struct ServiceResult {
@@ -473,30 +455,12 @@ void WriteJson(const std::vector<CharacterizeResult>& chars,
     json.EndObject();
   }
   json.EndArray();
-  json.Key("dispatcher_insert_pop");
+  json.Key("dispatcher");
   json.BeginArray();
   for (const DispatcherResult& d : disps) {
     json.BeginObject();
     json.Field("depth", static_cast<uint64_t>(d.depth));
-    json.Field("map_ops_per_sec", d.map_ops);
-    json.Field("flat_ops_per_sec", d.flat_ops);
-    json.Field("speedup", d.flat_ops / d.map_ops);
-    json.EndObject();
-  }
-  json.EndArray();
-  // The calendar backend gets its own section (rather than widening the
-  // dispatcher_insert_pop rows) so the flat-vs-map baseline series stays
-  // comparable across PRs.
-  json.Key("dispatcher_calendar");
-  json.BeginArray();
-  for (const DispatcherResult& d : disps) {
-    json.BeginObject();
-    json.Field("depth", static_cast<uint64_t>(d.depth));
-    json.Field("map_ops_per_sec", d.map_ops);
-    json.Field("flat_ops_per_sec", d.flat_ops);
-    json.Field("calendar_ops_per_sec", d.calendar_ops);
-    json.Field("speedup_vs_map", d.calendar_ops / d.map_ops);
-    json.Field("speedup_vs_flat", d.calendar_ops / d.flat_ops);
+    json.Field("ops_per_sec", d.ops);
     json.EndObject();
   }
   json.EndArray();
@@ -601,15 +565,9 @@ void Run(const BenchOptions& opts) {
   }
   std::printf(
       "\n== Dispatcher insert+pop throughput (pairs/sec) ==\n\n");
-  TablePrinter dt({"depth", "std::map", "flat heap", "calendar", "flat/map",
-                   "cal/map", "cal/flat"});
+  TablePrinter dt({"depth", "insert+pop"});
   for (const DispatcherResult& d : disps) {
-    dt.AddRow({std::to_string(d.depth), FormatDouble(d.map_ops / 1e6, 2) + "M",
-               FormatDouble(d.flat_ops / 1e6, 2) + "M",
-               FormatDouble(d.calendar_ops / 1e6, 2) + "M",
-               FormatDouble(d.flat_ops / d.map_ops, 2) + "x",
-               FormatDouble(d.calendar_ops / d.map_ops, 2) + "x",
-               FormatDouble(d.calendar_ops / d.flat_ops, 2) + "x"});
+    dt.AddRow({std::to_string(d.depth), FormatDouble(d.ops / 1e6, 2) + "M"});
   }
   dt.Print();
 

@@ -11,7 +11,7 @@ Result<std::unique_ptr<CascadedSfcScheduler>> CascadedSfcScheduler::Create(
       Encapsulator::Create(config.encapsulator);
   if (!e.ok()) return e.status();
   DispatcherConfig dc = config.dispatcher;
-  if (dc.queue_backend == QueueBackend::kCalendar && dc.calendar_buckets == 0) {
+  if (dc.calendar_buckets == 0) {
     // Derive the calendar geometry from the SFC3 partition parameters the
     // encapsulator already carries: R sweep partitions of the v_c space,
     // each sliced at cylinder granularity. Slices per sweep are capped so

@@ -19,96 +19,6 @@ Status DispatcherConfig::Validate() const {
   return Status::OK();
 }
 
-// --------------------------------------------------------------------------
-// ReferenceDispatcher: the original std::map implementation, unchanged.
-// --------------------------------------------------------------------------
-
-ReferenceDispatcher::ReferenceDispatcher(const DispatcherConfig& config)
-    : config_(config), window_(config.window) {}
-
-void ReferenceDispatcher::Insert(CValue v, const Request& r) {
-  const auto key = std::make_pair(v, seq_++);
-  switch (config_.discipline) {
-    case QueueDiscipline::kFullyPreemptive:
-      active_.emplace(key, r);
-      return;
-    case QueueDiscipline::kNonPreemptive:
-      waiting_.emplace(key, r);
-      return;
-    case QueueDiscipline::kConditionallyPreemptive: {
-      if (!current_.has_value()) {
-        waiting_.emplace(key, r);
-        return;
-      }
-      const CValue v_cur = *current_;
-      if (v < v_cur - window_) {
-        active_.emplace(key, r);
-        ++preemptions_;
-        if (config_.expand_reset) window_ *= config_.expansion_factor;
-      } else {
-        waiting_.emplace(key, r);
-      }
-      return;
-    }
-  }
-}
-
-void ReferenceDispatcher::Swap() {
-  std::swap(active_, waiting_);
-  ++swaps_;
-  if (config_.expand_reset) window_ = config_.window;  // ER reset
-}
-
-std::optional<Request> ReferenceDispatcher::Pop() {
-  if (config_.discipline == QueueDiscipline::kConditionallyPreemptive &&
-      config_.serve_promote && !active_.empty() && !waiting_.empty()) {
-    const CValue v_cur = active_.begin()->first.first;
-    auto it = waiting_.begin();
-    while (it != waiting_.end() && it->first.first < v_cur - window_) {
-      active_.insert(*it);
-      it = waiting_.erase(it);
-      ++promotions_;
-    }
-  }
-  if (active_.empty()) {
-    if (waiting_.empty()) return std::nullopt;
-    Swap();
-  }
-  auto it = active_.begin();
-  // Copy, not move: the reference stays the verbatim seed implementation
-  // so the map-vs-flat microbenchmark baseline is stable across PRs.
-  Request r = it->second;
-  current_ = it->first.first;
-  active_.erase(it);
-  return r;
-}
-
-void ReferenceDispatcher::RekeyWaiting(RekeyFn key) {
-  Queue rekeyed;
-  for (auto& [old_key, r] : waiting_) {
-    rekeyed.emplace(std::make_pair(key(r), old_key.second), std::move(r));
-  }
-  waiting_ = std::move(rekeyed);
-}
-
-void ReferenceDispatcher::RekeyWaitingBatch(BatchRekeyFn key) {
-  std::vector<const Request*> reqs;
-  reqs.reserve(waiting_.size());
-  for (const auto& [old_key, r] : waiting_) reqs.push_back(&r);
-  std::vector<CValue> vals(waiting_.size());
-  key(reqs, vals);
-  Queue rekeyed;
-  size_t i = 0;
-  for (auto& [old_key, r] : waiting_) {
-    rekeyed.emplace(std::make_pair(vals[i++], old_key.second), std::move(r));
-  }
-  waiting_ = std::move(rekeyed);
-}
-
-// --------------------------------------------------------------------------
-// Dispatcher: the flat-queue implementation.
-// --------------------------------------------------------------------------
-
 Result<Dispatcher> Dispatcher::Create(const DispatcherConfig& config) {
   if (Status s = config.Validate(); !s.ok()) return s;
   return Dispatcher(config);
@@ -119,43 +29,14 @@ Dispatcher::Dispatcher(const DispatcherConfig& config)
       window_(config.window),
       sp_scan_(config.discipline == QueueDiscipline::kConditionallyPreemptive &&
                config.serve_promote) {
-  if (config_.queue_backend == QueueBackend::kCalendar) {
-    const uint32_t buckets = config_.calendar_buckets != 0
-                                 ? config_.calendar_buckets
-                                 : kDefaultCalendarBuckets;
-    // Both queues share one calendar geometry so Swap stays a pointer
-    // exchange.
-    active_.ConfigureCalendar(buckets);
-    waiting_.ConfigureCalendar(buckets);
-  }
-#ifndef NDEBUG
-  shadow_ = std::make_unique<ReferenceDispatcher>(config);
-#endif
+  const uint32_t buckets = config_.calendar_buckets != 0
+                               ? config_.calendar_buckets
+                               : kDefaultCalendarBuckets;
+  // Both queues share one calendar geometry so Swap stays a pointer
+  // exchange and SP promotion a per-bucket run move.
+  active_.Configure(buckets);
+  waiting_.Configure(buckets);
 }
-
-#ifndef NDEBUG
-Dispatcher::Dispatcher(const Dispatcher& other)
-    : config_(other.config_),
-      window_(other.window_),
-      current_(other.current_),
-      preempt_bound_(other.preempt_bound_),
-      sp_scan_(other.sp_scan_),
-      active_(other.active_),
-      waiting_(other.waiting_),
-      pool_(other.pool_),
-      free_(other.free_),
-      seq_(other.seq_),
-      preemptions_(other.preemptions_),
-      promotions_(other.promotions_),
-      swaps_(other.swaps_),
-      tracer_(other.tracer_),
-      shadow_(std::make_unique<ReferenceDispatcher>(*other.shadow_)) {}
-
-Dispatcher& Dispatcher::operator=(const Dispatcher& other) {
-  if (this != &other) *this = Dispatcher(other);
-  return *this;
-}
-#endif
 
 template <typename R>
 uint32_t Dispatcher::AllocSlot(R&& r) {
@@ -169,16 +50,6 @@ uint32_t Dispatcher::AllocSlot(R&& r) {
   return static_cast<uint32_t>(pool_.size() - 1);
 }
 
-void Dispatcher::CheckShadow() const {
-#ifndef NDEBUG
-  assert(size() == shadow_->size());
-  assert(current_window() == shadow_->current_window());
-  assert(preemptions() == shadow_->preemptions());
-  assert(promotions() == shadow_->promotions());
-  assert(swaps() == shadow_->swaps());
-#endif
-}
-
 void Dispatcher::Insert(CValue v, const Request& r) { InsertImpl(v, r); }
 
 void Dispatcher::Insert(CValue v, Request&& r) {
@@ -187,9 +58,6 @@ void Dispatcher::Insert(CValue v, Request&& r) {
 
 template <typename R>
 void Dispatcher::InsertImpl(CValue v, R&& r) {
-#ifndef NDEBUG
-  shadow_->Insert(v, r);  // the shadow copies; the pool below may move
-#endif
   const RequestId id = r.id;  // for the preempt trace after the transfer
   const QueueKey key{v, seq_++};
   // Route before parking the payload: the queue decision is pure flag
@@ -212,7 +80,7 @@ void Dispatcher::InsertImpl(CValue v, R&& r) {
       preempt = v < preempt_bound_;
       break;
   }
-  DispatchQueue& q = preempt ? active_ : waiting_;
+  BucketedSlotHeap& q = preempt ? active_ : waiting_;
   q.PrefetchFor(v);
   const uint32_t slot = AllocSlot(std::forward<R>(r));
   q.Push(key, slot);
@@ -242,7 +110,6 @@ void Dispatcher::InsertImpl(CValue v, R&& r) {
     __builtin_prefetch(next);
     __builtin_prefetch(next + 64);
   }
-  CheckShadow();
 }
 
 void Dispatcher::Swap() {
@@ -278,48 +145,32 @@ std::optional<Request> Dispatcher::Pop() {
     // in two loads and a compare.
     const CValue bound = active_.MinValue() - window_;
     if (waiting_.MinValue() < bound) {
-      const bool tracing = tracer_ != nullptr && tracer_->enabled();
-      if (config_.queue_backend == QueueBackend::kCalendar && !tracing) {
-        // Calendar backends promote the whole below-threshold slice in
-        // one bulk transfer (mostly O(1) run moves); state-identical to
-        // the per-entry loop below, which stays for per-promotion
-        // tracing and for the flat backend.
-        promotions_ += waiting_.PromoteBelow(bound, active_);
+      // The whole below-threshold slice moves in one bulk transfer
+      // (mostly O(1) run moves), handing each promoted entry to the
+      // tracer in service order when one is attached.
+      if (tracer_ != nullptr && tracer_->enabled()) {
+        promotions_ += waiting_.DrainBelowInto(
+            bound, active_, [this](const BucketedSlotHeap::Entry& e) {
+              obs::TraceEvent ev;
+              ev.kind = obs::TraceEventKind::kPromote;
+              ev.t = tracer_->now();
+              ev.id = pool_[e.slot].id;
+              ev.vc = e.v;
+              ev.window = window_;
+              tracer_->Emit(ev);
+            });
       } else {
-        do {
-          // The target v_c is already known from the waiting queue's
-          // cached minimum, so the active queue's landing lines pull in
-          // under the PopMin that produces the entry.
-          active_.PrefetchFor(waiting_.MinValue());
-          const DispatchQueue::Entry e = waiting_.PopMin();
-          active_.Push(e.key, e.slot);
-          ++promotions_;
-          if (tracing) {
-            obs::TraceEvent ev;
-            ev.kind = obs::TraceEventKind::kPromote;
-            ev.t = tracer_->now();
-            ev.id = pool_[e.slot].id;
-            ev.vc = e.key.v;
-            ev.window = window_;
-            tracer_->Emit(ev);
-          }
-        } while (!waiting_.empty() && waiting_.MinValue() < bound);
+        promotions_ += waiting_.DrainBelowInto(
+            bound, active_, [](const BucketedSlotHeap::Entry&) {});
       }
     }
   }
   if (active_.empty()) {
-    if (waiting_.empty()) {
-      CheckShadow();
-#ifndef NDEBUG
-      [[maybe_unused]] const std::optional<Request> ref = shadow_->Pop();
-      assert(!ref.has_value());
-#endif
-      return std::nullopt;
-    }
+    if (waiting_.empty()) return std::nullopt;
     Swap();
   }
-  const DispatchQueue::Entry e = active_.PopMin();
-  current_ = e.key.v;
+  const BucketedSlotHeap::Entry e = active_.PopMin();
+  current_ = e.v;
   preempt_bound_ = current_ - window_;
   // The next pop's payload is known now: start pulling it in while the
   // caller processes this one and the next arrival is inserted. At depth
@@ -335,39 +186,25 @@ std::optional<Request> Dispatcher::Pop() {
   // one ~100-byte transfer per pop, not a slot -> local -> optional pair.
   std::optional<Request> out(std::move(pool_[e.slot]));
   free_.push_back(e.slot);  // csfc:alloc-ok(free list capacity tracks the slot pool)
-#ifndef NDEBUG
-  const std::optional<Request> ref = shadow_->Pop();
-  assert(ref.has_value() && ref->id == out->id);
-#endif
-  CheckShadow();
   return out;
 }
 
 void Dispatcher::RekeyWaiting(RekeyFn key) {
-#ifndef NDEBUG
-  shadow_->RekeyWaiting(key);
-#endif
   waiting_.Rekey([&](uint32_t slot) { return key(pool_[slot]); });
-  CheckShadow();
 }
 
 void Dispatcher::RekeyWaitingBatch(BatchRekeyFn key) {
-#ifndef NDEBUG
-  shadow_->RekeyWaitingBatch(key);
-#endif
   const size_t n = waiting_.size();
   rekey_reqs_.resize(n);  // csfc:alloc-ok(rekey scratch reused across swaps)
   const Request* const pool = pool_.data();
   size_t gathered = 0;
-  // Gather in the backend's AssignKeys consumption order (flat: entries()
-  // array order; calendar: bucket traversal order).
+  // Gather in AssignKeys' consumption order (bucket traversal order).
   waiting_.ForEachEntrySlot(
       [&](uint32_t slot) { rekey_reqs_[gathered++] = pool + slot; });
   assert(gathered == n);
   rekey_vals_.resize(n);  // csfc:alloc-ok(rekey scratch reused across swaps)
   key(rekey_reqs_, rekey_vals_);
   waiting_.AssignKeys(rekey_vals_);
-  CheckShadow();
 }
 
 }  // namespace csfc

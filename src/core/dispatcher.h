@@ -32,19 +32,16 @@
 //    exhausted (queue swap). The scheduler thus oscillates between
 //    conditional and non-preemptive modes.
 //
-// Both queues are flat 4-ary heaps of (key, slot) entries
-// (core/flat_queue.h) over a shared request slot pool, rather than
+// Both queues are calendar queues of (key, slot) entries
+// (core/calendar_queue.h) over a shared request slot pool, rather than
 // node-allocating maps; (v_c, seq) FIFO ordering is bit-identical to the
-// map formulation, which survives as ReferenceDispatcher below for the
-// debug-build cross-check, the equivalence tests, and the before/after
-// microbenchmark.
+// map formulation, which survives as the test oracle
+// tests/core/reference_dispatcher.h.
 
 #ifndef CSFC_CORE_DISPATCHER_H_
 #define CSFC_CORE_DISPATCHER_H_
 
 #include <limits>
-#include <map>
-#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
@@ -52,8 +49,8 @@
 #include "common/annotations.h"
 #include "common/function_ref.h"
 #include "common/status.h"
+#include "core/calendar_queue.h"
 #include "core/cvalue.h"
-#include "core/flat_queue.h"
 #include "obs/tracer.h"
 #include "workload/request.h"
 
@@ -99,76 +96,20 @@ struct DispatcherConfig {
   bool expand_reset = false;
   /// ER expansion factor e (> 1).
   double expansion_factor = 2.0;
-  /// Queue backend for q / q'. kFlat is the monolithic heap; kCalendar
-  /// buckets v_c into sweep ranges (see BucketedSlotHeap) and is the
-  /// depth-scalable default (flat stays selectable for the shallow-queue
-  /// regime and the backend ablations). Observable scheduling behavior is
-  /// identical either way.
-  QueueBackend queue_backend = QueueBackend::kCalendar;
-  /// Calendar bucket count (kCalendar only). 0 = derive: the cascaded
-  /// scheduler slices its R SFC3 sweep partitions at up-to-cylinder
-  /// granularity, targeting ~kDefaultCalendarBuckets ranges in total; a
-  /// standalone dispatcher uses kDefaultCalendarBuckets directly. Capped
-  /// at BucketedSlotHeap::kMaxBuckets.
+  /// Calendar bucket count of q and q' (see BucketedSlotHeap). 0 =
+  /// derive: the cascaded scheduler slices its R SFC3 sweep partitions at
+  /// up-to-cylinder granularity, targeting ~kDefaultCalendarBuckets
+  /// ranges in total; a standalone dispatcher uses kDefaultCalendarBuckets
+  /// directly. Capped at BucketedSlotHeap::kMaxBuckets.
   uint32_t calendar_buckets = 0;
 
   Status Validate() const;
-};
-
-/// Reference dispatcher: the original std::map-backed implementation,
-/// kept verbatim as the semantic oracle for the flat-queue Dispatcher. It
-/// backs the debug-build cross-check, the randomized equivalence test, and
-/// the map-vs-flat microbenchmark; it is not used on the simulation hot
-/// path.
-class ReferenceDispatcher {
- public:
-  explicit ReferenceDispatcher(const DispatcherConfig& config);
-
-  void Insert(CValue v, const Request& r);
-  std::optional<Request> Pop();
-  void RekeyWaiting(RekeyFn key);
-  /// One-call batch rekey; observable behavior identical to RekeyWaiting
-  /// with the equivalent per-request hook.
-  void RekeyWaitingBatch(BatchRekeyFn key);
-
-  size_t size() const { return active_.size() + waiting_.size(); }
-  bool empty() const { return size() == 0; }
-  bool NeedsSwapForPop() const { return active_.empty() && !waiting_.empty(); }
-  double current_window() const { return window_; }
-  uint64_t preemptions() const { return preemptions_; }
-  uint64_t promotions() const { return promotions_; }
-  uint64_t swaps() const { return swaps_; }
-
- private:
-  // Key: (v_c, insertion sequence) so exact ties dispatch FIFO.
-  using Queue = std::map<std::pair<CValue, uint64_t>, Request>;
-
-  void Swap();
-
-  DispatcherConfig config_;
-  double window_;
-  std::optional<CValue> current_;
-  Queue active_;   // q
-  Queue waiting_;  // q'
-  uint64_t seq_ = 0;
-  uint64_t preemptions_ = 0;
-  uint64_t promotions_ = 0;
-  uint64_t swaps_ = 0;
 };
 
 /// Priority-queue machinery shared by the three disciplines.
 class Dispatcher {
  public:
   static Result<Dispatcher> Create(const DispatcherConfig& config);
-
-#ifndef NDEBUG
-  // The debug-only shadow_ member would otherwise delete copying; deep-copy
-  // it so Dispatcher is copyable and movable in every build mode.
-  Dispatcher(const Dispatcher& other);
-  Dispatcher& operator=(const Dispatcher& other);
-  Dispatcher(Dispatcher&&) = default;
-  Dispatcher& operator=(Dispatcher&&) = default;
-#endif
 
   /// Inserts a request with characterization value `v`. The push_back-style
   /// overload pair keeps both call shapes single-transfer: lvalue callers
@@ -196,8 +137,8 @@ class Dispatcher {
   CSFC_HOT void RekeyWaiting(RekeyFn key);
 
   /// Batch form of RekeyWaiting: gathers every waiting request, invokes
-  /// `key` exactly once for the whole set, and restores the heap with the
-  /// same single O(n) Floyd pass. Semantically identical to RekeyWaiting
+  /// `key` exactly once for the whole set, and restores calendar order in
+  /// the same per-bucket sweep. Semantically identical to RekeyWaiting
   /// with the equivalent per-request hook; exists so swap-time
   /// re-characterization goes through Encapsulator::CharacterizeBatch
   /// instead of one full characterization dispatch per request.
@@ -238,9 +179,6 @@ class Dispatcher {
   /// optional, so there is no take-side counterpart).
   template <typename R>
   CSFC_HOT uint32_t AllocSlot(R&& r);
-  /// Debug-build cross-check: mirrors the op on shadow_ and asserts the
-  /// two implementations agree (no-op in release builds).
-  void CheckShadow() const;
 
   DispatcherConfig config_;
   double window_;
@@ -259,11 +197,12 @@ class Dispatcher {
   /// Pop runs the SP scan (conditional discipline with serve_promote);
   /// folded to one flag at construction for the per-pop gate.
   bool sp_scan_ = false;
-  DispatchQueue active_;   // q
-  DispatchQueue waiting_;  // q'
-  /// Request payloads, indexed by the slot in each heap entry. Heaps only
-  /// ever shuffle 24-byte (key, slot) entries; payloads stay put between
-  /// Insert and Pop, including across SP promotions and queue swaps.
+  BucketedSlotHeap active_;   // q
+  BucketedSlotHeap waiting_;  // q'
+  /// Request payloads, indexed by the slot in each queue entry. Queues
+  /// only ever shuffle 16-byte (v, seq, slot) entries; payloads stay put
+  /// between Insert and Pop, including across SP promotions and queue
+  /// swaps.
   std::vector<Request> pool_;
   std::vector<uint32_t> free_;
   /// Scratch for RekeyWaitingBatch (gathered payload pointers + new keys),
@@ -274,13 +213,9 @@ class Dispatcher {
   uint64_t preemptions_ = 0;
   uint64_t promotions_ = 0;
   uint64_t swaps_ = 0;
-  /// Borrowed observability tracer (see set_tracer). Deliberately not
-  /// copied by the debug-build copy constructor's shadow logic: the copy
-  /// shares the same tracer handle.
+  /// Borrowed observability tracer (see set_tracer); a copy shares the
+  /// same tracer handle.
   obs::Tracer* tracer_ = nullptr;
-#ifndef NDEBUG
-  std::unique_ptr<ReferenceDispatcher> shadow_;
-#endif
 };
 
 }  // namespace csfc

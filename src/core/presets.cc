@@ -125,10 +125,4 @@ CascadedConfig PresetStage2Curve(const std::string& sfc2, bool deadline_major,
   return c;
 }
 
-CascadedConfig WithQueueBackend(CascadedConfig config, QueueBackend backend) {
-  config.dispatcher.queue_backend = backend;
-  config.dispatcher.calendar_buckets = 0;  // derive from SFC3 parameters
-  return config;
-}
-
 }  // namespace csfc

@@ -58,13 +58,6 @@ CascadedConfig PresetStage2Curve(const std::string& sfc2, bool deadline_major,
                                  uint32_t bits, double window,
                                  double deadline_horizon_ms);
 
-/// Returns `config` with the dispatcher queue backend swapped — the knob
-/// the backend ablations and `csfc_sim --queue=` sweep. Scheduling
-/// behavior is identical for either backend; only the queue data
-/// structure changes. Calendar geometry stays derived (calendar_buckets
-/// = 0) so each preset picks buckets from its own SFC3 parameters.
-CascadedConfig WithQueueBackend(CascadedConfig config, QueueBackend backend);
-
 }  // namespace csfc
 
 #endif  // CSFC_CORE_PRESETS_H_

@@ -33,7 +33,6 @@
 #include <string_view>
 #include <utility>
 
-#include "core/presets.h"
 #include "disk/disk_model.h"
 #include "sched/registry.h"
 #include "sim/simulator.h"
@@ -67,10 +66,6 @@ struct ServerConfig {
   }
   ServerConfig& WithCascaded(CascadedConfig config) {
     registry.cascaded = std::move(config);
-    return *this;
-  }
-  ServerConfig& WithQueueBackend(QueueBackend backend) {
-    registry.cascaded = csfc::WithQueueBackend(registry.cascaded, backend);
     return *this;
   }
   ServerConfig& WithServiceModel(ServiceModel model) {

@@ -62,7 +62,7 @@ SimulatorConfig StressSimConfig() {
 
 // A trio of policies with different code paths: trivial queue (fcfs),
 // deadline heap (edf), and the full cascaded pipeline (characterize +
-// dispatcher, the code the shadow oracle guards).
+// dispatcher, the code the equivalence suites guard).
 std::vector<RunPoint> StressPoints(const TracePtr& trace, size_t copies) {
   const SimulatorConfig sc = StressSimConfig();
   const CascadedConfig cfg =
@@ -329,20 +329,19 @@ TEST(ParallelStressTest, AbortNeverMasksAPointError) {
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
 }
 
-// --- calendar-backend rekey under thread pressure ---------------------------
+// --- calendar-queue rekey under thread pressure -----------------------------
 
 TEST(ParallelStressTest, CalendarBackendRekeyBatchesAreRaceFreeAndDeterministic) {
   // Every point runs the full cascaded pipeline on the calendar queue
-  // backend with swap-time re-characterization on, so RekeyWaitingBatch —
+  // with swap-time re-characterization on, so RekeyWaitingBatch —
   // the calendar's bucket-sweep + migration path — executes continuously
   // on every worker thread. The dispatchers are per-point (no sharing by
   // design); TSan must see no races in the slab/storage handling, and an
   // 8-thread sweep must stay bit-identical to the serial reference.
   const TracePtr trace = ShareTrace(StressTrace(109));
   const SimulatorConfig sc = StressSimConfig();
-  const CascadedConfig cal = WithQueueBackend(
-      PresetFull("hilbert", 2, 3, 1.0, 3, 3832, 0.05, 700.0),
-      QueueBackend::kCalendar);
+  const CascadedConfig cal =
+      PresetFull("hilbert", 2, 3, 1.0, 3, 3832, 0.05, 700.0);
   std::vector<RunPoint> points;
   for (size_t c = 0; c < 12; ++c) {
     points.push_back({sc, trace, CascadedViaRegistry(cal)});

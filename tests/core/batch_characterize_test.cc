@@ -2,10 +2,11 @@
 // scalar path. The batch path hoists every per-call invariant (stage-mode
 // branches, LUT base pointers, quantization scales, the head-position and
 // partition terms of SFC3) out of a tight loop — but it must perform the
-// exact same floating-point operation sequence per request, so the rekeyed
-// heap keys match the debug shadow dispatcher (which rekeys through the
-// scalar path) to the last bit. EXPECT_EQ on doubles below is deliberate:
-// approximate agreement would hide a reordered FP operation.
+// exact same floating-point operation sequence per request, so
+// batch-rekeyed queue keys match per-request Characterize to the last bit
+// and a batch rekey schedules exactly as a per-request one. EXPECT_EQ on
+// doubles below is deliberate: approximate agreement would hide a
+// reordered FP operation.
 
 #include <gtest/gtest.h>
 

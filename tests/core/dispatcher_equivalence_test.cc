@@ -1,13 +1,23 @@
-// Equivalence of the flat-queue Dispatcher and the std::map
-// ReferenceDispatcher: random operation traces (insert / pop / rekey /
-// drain a copy) replayed against both implementations must agree on every
-// observable — popped request identity, sizes, swap prediction, window,
-// counters and the service order of whatever is still queued. This is the
-// release-build counterpart of the debug-only shadow cross-check inside
-// Dispatcher itself.
+// Equivalence of the calendar-queue Dispatcher and the std::map
+// ReferenceDispatcher (tests/core/reference_dispatcher.h): operation
+// traces (insert / pop / rekey / drain a copy) replayed against both must
+// agree on every observable — popped request identity, sizes, swap
+// prediction, window, counters and the service order of whatever is still
+// queued. With a tracer attached, the dispatcher's preempt / promote /
+// swap / reset events must also match its counters, and each Pop's SP
+// promotions must arrive in service order.
+//
+// One replay harness serves every suite here: the original equivalence
+// cases, the calendar edge cases (bucket boundaries, sweep flips, sparse
+// and single-range keys), and the differential fuzzer over adversarial key
+// sources x disciplines x SP/ER x bucket counts x tracing, plus one replay
+// of the op pattern CascadedSfcScheduler issues (Encapsulator keys and
+// batch rekeys under a moving head).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <optional>
 #include <span>
 #include <utility>
@@ -15,16 +25,138 @@
 
 #include "common/random.h"
 #include "core/dispatcher.h"
+#include "core/encapsulator.h"
+#include "core/presets.h"
+#include "obs/tracer.h"
+#include "reference_dispatcher.h"
+#include "workload/generator.h"
+#include "workload/trace.h"
 
 namespace csfc {
 namespace {
 
-CValue UnitValue(Rng& rng) {
+// ---------------------------------------------------------------------------
+// Key sources. Each draws one v_c from an Rng. Rekeys draw from a
+// per-request Rng seeded from the request id and a per-rekey salt, so a
+// pure source hands the dispatcher and the reference the same new key for
+// every request.
+// ---------------------------------------------------------------------------
+
+CValue UniformGrid(Rng& rng) {
   // 16-bit grid keeps exact-tie FIFO ordering exercised.
   return static_cast<double>(rng() % 65536) / 65536.0;
 }
 
-void ExpectObservablesMatch(const Dispatcher& d, const ReferenceDispatcher& ref) {
+// Three values one fuzz window apart (see kFuzzWindow): ties among
+// arrivals, and with the promotion threshold v_cur - w.
+CValue ExactTies(Rng& rng) {
+  static constexpr double kValues[] = {0.25, 0.3125, 0.375};
+  return kValues[rng() % 3];
+}
+
+// Both ends of the unit interval and the last value below 1.
+CValue UnitExtremes(Rng& rng) {
+  switch (rng() % 4) {
+    case 0:
+      return 0.0;
+    case 1:
+      return 1.0;
+    case 2:
+      return std::nextafter(1.0, 0.0);
+    default:
+      return std::nextafter(0.0, 1.0);
+  }
+}
+
+// One value almost always: a single bucket's run grows past its reserve
+// and every promotion partitions a run of exact ties.
+CValue SingleValueFlood(Rng& rng) {
+  return rng() % 16 != 0 ? 0.5 : UniformGrid(rng);
+}
+
+// k / buckets exactly, or one ulp to either side: rekeys and promotions
+// constantly cross bucket edges.
+CValue BucketEdge(Rng& rng, uint32_t buckets) {
+  const double edge =
+      static_cast<double>(rng() % buckets) / static_cast<double>(buckets);
+  switch (rng() % 3) {
+    case 0:
+      return edge;
+    case 1:
+      return std::nextafter(edge, 0.0);
+    default:
+      return std::nextafter(edge, 1.0);
+  }
+}
+
+// Edges of the default geometry, which are also edges at kMaxBuckets.
+CValue DefaultBucketEdges(Rng& rng) {
+  return BucketEdge(rng, kDefaultCalendarBuckets);
+}
+
+CValue AdversarialMix(Rng& rng) {
+  switch (rng() % 5) {
+    case 0:
+      return ExactTies(rng);
+    case 1:
+      return UnitExtremes(rng);
+    case 2:
+      return SingleValueFlood(rng);
+    case 3:
+      return DefaultBucketEdges(rng);
+    default:
+      return UniformGrid(rng);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The replay harness.
+// ---------------------------------------------------------------------------
+
+// Tallies the dispatcher's own trace events and the SP promotions of the
+// current Pop.
+class DispatcherEvents : public obs::EventSink {
+ public:
+  void OnEvent(const obs::TraceEvent& e) override {
+    switch (e.kind) {
+      case obs::TraceEventKind::kPreempt:
+        ++preempts;
+        break;
+      case obs::TraceEventKind::kPromote:
+        ++promotes;
+        pop_promotions.push_back(e);
+        break;
+      case obs::TraceEventKind::kQueueSwap:
+        ++swaps;
+        break;
+      case obs::TraceEventKind::kWindowReset:
+        ++resets;
+        break;
+      default:
+        break;
+    }
+  }
+
+  uint64_t preempts = 0;
+  uint64_t promotes = 0;
+  uint64_t swaps = 0;
+  uint64_t resets = 0;
+  std::vector<obs::TraceEvent> pop_promotions;
+};
+
+// Within one Pop, promotions leave q' in service order: ascending v_c,
+// ties FIFO. Every caller numbers requests in insertion order, so ties
+// must show ascending ids.
+void ExpectPromotionsInServiceOrder(const std::vector<obs::TraceEvent>& p) {
+  for (size_t i = 1; i < p.size(); ++i) {
+    ASSERT_TRUE(p[i - 1].vc < p[i].vc ||
+                (p[i - 1].vc == p[i].vc && p[i - 1].id < p[i].id))
+        << "promotion " << i << " of " << p.size() << " out of order";
+  }
+}
+
+void ExpectObservablesMatch(const Dispatcher& d, const ReferenceDispatcher& ref,
+                            const DispatcherEvents* events) {
   ASSERT_EQ(d.size(), ref.size());
   ASSERT_EQ(d.empty(), ref.empty());
   ASSERT_EQ(d.NeedsSwapForPop(), ref.NeedsSwapForPop());
@@ -32,27 +164,59 @@ void ExpectObservablesMatch(const Dispatcher& d, const ReferenceDispatcher& ref)
   ASSERT_EQ(d.preemptions(), ref.preemptions());
   ASSERT_EQ(d.promotions(), ref.promotions());
   ASSERT_EQ(d.swaps(), ref.swaps());
+  if (events != nullptr) {
+    ASSERT_EQ(events->preempts, d.preemptions());
+    ASSERT_EQ(events->promotes, d.promotions());
+    ASSERT_EQ(events->swaps, d.swaps());
+    ASSERT_EQ(events->resets, d.config().expand_reset ? d.swaps() : 0u);
+  }
 }
 
-// Service order of everything `d` holds, read from a copy so the original
-// keeps replaying the trace.
+void PopBoth(Dispatcher& d, ReferenceDispatcher& ref,
+             DispatcherEvents& events) {
+  events.pop_promotions.clear();
+  const std::optional<Request> a = d.Pop();
+  const std::optional<Request> b = ref.Pop();
+  ASSERT_EQ(a.has_value(), b.has_value());
+  if (a.has_value()) {
+    ASSERT_EQ(a->id, b->id);
+  }
+  ExpectPromotionsInServiceOrder(events.pop_promotions);
+}
+
 template <typename D>
-std::vector<RequestId> DrainCopy(D d) {
+std::vector<RequestId> DrainAll(D& d) {
   std::vector<RequestId> ids;
   while (std::optional<Request> r = d.Pop()) ids.push_back(r->id);
   return ids;
 }
 
-void ExpectSameOrder(const Dispatcher& d, const ReferenceDispatcher& ref) {
-  ASSERT_EQ(DrainCopy(d), DrainCopy(ref));
+// Service order of everything queued, read from a copy so the original
+// keeps replaying. The copy's tracer is detached so its events stay out
+// of the replay's tallies.
+std::vector<RequestId> ServiceOrder(Dispatcher d) {
+  d.set_tracer(nullptr);
+  return DrainAll(d);
+}
+std::vector<RequestId> ServiceOrder(ReferenceDispatcher ref) {
+  return DrainAll(ref);
 }
 
-void ReplayRandomTrace(const DispatcherConfig& cfg, uint64_t seed,
-                       int num_ops) {
+// Replays a random op trace against both implementations. key_of draws
+// each arrival's v_c; rekey_of draws each waiting request's new v_c and
+// must be pure (see the key-source comment). Rekeys alternate between the
+// per-request and the batch entry point.
+template <typename KeyFn, typename RekeyKeyFn>
+void Replay(const DispatcherConfig& cfg, uint64_t seed, int num_ops,
+            KeyFn&& key_of, RekeyKeyFn&& rekey_of, bool traced = false) {
   auto created = Dispatcher::Create(cfg);
   ASSERT_TRUE(created.ok());
   Dispatcher d = *std::move(created);
   ReferenceDispatcher ref(cfg);
+  DispatcherEvents events;
+  obs::Tracer tracer(&events);
+  if (traced) d.set_tracer(&tracer);
+  const DispatcherEvents* tally = traced ? &events : nullptr;
 
   Rng rng(seed);
   RequestId next_id = 0;
@@ -61,25 +225,17 @@ void ReplayRandomTrace(const DispatcherConfig& cfg, uint64_t seed,
     if (action < 55) {
       Request r;
       r.id = next_id++;
-      const CValue v = UnitValue(rng);
+      const CValue v = key_of(rng);
       d.Insert(v, r);
       ref.Insert(v, r);
     } else if (action < 85) {
-      const std::optional<Request> a = d.Pop();
-      const std::optional<Request> b = ref.Pop();
-      ASSERT_EQ(a.has_value(), b.has_value());
-      if (a.has_value()) {
-        ASSERT_EQ(a->id, b->id);
-      }
+      ASSERT_NO_FATAL_FAILURE(PopBoth(d, ref, events));
     } else if (action < 93) {
-      // Deterministic new key per request, decorrelated from the old one.
       const uint64_t salt = rng();
-      auto key = [salt](const Request& r) {
-        const uint64_t h = (r.id + salt) * 2654435761ULL;
-        return static_cast<double>(h % 65536) / 65536.0;
+      auto key = [salt, &rekey_of](const Request& r) {
+        Rng h((r.id + 1) * 2654435761ULL ^ salt);
+        return rekey_of(h);
       };
-      // Alternate between the per-request and the batch rekey entry
-      // points; both must leave the queues in the same state.
       if (rng() % 2 == 0) {
         d.RekeyWaiting(key);
         ref.RekeyWaiting(key);
@@ -92,102 +248,107 @@ void ReplayRandomTrace(const DispatcherConfig& cfg, uint64_t seed,
         ref.RekeyWaitingBatch(batch);
       }
     } else {
-      ExpectSameOrder(d, ref);
+      ASSERT_EQ(ServiceOrder(d), ServiceOrder(ref));
     }
-    ExpectObservablesMatch(d, ref);
+    ASSERT_NO_FATAL_FAILURE(ExpectObservablesMatch(d, ref, tally));
   }
 
   // Drain both to the end: the complete service order must agree.
-  while (true) {
-    const std::optional<Request> a = d.Pop();
-    const std::optional<Request> b = ref.Pop();
-    ASSERT_EQ(a.has_value(), b.has_value());
-    if (!a.has_value()) break;
-    ASSERT_EQ(a->id, b->id);
-    ExpectObservablesMatch(d, ref);
+  while (!d.empty() || !ref.empty()) {
+    ASSERT_NO_FATAL_FAILURE(PopBoth(d, ref, events));
+    ASSERT_NO_FATAL_FAILURE(ExpectObservablesMatch(d, ref, tally));
   }
+  ASSERT_NO_FATAL_FAILURE(PopBoth(d, ref, events));
 }
 
-DispatcherConfig Config(QueueDiscipline disc, double w, bool sp, bool er) {
+// Pure key sources double as their own rekey distribution.
+template <typename KeyFn>
+void Replay(const DispatcherConfig& cfg, uint64_t seed, int num_ops,
+            KeyFn&& key_of, bool traced = false) {
+  Replay(cfg, seed, num_ops, key_of, key_of, traced);
+}
+
+DispatcherConfig Config(QueueDiscipline disc, double w, bool sp, bool er,
+                        uint32_t buckets = 0) {
   DispatcherConfig c;
   c.discipline = disc;
   c.window = w;
   c.serve_promote = sp;
   c.expand_reset = er;
+  c.calendar_buckets = buckets;
   return c;
 }
 
+// SP promotes q' entries strictly below v_cur - w. A dyadic window keeps
+// that threshold exactly on the key grids above (the 16-bit grid, the
+// tie values, bucket edges), so waiting keys equal to it occur and the
+// strict-less-than edge is exercised; 0.05 would almost never hit it.
+constexpr double kFuzzWindow = 1.0 / 16;
+
+constexpr QueueDiscipline kDisciplines[] = {
+    QueueDiscipline::kNonPreemptive, QueueDiscipline::kFullyPreemptive,
+    QueueDiscipline::kConditionallyPreemptive};
+
+// ---------------------------------------------------------------------------
+// Equivalence on the uniform 16-bit key grid.
+// ---------------------------------------------------------------------------
+
 TEST(DispatcherEquivalenceTest, NonPreemptive) {
-  ReplayRandomTrace(
-      Config(QueueDiscipline::kNonPreemptive, 0.0, false, false), 1, 4000);
+  Replay(Config(QueueDiscipline::kNonPreemptive, 0.0, false, false), 1, 4000,
+         UniformGrid);
 }
 
 TEST(DispatcherEquivalenceTest, FullyPreemptive) {
-  ReplayRandomTrace(
-      Config(QueueDiscipline::kFullyPreemptive, 0.0, false, false), 2, 4000);
+  Replay(Config(QueueDiscipline::kFullyPreemptive, 0.0, false, false), 2,
+         4000, UniformGrid);
 }
 
 TEST(DispatcherEquivalenceTest, ConditionalZeroWindow) {
-  ReplayRandomTrace(
-      Config(QueueDiscipline::kConditionallyPreemptive, 0.0, true, false), 3,
-      4000);
+  Replay(Config(QueueDiscipline::kConditionallyPreemptive, 0.0, true, false),
+         3, 4000, UniformGrid);
 }
 
 TEST(DispatcherEquivalenceTest, ConditionalWithSp) {
-  ReplayRandomTrace(
-      Config(QueueDiscipline::kConditionallyPreemptive, 0.05, true, false), 4,
-      4000);
+  Replay(Config(QueueDiscipline::kConditionallyPreemptive, 0.05, true, false),
+         4, 4000, UniformGrid);
 }
 
 TEST(DispatcherEquivalenceTest, ConditionalWithoutSp) {
-  ReplayRandomTrace(
-      Config(QueueDiscipline::kConditionallyPreemptive, 0.05, false, false),
-      5, 4000);
+  Replay(Config(QueueDiscipline::kConditionallyPreemptive, 0.05, false, false),
+         5, 4000, UniformGrid);
 }
 
 TEST(DispatcherEquivalenceTest, ConditionalWithEr) {
-  ReplayRandomTrace(
-      Config(QueueDiscipline::kConditionallyPreemptive, 0.02, true, true), 6,
-      4000);
+  Replay(Config(QueueDiscipline::kConditionallyPreemptive, 0.02, true, true),
+         6, 4000, UniformGrid);
 }
 
 TEST(DispatcherEquivalenceTest, WideWindowDegeneratesTogether) {
-  ReplayRandomTrace(
-      Config(QueueDiscipline::kConditionallyPreemptive, 1.0, true, false), 7,
-      4000);
+  Replay(Config(QueueDiscipline::kConditionallyPreemptive, 1.0, true, false),
+         7, 4000, UniformGrid);
 }
 
 TEST(DispatcherEquivalenceTest, ManySeeds) {
   for (uint64_t seed = 10; seed < 22; ++seed) {
-    ReplayRandomTrace(
-        Config(QueueDiscipline::kConditionallyPreemptive, 0.05, true,
-               seed % 2 == 0),
-        seed, 1200);
+    Replay(Config(QueueDiscipline::kConditionallyPreemptive, 0.05, true,
+                  seed % 2 == 0),
+           seed, 1200, UniformGrid);
   }
 }
 
-// The same replay harness with the calendar backend: every observable the
-// flat backend is held to, the calendar is held to as well. Bucket counts
-// span one-bucket-degenerate through finer-than-the-key-grid.
 TEST(DispatcherEquivalenceTest, CalendarBackendAllDisciplines) {
   uint64_t seed = 200;
-  for (QueueDiscipline disc :
-       {QueueDiscipline::kNonPreemptive, QueueDiscipline::kFullyPreemptive,
-        QueueDiscipline::kConditionallyPreemptive}) {
-    DispatcherConfig c = Config(disc, 0.05, true, false);
-    c.queue_backend = QueueBackend::kCalendar;
-    c.calendar_buckets = 1024;
-    ReplayRandomTrace(c, seed++, 3000);
+  for (QueueDiscipline disc : kDisciplines) {
+    Replay(Config(disc, 0.05, true, false, 1024), seed++, 3000, UniformGrid);
   }
 }
 
+// Bucket counts span one-bucket-degenerate through finer-than-the-key-grid.
 TEST(DispatcherEquivalenceTest, CalendarBackendBucketCounts) {
   for (uint32_t buckets : {1u, 2u, 64u, 4096u, BucketedSlotHeap::kMaxBuckets}) {
-    DispatcherConfig c =
-        Config(QueueDiscipline::kConditionallyPreemptive, 0.05, true, true);
-    c.queue_backend = QueueBackend::kCalendar;
-    c.calendar_buckets = buckets;
-    ReplayRandomTrace(c, 300 + buckets, 1500);
+    Replay(Config(QueueDiscipline::kConditionallyPreemptive, 0.05, true, true,
+                  buckets),
+           300 + buckets, 1500, UniformGrid);
   }
 }
 
@@ -219,7 +380,7 @@ TEST(DispatcherEquivalenceTest, MoveBasedInsertPopRoundTripsPayloads) {
       for (uint32_t k = 0; k < 16; ++k) {
         r.priorities.push_back(static_cast<PriorityLevel>((r.id + k) % 8));
       }
-      const CValue v = UnitValue(rng);
+      const CValue v = UniformGrid(rng);
       ref.Insert(v, r);
       d.Insert(v, std::move(r));
     } else {
@@ -246,6 +407,257 @@ TEST(DispatcherEquivalenceTest, MoveBasedInsertPopRoundTripsPayloads) {
     ASSERT_EQ(a->priorities.size(), b->priorities.size());
   }
   EXPECT_FALSE(ref.Pop().has_value());
+}
+
+// ---------------------------------------------------------------------------
+// Calendar edge cases: key distributions aimed at the queue's structure —
+// bucket boundaries, cursor resets when migration moves work behind the
+// sweep, long empty-bucket stretches that exercise the two-level occupancy
+// bitmap, and single-range pileups that force GrowBucket past the slab
+// reserve and push DrainBelowInto onto its storage-swap path.
+// ---------------------------------------------------------------------------
+
+TEST(CalendarEquivalenceTest, AllDisciplines) {
+  uint64_t seed = 100;
+  for (QueueDiscipline disc : kDisciplines) {
+    for (bool sp : {false, true}) {
+      Replay(Config(disc, 0.05, sp, false, 256), seed++, 2500, UniformGrid);
+    }
+  }
+}
+
+TEST(CalendarEquivalenceTest, ConditionalWithExpandReset) {
+  Replay(Config(QueueDiscipline::kConditionallyPreemptive, 0.02, true, true,
+                1024),
+         7, 4000, UniformGrid);
+}
+
+TEST(CalendarEquivalenceTest, BucketBoundaryKeys) {
+  const uint32_t buckets = 64;
+  auto value_of = [buckets](Rng& rng) { return BucketEdge(rng, buckets); };
+  for (uint64_t seed = 30; seed < 34; ++seed) {
+    Replay(Config(QueueDiscipline::kConditionallyPreemptive, 0.05, true, false,
+                  buckets),
+           seed, 3000, value_of);
+  }
+}
+
+TEST(CalendarEquivalenceTest, SweepDirectionFlips) {
+  // Alternating phases of ascending and descending arrival keys: the
+  // cursor repeatedly sweeps forward, then a burst of low arrivals (or a
+  // downward rekey) yanks it back.
+  int phase = 0;
+  auto value_of = [&phase](Rng& rng) {
+    const double u = static_cast<double>(rng() % 4096) / 4096.0;
+    ++phase;
+    const bool ascending = (phase / 64) % 2 == 0;
+    return ascending ? 0.5 + u / 2 : u / 2;
+  };
+  for (uint64_t seed = 40; seed < 44; ++seed) {
+    // value_of is stateful, so rekeys use the pure uniform distribution.
+    Replay(Config(QueueDiscipline::kConditionallyPreemptive, 0.1, true, false,
+                  512),
+           seed, 3000, value_of, UniformGrid);
+  }
+}
+
+TEST(CalendarEquivalenceTest, SparseValuesSkipEmptyBuckets) {
+  // Only a handful of populated buckets across the full 2^16-bucket
+  // calendar: pops spend their time in FindNonEmptyFrom.
+  auto value_of = [](Rng& rng) {
+    static const double kSpots[] = {0.001, 0.25, 0.49, 0.73, 0.999};
+    return kSpots[rng() % 5] + static_cast<double>(rng() % 16) / 1e6;
+  };
+  Replay(Config(QueueDiscipline::kConditionallyPreemptive, 0.05, true, false,
+                BucketedSlotHeap::kMaxBuckets),
+         50, 3000, value_of);
+}
+
+TEST(CalendarEquivalenceTest, AdversarialSingleRangeGrowth) {
+  // The entire workload inside one bucket's value range: every structure
+  // the calendar has collapses to a single run that must grow far past the
+  // slab reserve, and serve-promote's bulk drain hits the oversized-run
+  // swap path.
+  const uint32_t buckets = 128;
+  auto value_of = [buckets](Rng& rng) {
+    const double width = 1.0 / static_cast<double>(buckets);
+    return 0.5 + width * 0.95 * (static_cast<double>(rng() % 8191) / 8191.0);
+  };
+  for (uint64_t seed = 60; seed < 63; ++seed) {
+    Replay(Config(QueueDiscipline::kConditionallyPreemptive, 0.001, true,
+                  false, buckets),
+           seed, 4000, value_of);
+  }
+}
+
+TEST(CalendarEquivalenceTest, BatchRekeyAgrees) {
+  // Batch rekey through the span-based entry point (the path csfc uses at
+  // swap time), with whole rounds of arrivals between rekeys.
+  auto created = Dispatcher::Create(
+      Config(QueueDiscipline::kConditionallyPreemptive, 0.05, true, false,
+             1024));
+  ASSERT_TRUE(created.ok());
+  Dispatcher d = *std::move(created);
+  ReferenceDispatcher ref(d.config());
+
+  Rng rng(77);
+  RequestId next_id = 0;
+  for (int round = 0; round < 40; ++round) {
+    for (int i = 0; i < 50; ++i) {
+      Request r;
+      r.id = next_id++;
+      const CValue v = UniformGrid(rng);
+      d.Insert(v, r);
+      ref.Insert(v, r);
+    }
+    const uint64_t salt = rng();
+    auto batch = [salt](std::span<const Request* const> reqs,
+                        std::span<CValue> out) {
+      for (size_t k = 0; k < reqs.size(); ++k) {
+        const uint64_t h = (reqs[k]->id + salt) * 2654435761ULL;
+        out[k] = static_cast<double>(h % 65536) / 65536.0;
+      }
+    };
+    d.RekeyWaitingBatch(batch);
+    ref.RekeyWaitingBatch(batch);
+    for (int i = 0; i < 30; ++i) {
+      const std::optional<Request> a = d.Pop();
+      const std::optional<Request> b = ref.Pop();
+      ASSERT_EQ(a.has_value(), b.has_value());
+      if (a.has_value()) {
+        ASSERT_EQ(a->id, b->id);
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Differential fuzzer.
+// ---------------------------------------------------------------------------
+
+// Every discipline x SP x ER, traced and untraced, on the adversarial key
+// mix at one calendar geometry.
+void FuzzEveryConfiguration(uint32_t buckets, int num_ops, uint64_t seed) {
+  for (QueueDiscipline disc : kDisciplines) {
+    for (bool sp : {false, true}) {
+      for (bool er : {false, true}) {
+        for (bool traced : {false, true}) {
+          SCOPED_TRACE(testing::Message()
+                       << "discipline " << static_cast<int>(disc) << " sp "
+                       << sp << " er " << er << " traced " << traced);
+          ASSERT_NO_FATAL_FAILURE(Replay(Config(disc, kFuzzWindow, sp, er,
+                                                buckets),
+                                         seed++, num_ops, AdversarialMix,
+                                         traced));
+        }
+      }
+    }
+  }
+}
+
+TEST(DispatcherFuzzTest, AdversarialKeysOneBucket) {
+  FuzzEveryConfiguration(1, 600, 1000);
+}
+
+TEST(DispatcherFuzzTest, AdversarialKeysDerivedBuckets) {
+  FuzzEveryConfiguration(0, 600, 1100);
+}
+
+// Each mid-trace drain check copies both calendars (~16 MB each at this
+// geometry), so these traces are shorter.
+TEST(DispatcherFuzzTest, AdversarialKeysMaxBuckets) {
+  FuzzEveryConfiguration(BucketedSlotHeap::kMaxBuckets, 150, 1200);
+}
+
+// Each adversarial key kind on its own, where it dominates the queue.
+TEST(DispatcherFuzzTest, EachKeySource) {
+  struct Source {
+    const char* name;
+    CValue (*draw)(Rng&);
+  };
+  const Source kSources[] = {{"exact-ties", ExactTies},
+                             {"unit-extremes", UnitExtremes},
+                             {"single-value-flood", SingleValueFlood},
+                             {"bucket-edges", DefaultBucketEdges}};
+  uint64_t seed = 2000;
+  for (const Source& source : kSources) {
+    for (QueueDiscipline disc : kDisciplines) {
+      for (bool traced : {false, true}) {
+        SCOPED_TRACE(testing::Message()
+                     << source.name << " discipline "
+                     << static_cast<int>(disc) << " traced " << traced);
+        Replay(Config(disc, kFuzzWindow, true, seed % 2 == 0), seed, 1500,
+               source.draw, traced);
+        ++seed;
+      }
+    }
+  }
+}
+
+// The op pattern CascadedSfcScheduler issues: arrivals keyed by a real
+// Encapsulator against the current head, and at every batch formation a
+// RekeyWaitingBatch through CharacterizeBatch, while the head follows each
+// dispatched request. Overloaded (2 ms arrivals, 6 ms service) so the
+// queues run deep and SP promotions are frequent.
+TEST(DispatcherFuzzTest, EncapsulatorKeysWithMovingHead) {
+  const CascadedConfig cc =
+      PresetFull("hilbert", 3, 4, 1.0, 3, 3832, 0.05, 700.0);
+  auto enc = Encapsulator::Create(cc.encapsulator);
+  ASSERT_TRUE(enc.ok());
+  WorkloadConfig wc;
+  wc.seed = 17;
+  wc.count = 3000;
+  wc.mean_interarrival_ms = 2.0;
+  auto gen = SyntheticGenerator::Create(wc);
+  ASSERT_TRUE(gen.ok());
+  const std::vector<Request> trace = DrainGenerator(**gen);
+
+  for (bool traced : {false, true}) {
+    SCOPED_TRACE(traced ? "traced" : "untraced");
+    auto created = Dispatcher::Create(cc.dispatcher);
+    ASSERT_TRUE(created.ok());
+    Dispatcher d = *std::move(created);
+    ReferenceDispatcher ref(cc.dispatcher);
+    DispatcherEvents events;
+    obs::Tracer tracer(&events);
+    if (traced) d.set_tracer(&tracer);
+    const DispatcherEvents* tally = traced ? &events : nullptr;
+
+    DispatchContext ctx;
+    size_t next = 0;
+    while (next < trace.size() || !d.empty()) {
+      if (d.empty() && trace[next].arrival > ctx.now) {
+        ctx.now = trace[next].arrival;
+      }
+      while (next < trace.size() && trace[next].arrival <= ctx.now) {
+        const Request& r = trace[next++];
+        const CValue v = (*enc)->Characterize(r, ctx);
+        d.Insert(v, r);
+        ref.Insert(v, r);
+      }
+      if (d.NeedsSwapForPop()) {
+        auto batch = [&](std::span<const Request* const> reqs,
+                         std::span<CValue> out) {
+          (*enc)->CharacterizeBatch(reqs, ctx, out);
+        };
+        d.RekeyWaitingBatch(batch);
+        ref.RekeyWaitingBatch(batch);
+      }
+      events.pop_promotions.clear();
+      const std::optional<Request> a = d.Pop();
+      const std::optional<Request> b = ref.Pop();
+      ASSERT_TRUE(a.has_value());
+      ASSERT_TRUE(b.has_value());
+      ASSERT_EQ(a->id, b->id);
+      ASSERT_NO_FATAL_FAILURE(
+          ExpectPromotionsInServiceOrder(events.pop_promotions));
+      ASSERT_NO_FATAL_FAILURE(ExpectObservablesMatch(d, ref, tally));
+      ctx.head = a->cylinder;
+      ctx.now += MsToSim(6.0);
+    }
+    EXPECT_GT(d.promotions(), 0u);
+    EXPECT_GT(d.preemptions(), 0u);
+  }
 }
 
 }  // namespace

@@ -60,7 +60,6 @@ TEST(ServerConfigTest, BuilderChainSetsEveryLayer) {
   config.WithScheduler("csfc")
       .WithMetricsShape(3, 16)
       .WithCascaded(Preset(config.sim.disk.cylinders))
-      .WithQueueBackend(QueueBackend::kCalendar)
       .WithServiceModel(ServiceModel::kTransferOnly)
       .WithTraceSink(&rec)
       .WithSlo(25.0)
@@ -71,8 +70,8 @@ TEST(ServerConfigTest, BuilderChainSetsEveryLayer) {
   EXPECT_EQ(config.scheduler, "csfc");
   EXPECT_EQ(config.sim.metrics.levels, 16u);
   EXPECT_EQ(config.registry.priority_levels, 16u);
-  EXPECT_EQ(config.registry.cascaded.dispatcher.queue_backend,
-            QueueBackend::kCalendar);
+  EXPECT_EQ(config.registry.cascaded.encapsulator.cylinders,
+            config.sim.disk.cylinders);
   EXPECT_EQ(config.sim.service_model, ServiceModel::kTransferOnly);
   EXPECT_EQ(config.sim.trace_sink, &rec);
   EXPECT_DOUBLE_EQ(config.admission.slo_wait_ms, 25.0);

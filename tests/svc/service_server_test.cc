@@ -45,8 +45,8 @@ std::vector<Request> SyntheticTrace(uint64_t seed, uint64_t count,
   return DrainGenerator(**gen);
 }
 
-/// The shared base configuration: cascaded scheduler on the calendar
-/// backend, no admission gates unless a test turns them on.
+/// The shared base configuration: the cascaded scheduler, no admission
+/// gates unless a test turns them on.
 ServerConfig BaseConfig() {
   ServerConfig config;
   config.WithMetricsShape(3, 16)

@@ -181,14 +181,12 @@ TEST(FlagSetTest, SharedWorkloadAndSchedulerTablesParse) {
   AddWorkloadFlags(flags, &wf);
   AddSchedulerFlags(flags, &sf);
   EXPECT_EQ(ParseArgs(flags, {"--workload=mpeg", "--users=12", "--seed=99",
-                              "--sched=edf", "--queue=flat",
-                              "--deadline=40:90"}),
+                              "--sched=edf", "--deadline=40:90"}),
             0);
   EXPECT_EQ(wf.kind, "mpeg");
   EXPECT_EQ(wf.users, 12u);
   EXPECT_EQ(wf.cfg.seed, 99u);
   EXPECT_EQ(sf.sched, "edf");
-  EXPECT_EQ(sf.queue, "flat");
   EXPECT_DOUBLE_EQ(wf.cfg.deadline_lo_ms, 40.0);
   EXPECT_DOUBLE_EQ(wf.cfg.deadline_hi_ms, 90.0);
 
@@ -196,7 +194,7 @@ TEST(FlagSetTest, SharedWorkloadAndSchedulerTablesParse) {
   EXPECT_TRUE(ApplySchedulerFlags(sf, wf, &config).ok());
   EXPECT_EQ(config.scheduler, "edf");
 
-  sf.queue = "ring";  // not a backend
+  sf.simd = "sse9";  // not a lane width
   EXPECT_FALSE(ApplySchedulerFlags(sf, wf, &config).ok());
 }
 

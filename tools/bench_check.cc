@@ -42,13 +42,7 @@ const std::vector<SectionSpec>& Specs() {
        {"batch", "scalar_rps", "sse2_rps", "avx2_rps", "auto_rps",
         "speedup_sse2", "speedup_avx2"},
        {"auto_backend"}},
-      {"dispatcher_insert_pop",
-       {"depth", "map_ops_per_sec", "flat_ops_per_sec", "speedup"},
-       {}},
-      {"dispatcher_calendar",
-       {"depth", "map_ops_per_sec", "flat_ops_per_sec",
-        "calendar_ops_per_sec", "speedup_vs_map", "speedup_vs_flat"},
-       {}},
+      {"dispatcher", {"depth", "ops_per_sec"}, {}},
       {"rekey_batch", {"depth", "scalar_rps", "batch_rps", "speedup"}, {}},
       {"service_frontend",
        {"producers", "offered", "admitted", "offers_per_sec",

@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "common/simd.h"
+#include "core/presets.h"
 #include "exp/server_config.h"
 #include "workload/edl.h"
 #include "workload/generator.h"
@@ -287,8 +288,7 @@ struct SchedulerFlags {
   double f = 1.0;
   uint32_t r = 3;
   double window = 0.05;
-  std::string queue = "calendar";  ///< flat | calendar (the default backend)
-  std::string simd;                ///< empty = leave the CSFC_SIMD env alone
+  std::string simd;  ///< empty = leave the CSFC_SIMD env alone
   bool transfer_only = false;
 };
 
@@ -301,8 +301,6 @@ inline void AddSchedulerFlags(FlagSet& flags, SchedulerFlags* s) {
   flags.AddUint32("r", "stage-3 partition count", &s->r);
   flags.AddDouble("window", "conditional-preemption window fraction",
                   &s->window);
-  flags.AddString("queue", "flat|calendar", "dispatcher queue backend",
-                  &s->queue);
   flags.AddString("simd", "auto|scalar|sse2|avx2",
                   "characterization kernel lane width (default: CSFC_SIMD "
                   "env, else auto)",
@@ -316,10 +314,6 @@ inline void AddSchedulerFlags(FlagSet& flags, SchedulerFlags* s) {
 /// knobs reuse the workload's dims/levels/deadline horizon).
 inline Status ApplySchedulerFlags(const SchedulerFlags& s,
                                   const WorkloadFlags& w, ServerConfig* out) {
-  if (s.queue != "flat" && s.queue != "calendar") {
-    return Status::InvalidArgument("unknown --queue=" + s.queue +
-                                   " (flat|calendar)");
-  }
   if (!s.simd.empty()) {
     // --simd sets the process-wide override (the same knob CSFC_SIMD
     // binds), so it governs every encapsulator the tool creates; when
@@ -337,9 +331,7 @@ inline Status ApplySchedulerFlags(const SchedulerFlags& s,
       .WithMetricsShape(w.cfg.priority_dims, w.cfg.priority_levels)
       .WithCascaded(PresetFull(s.sfc1, w.cfg.priority_dims, /*bits=*/4, s.f,
                                s.r, out->sim.disk.cylinders, s.window,
-                               w.cfg.deadline_hi_ms))
-      .WithQueueBackend(s.queue == "calendar" ? QueueBackend::kCalendar
-                                              : QueueBackend::kFlat);
+                               w.cfg.deadline_hi_ms));
   return Status::OK();
 }
 

@@ -7,8 +7,8 @@ tools/csfc_analyze/determinism.toml):
 
   layering       src/ include edges must follow the layer DAG declared in
                  layers.toml, plus the tracer seam and per-file exceptions
-                 declared there. Subsumes csfc_lint's include-hygiene rule
-                 (csfc_lint now reads the same manifest).
+                 declared there. Subsumes csfc_lint's former
+                 include-hygiene rule.
   hot-alloc      Functions annotated CSFC_HOT (common/annotations.h) and
                  functions that hold a lock (REQUIRES(...)) must not
                  allocate: no operator new / malloc family /

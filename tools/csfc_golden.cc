@@ -12,11 +12,10 @@
 // CI runs `csfc_golden --verify` on four build flavors — default
 // (RelWithDebInfo), Release, CSFC_SIMD=scalar, and UBSan — and all four
 // must reproduce the committed digests bit for bit. That turns the repo's
-// standing bit-identity claims (SIMD vs scalar kernels, calendar vs flat
-// dispatch, RunVirtual vs the offline simulator, seeded RNG streams)
-// from per-PR test assertions into a permanent cross-build gate: any
-// codegen, libm, or ordering change that perturbs one exported byte
-// fails the job.
+// standing bit-identity claims (SIMD vs scalar kernels, RunVirtual vs the
+// offline simulator, seeded RNG streams) from per-PR test assertions into
+// a permanent cross-build gate: any codegen, libm, or ordering change
+// that perturbs one exported byte fails the job.
 //
 // Usage:
 //   csfc_golden --verify                  # default; exit 1 on any drift
@@ -103,12 +102,10 @@ Result<std::vector<Request>> PinnedWorkload(
 /// Builds the ServerConfig the scheduler flags describe, the same path
 /// csfc_sim and csfc_serve take, so the ledger pins the user-facing
 /// configuration surface and not a hand-rolled twin of it.
-Result<ServerConfig> PinnedConfig(const std::string& sched,
-                                  const std::string& queue) {
+Result<ServerConfig> PinnedConfig(const std::string& sched) {
   tools::WorkloadFlags wf;  // defaults only: dims/levels/deadline shape
   tools::SchedulerFlags sf;
   sf.sched = sched;
-  sf.queue = queue;
   ServerConfig config;
   if (Status s = tools::ApplySchedulerFlags(sf, wf, &config); !s.ok()) {
     return s;
@@ -119,13 +116,12 @@ Result<ServerConfig> PinnedConfig(const std::string& sched,
 /// Offline simulator run: hashes the full JSONL lifecycle trace plus the
 /// final RunMetrics document.
 Result<std::string> SimDigest(const std::string& sched,
-                              const std::string& queue,
                               const std::string& workload, uint64_t seed,
                               std::optional<uint64_t> latency_seed,
                               std::optional<double> interarrival_ms) {
   auto trace = PinnedWorkload(workload, seed, /*count=*/2000, interarrival_ms);
   if (!trace.ok()) return trace.status();
-  auto config = PinnedConfig(sched, queue);
+  auto config = PinnedConfig(sched);
   if (!config.ok()) return config.status();
   config->sim.latency_seed = latency_seed;
 
@@ -154,7 +150,7 @@ Result<std::string> SimDigest(const std::string& sched,
 Result<std::string> ServeDigest(const std::string& sched) {
   auto trace = PinnedWorkload("synthetic", /*seed=*/42, /*count=*/1500);
   if (!trace.ok()) return trace.status();
-  auto config = PinnedConfig(sched, "calendar");
+  auto config = PinnedConfig(sched);
   if (!config.ok()) return config.status();
 
   HashWriter hash;
@@ -289,20 +285,20 @@ struct GoldenEntry {
   std::string name;
   Result<std::string> (*compute)(const GoldenEntry&);
   // SimDigest parameters (unused by the other entry kinds).
-  std::string sched, queue, workload;
+  std::string sched, workload;
   uint64_t seed = 42;
   std::optional<uint64_t> latency_seed;
 };
 
 Result<std::string> ComputeSim(const GoldenEntry& e) {
-  return SimDigest(e.sched, e.queue, e.workload, e.seed, e.latency_seed,
+  return SimDigest(e.sched, e.workload, e.seed, e.latency_seed,
                    /*interarrival_ms=*/std::nullopt);
 }
 // Overload: arrivals every 2 ms outpace service, so the backlog grows with
 // the run and the inversion counts are pinned at queue depth, not only
 // over the near-empty queues of the default load.
 Result<std::string> ComputeSimOverload(const GoldenEntry& e) {
-  return SimDigest(e.sched, e.queue, e.workload, e.seed, e.latency_seed,
+  return SimDigest(e.sched, e.workload, e.seed, e.latency_seed,
                    /*interarrival_ms=*/2.0);
 }
 Result<std::string> ComputeServe(const GoldenEntry& e) {
@@ -321,34 +317,30 @@ std::vector<GoldenEntry> BuildMatrix() {
   std::vector<GoldenEntry> m;
   for (const char* sched : {"fcfs", "sstf", "edf", "scan-rt"}) {
     m.push_back({std::string("sim/") + sched + "/synthetic", ComputeSim,
-                 sched, "calendar", "synthetic", 42, std::nullopt});
+                 sched, "synthetic", 42, std::nullopt});
   }
-  // The two dispatcher backends must hash identically-configured runs to
-  // different names but equal streams is NOT required — what is required
-  // is that each backend reproduces its own bytes on every build flavor
-  // (the backend-equivalence property itself is a tier-1 test).
-  m.push_back({"sim/csfc-flat/synthetic", ComputeSim, "csfc", "flat",
+  // The csfc entries keep their "-calendar" names from when the dispatcher
+  // had two queue backends: renaming an entry is a ledger change.
+  m.push_back({"sim/csfc-calendar/synthetic", ComputeSim, "csfc",
                "synthetic", 42, std::nullopt});
-  m.push_back({"sim/csfc-calendar/synthetic", ComputeSim, "csfc", "calendar",
-               "synthetic", 42, std::nullopt});
-  m.push_back({"sim/csfc-calendar/mpeg", ComputeSim, "csfc", "calendar",
-               "mpeg", 42, std::nullopt});
-  m.push_back({"sim/csfc-calendar/edl", ComputeSim, "csfc", "calendar",
-               "edl", 42, std::nullopt});
+  m.push_back({"sim/csfc-calendar/mpeg", ComputeSim, "csfc", "mpeg", 42,
+               std::nullopt});
+  m.push_back({"sim/csfc-calendar/edl", ComputeSim, "csfc", "edl", 42,
+               std::nullopt});
   // Seeded rotational latency: the one simulator path that draws from an
   // Rng at service time, pinning the xoshiro stream and the latency
   // distribution math across builds.
   m.push_back({"sim/csfc-calendar/synthetic-latency7", ComputeSim, "csfc",
-               "calendar", "synthetic", 42, uint64_t{7}});
+               "synthetic", 42, uint64_t{7}});
   m.push_back({"sim/csfc-calendar/synthetic-overload", ComputeSimOverload,
-               "csfc", "calendar", "synthetic", 42, std::nullopt});
-  m.push_back({"serve/csfc/virtual", ComputeServe, "csfc", "", "", 42,
+               "csfc", "synthetic", 42, std::nullopt});
+  m.push_back({"serve/csfc/virtual", ComputeServe, "csfc", "", 42,
                std::nullopt});
-  m.push_back({"serve/edf/virtual", ComputeServe, "edf", "", "", 42,
+  m.push_back({"serve/edf/virtual", ComputeServe, "edf", "", 42,
                std::nullopt});
-  m.push_back({"characterize/hilbert-f1-r3", ComputeCharacterize, "", "", "",
-               42, std::nullopt});
-  m.push_back({"curves/index-tables", ComputeCurves, "", "", "", 42,
+  m.push_back({"characterize/hilbert-f1-r3", ComputeCharacterize, "", "", 42,
+               std::nullopt});
+  m.push_back({"curves/index-tables", ComputeCurves, "", "", 42,
                std::nullopt});
   return m;
 }

@@ -14,18 +14,13 @@ Rules (all scoped to src/, tools/, DESIGN.md — tests may break them):
                     std::function (FunctionRef or templates instead; the
                     one sanctioned use is the SchedulerFactory alias in
                     sched/scheduler.h — a cold-path factory seam).
-  include-hygiene   src/core and src/sched may include from obs/ only the
-                    tracer seam; the scheduler core must not grow a
-                    dependency on sinks, recorders or exporters. The seam
-                    set is read from tools/csfc_analyze/layers.toml (the
-                    layering manifest csfc_analyze enforces in full), with
-                    a builtin fallback when the manifest is absent.
 
-The former textual `determinism` rule (rand/time/wall-clock token ban)
-retired in favor of csfc_analyze's manifest-driven determinism families
-(determinism-taint / fp-contract / rng-seed-flow, driven by
-tools/csfc_analyze/determinism.toml) — the same single-source-of-truth
-move that folded include-hygiene onto layers.toml.
+Two former rules retired into csfc_analyze's manifest-driven families:
+the textual `determinism` rule (rand/time/wall-clock token ban) into
+determinism-taint / fp-contract / rng-seed-flow (driven by
+tools/csfc_analyze/determinism.toml), and `include-hygiene` (the
+scheduler core may see only the tracer seam of obs/) into its layering
+family (driven by tools/csfc_analyze/layers.toml).
 
 Run `csfc_lint.py --repo <root>` (CI, and `cmake --build build --target
 lint`); `--self-test` checks each rule catches a seeded violation.
@@ -40,13 +35,7 @@ import sys
 from pathlib import Path
 from typing import Dict, List, NamedTuple
 
-try:
-    import tomllib
-except ImportError:  # pragma: no cover - python < 3.11
-    tomllib = None
-
 CXX_SUFFIXES = (".h", ".cc")
-LAYERS_MANIFEST = "tools/csfc_analyze/layers.toml"
 
 
 class Finding(NamedTuple):
@@ -79,9 +68,6 @@ def load_tree(repo: Path) -> Tree:
     design = repo / "DESIGN.md"
     if design.is_file():
         tree["DESIGN.md"] = design.read_text(encoding="utf-8")
-    manifest = repo / LAYERS_MANIFEST
-    if manifest.is_file():
-        tree[LAYERS_MANIFEST] = manifest.read_text(encoding="utf-8")
     return tree
 
 
@@ -279,55 +265,10 @@ def check_no_std_function(tree: Tree) -> List[Finding]:
     return findings
 
 
-# --- include-hygiene --------------------------------------------------------
-
-TRACER_SEAM = {"obs/tracer.h", "obs/trace_event.h"}
-INCLUDE_RE = re.compile(r"#\s*include\s+\"(obs/[^\"]+)\"")
-
-
-def tracer_seam(tree: Tree) -> set:
-    """The obs/ headers the scheduler core may include.
-
-    Single source of truth is the [seam] table in the layering manifest
-    (tools/csfc_analyze/layers.toml, enforced in full by csfc_analyze);
-    the builtin set is a fallback for trees without the manifest.
-    """
-    text = tree.get(LAYERS_MANIFEST)
-    if text is None or tomllib is None:
-        return TRACER_SEAM
-    try:
-        headers = tomllib.loads(text).get("seam", {}).get("headers", [])
-    except Exception:
-        return TRACER_SEAM
-    seam = {h for h in headers if h.startswith("obs/")}
-    return seam or TRACER_SEAM
-
-
-def check_include_hygiene(tree: Tree) -> List[Finding]:
-    seam = tracer_seam(tree)
-    findings: List[Finding] = []
-    for path, text in sorted(tree.items()):
-        if not (path.startswith("src/core/") or path.startswith("src/sched/")):
-            continue
-        code = strip_comments(text)
-        for m in INCLUDE_RE.finditer(code):
-            inc = m.group(1)
-            if inc in seam:
-                continue
-            findings.append(Finding(
-                "include-hygiene", path, line_of(code, m.start()),
-                f"#include \"{inc}\": the scheduler core may only see the "
-                f"tracer seam ({', '.join(sorted(seam))}, from "
-                f"{LAYERS_MANIFEST}) — sinks and exporters stay outside "
-                f"the hot path"))
-    return findings
-
-
 ALL_CHECKS = [
     check_registry,
     check_trace_contract,
     check_no_std_function,
-    check_include_hygiene,
 ]
 
 
@@ -432,16 +373,10 @@ def self_test() -> int:
             "determinism rule should be retired (csfc_analyze owns it): "
             + "; ".join(f.render() for f in leftovers))
 
-    # 5. Core reaching past the tracer seam into a sink.
-    t = _clean_tree()
-    t["src/core/dispatcher.h"] += "#include \"obs/recorder.h\"\n"
-    expect("core-includes-sink", run_checks(t), "include-hygiene",
-           "obs/recorder.h")
-
     # Comment-stripping control: violations in comments are not findings.
     t = _clean_tree()
     t["src/core/dispatcher.h"] += (
-        "// std::function and rand() and #include \"obs/export.h\"\n"
+        "// std::function and rand()\n"
         "/* std::random_device too */\n")
     residue = [f for f in run_checks(t)
                if f.path == "src/core/dispatcher.h"]
@@ -475,25 +410,6 @@ def self_test() -> int:
     if residue:
         failures.append("line-spliced comment was flagged as live code: "
                         + "; ".join(f.render() for f in residue))
-
-    # 7. The tracer seam is read from layers.toml when the tree has one:
-    # a widened manifest admits the extra header, everything else still
-    # gets flagged.
-    t = _clean_tree()
-    t[LAYERS_MANIFEST] = (
-        "[seam]\n"
-        "headers = [\"obs/tracer.h\", \"obs/trace_event.h\", "
-        "\"obs/probe.h\"]\n"
-        "layers = [\"core\", \"sched\"]\n")
-    t["src/core/dispatcher.h"] += (
-        "#include \"obs/probe.h\"\n#include \"obs/recorder.h\"\n")
-    found = run_checks(t)
-    if any(f.rule == "include-hygiene"
-           and f.message.startswith("#include \"obs/probe.h\"")
-           for f in found):
-        failures.append("manifest-sanctioned seam header was flagged")
-    expect("manifest-seam-still-fences", found, "include-hygiene",
-           "obs/recorder.h")
 
     if failures:
         print("csfc_lint self-test FAILED:", file=sys.stderr)

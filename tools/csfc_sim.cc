@@ -16,7 +16,7 @@
 // Examples:
 //   csfc_sim --sched=edf --count=5000 --interarrival=20
 //   csfc_sim --sched=csfc --sfc1=diagonal --f=1 --r=3 --window=0.05
-//   csfc_sim --sched=csfc --queue=flat --count=200000
+//   csfc_sim --sched=csfc --count=200000 --interarrival=2
 //   csfc_sim --trace-in=load.trace --sched=scan-rt
 //   csfc_sim --sched=csfc --trace-jsonl=run.jsonl && trace_inspect run.jsonl
 
