@@ -7,17 +7,23 @@
 
 namespace csfc {
 
-Result<RunMetrics> RunSchedulerOnTrace(const SimulatorConfig& sim_config,
-                                       const std::vector<Request>& trace,
-                                       const SchedulerFactory& factory) {
+Result<RunMetrics> RunScheduler(const SimulatorConfig& sim_config,
+                                RequestGenerator& gen,
+                                const SchedulerFactory& factory) {
   Result<DiskServerSimulator> sim = DiskServerSimulator::Create(sim_config);
   if (!sim.ok()) return sim.status();
   SchedulerPtr sched = factory();
   if (sched == nullptr) {
     return Status::Internal("scheduler factory returned null");
   }
-  TraceReplayGenerator gen(trace);
   return sim->Run(gen, *sched);
+}
+
+Result<RunMetrics> RunSchedulerOnTrace(const SimulatorConfig& sim_config,
+                                       const std::vector<Request>& trace,
+                                       const SchedulerFactory& factory) {
+  TraceReplayGenerator gen(trace);
+  return RunScheduler(sim_config, gen, factory);
 }
 
 double Percent(double value, double base) {

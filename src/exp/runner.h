@@ -34,8 +34,14 @@ inline TracePtr ShareTrace(std::vector<Request> trace) {
   return std::make_shared<const std::vector<Request>>(std::move(trace));
 }
 
-/// Runs `factory`'s scheduler over a replay of `trace` on a fresh
-/// simulator built from `sim_config`.
+/// Runs `factory`'s scheduler on a fresh simulator built from
+/// `sim_config`, pulling arrivals from `gen` as the run reaches them (the
+/// workload is never materialized). Consumes `gen`.
+Result<RunMetrics> RunScheduler(const SimulatorConfig& sim_config,
+                                RequestGenerator& gen,
+                                const SchedulerFactory& factory);
+
+/// RunScheduler over a replay of `trace`, which is borrowed, not copied.
 Result<RunMetrics> RunSchedulerOnTrace(const SimulatorConfig& sim_config,
                                        const std::vector<Request>& trace,
                                        const SchedulerFactory& factory);

@@ -97,7 +97,7 @@ Result<ArrayRunResult> ArraySimulator::Run(RequestGenerator& gen,
     if (sched == nullptr) {
       return Status::Internal("scheduler factory returned null");
     }
-    TraceReplayGenerator replay(std::move(per_disk[d]));
+    TraceReplayGenerator replay(per_disk[d]);
     result.per_disk.push_back(sim->Run(replay, *sched));
   }
   return result;

@@ -83,7 +83,8 @@ TEST(ArraySimulatorTest, LoadSpreadsAcrossMembers) {
 TEST(ArraySimulatorTest, NullFactoryFails) {
   auto sim = ArraySimulator::Create(BaseConfig());
   ASSERT_TRUE(sim.ok());
-  TraceReplayGenerator gen(StreamTrace(5, 1000));
+  const auto trace = StreamTrace(5, 1000);
+  TraceReplayGenerator gen(trace);
   auto result = sim->Run(gen, []() -> SchedulerPtr { return nullptr; });
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInternal);

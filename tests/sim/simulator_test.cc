@@ -39,7 +39,8 @@ TEST(SimulatorConfigTest, Validation) {
 
 TEST(SimulatorTest, EmptyWorkloadFinishesCleanly) {
   DiskServerSimulator sim = MakeSim();
-  TraceReplayGenerator gen({});
+  const std::vector<Request> reqs;
+  TraceReplayGenerator gen(reqs);
   FcfsScheduler sched;
   const RunMetrics m = sim.Run(gen, sched);
   EXPECT_EQ(m.arrivals, 0u);
@@ -48,7 +49,8 @@ TEST(SimulatorTest, EmptyWorkloadFinishesCleanly) {
 
 TEST(SimulatorTest, SingleRequestTimingMatchesDiskModel) {
   DiskServerSimulator sim = MakeSim();
-  TraceReplayGenerator gen({Req(0, MsToSim(5), 1000)});
+  const std::vector<Request> reqs = {Req(0, MsToSim(5), 1000)};
+  TraceReplayGenerator gen(reqs);
   FcfsScheduler sched;
   const RunMetrics m = sim.Run(gen, sched);
   EXPECT_EQ(m.completions, 1u);
@@ -64,7 +66,8 @@ TEST(SimulatorTest, TransferOnlyModeIgnoresSeekAndLatency) {
   SimulatorConfig c;
   c.service_model = ServiceModel::kTransferOnly;
   DiskServerSimulator sim = MakeSim(c);
-  TraceReplayGenerator gen({Req(0, 0, 1000)});
+  const std::vector<Request> reqs = {Req(0, 0, 1000)};
+  TraceReplayGenerator gen(reqs);
   FcfsScheduler sched;
   const RunMetrics m = sim.Run(gen, sched);
   EXPECT_NEAR(SimToMs(m.makespan),
@@ -77,7 +80,8 @@ TEST(SimulatorTest, BackToBackRequestsQueue) {
   c.service_model = ServiceModel::kTransferOnly;
   DiskServerSimulator sim = MakeSim(c);
   // Both arrive immediately; service is ~8.7 ms each at the outer zone.
-  TraceReplayGenerator gen({Req(0, 0, 0), Req(1, 0, 0)});
+  const std::vector<Request> reqs = {Req(0, 0, 0), Req(1, 0, 0)};
+  TraceReplayGenerator gen(reqs);
   FcfsScheduler sched;
   const RunMetrics m = sim.Run(gen, sched);
   EXPECT_EQ(m.completions, 2u);
@@ -91,7 +95,8 @@ TEST(SimulatorTest, IdleGapsAdvanceTime) {
   SimulatorConfig c;
   c.service_model = ServiceModel::kTransferOnly;
   DiskServerSimulator sim = MakeSim(c);
-  TraceReplayGenerator gen({Req(0, 0, 0), Req(1, MsToSim(500), 0)});
+  const std::vector<Request> reqs = {Req(0, 0, 0), Req(1, MsToSim(500), 0)};
+  TraceReplayGenerator gen(reqs);
   FcfsScheduler sched;
   const RunMetrics m = sim.Run(gen, sched);
   const double service = sim.disk().TransferTimeMs(0, 64 * 1024);
@@ -104,8 +109,9 @@ TEST(SimulatorTest, DeadlineMissesCounted) {
   DiskServerSimulator sim = MakeSim(c);
   // Request 0: deadline far in the future (met). Request 1: deadline
   // before it can possibly finish (missed).
-  TraceReplayGenerator gen({Req(0, 0, 100, MsToSim(1000)),
-                            Req(1, 0, 3800, MsToSim(1))});
+  const std::vector<Request> reqs = {Req(0, 0, 100, MsToSim(1000)),
+                                     Req(1, 0, 3800, MsToSim(1))};
+  TraceReplayGenerator gen(reqs);
   EdfScheduler sched;
   const RunMetrics m = sim.Run(gen, sched);
   EXPECT_EQ(m.deadline_total, 2u);
@@ -121,7 +127,8 @@ TEST(SimulatorTest, PerLevelMissAccounting) {
   met.priorities.push_back(2);
   Request missed = Req(1, 0, 3800, MsToSim(1));
   missed.priorities.push_back(5);
-  TraceReplayGenerator gen({met, missed});
+  const std::vector<Request> reqs = {met, missed};
+  TraceReplayGenerator gen(reqs);
   EdfScheduler sched;
   const RunMetrics m = sim.Run(gen, sched);
   EXPECT_EQ(m.totals_per_dim_level[0][2], 1u);
@@ -140,15 +147,14 @@ TEST(SimulatorTest, PriorityInversionCountedAtDispatch) {
   // wait: 2 inversions at the first dispatch... but all three arrive at
   // t=0 and the first dispatch happens when only id 0 is enqueued. Use
   // arrival order: id 0 arrives first, the others while it is served.
-  TraceReplayGenerator gen([&] {
-    Request a = Req(0, 0, 0);
-    a.priorities.push_back(3);
-    Request b = Req(1, MsToSim(1), 0);
-    b.priorities.push_back(0);
-    Request d = Req(2, MsToSim(2), 0);
-    d.priorities.push_back(1);
-    return std::vector<Request>{a, b, d};
-  }());
+  Request a = Req(0, 0, 0);
+  a.priorities.push_back(3);
+  Request b = Req(1, MsToSim(1), 0);
+  b.priorities.push_back(0);
+  Request d = Req(2, MsToSim(2), 0);
+  d.priorities.push_back(1);
+  const std::vector<Request> reqs = {a, b, d};
+  TraceReplayGenerator gen(reqs);
   FcfsScheduler sched;
   const RunMetrics m = sim.Run(gen, sched);
   // Dispatch of id 1 (level 0): id 2 waits but is lower priority -> 0.
@@ -176,7 +182,8 @@ TEST(SimulatorTest, PriorityInversionPositiveCase) {
   b.priorities.push_back(3);
   Request d = Req(2, MsToSim(2), 0);
   d.priorities.push_back(0);
-  TraceReplayGenerator gen({a, b, d});
+  const std::vector<Request> reqs = {a, b, d};
+  TraceReplayGenerator gen(reqs);
   FcfsScheduler sched;
   const RunMetrics m = sim.Run(gen, sched);
   EXPECT_EQ(m.total_inversions(), 1u);

@@ -4,6 +4,10 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <optional>
+#include <string>
+#include <type_traits>
+#include <vector>
 
 #include "workload/generator.h"
 
@@ -138,6 +142,40 @@ TEST(TraceReplayTest, ReplaysInOrder) {
   }
   EXPECT_FALSE(gen.Next().has_value());
 }
+
+TEST(TraceReplayTest, ReplaysShareOneTraceAndLeaveItUnchanged) {
+  WorkloadConfig c;
+  c.count = 50;
+  auto gen = SyntheticGenerator::Create(c);
+  ASSERT_TRUE(gen.ok());
+  const std::vector<Request> trace = DrainGenerator(**gen);
+  std::vector<std::string> lines;
+  for (const Request& r : trace) lines.push_back(FormatTraceLine(r));
+
+  // Interleaved replays keep their own positions; each hands out copies.
+  TraceReplayGenerator a(trace), b(trace);
+  for (size_t i = 0; i < trace.size(); ++i) {
+    std::optional<Request> ra = a.Next();
+    ASSERT_TRUE(ra.has_value());
+    EXPECT_EQ(FormatTraceLine(*ra), lines[i]);
+    ra->cylinder += 1;
+    ra->priorities.clear();
+    std::optional<Request> rb = b.Next();
+    ASSERT_TRUE(rb.has_value());
+    EXPECT_EQ(FormatTraceLine(*rb), lines[i]);
+  }
+  EXPECT_FALSE(a.Next().has_value());
+  EXPECT_FALSE(b.Next().has_value());
+  for (size_t i = 0; i < trace.size(); ++i) {
+    EXPECT_EQ(FormatTraceLine(trace[i]), lines[i]);
+  }
+}
+
+// A replay borrows its trace, so it cannot be built from a temporary.
+static_assert(
+    !std::is_constructible_v<TraceReplayGenerator, std::vector<Request>&&>);
+static_assert(
+    std::is_constructible_v<TraceReplayGenerator, const std::vector<Request>&>);
 
 TEST(DrainGeneratorTest, RespectsMaxRequests) {
   WorkloadConfig c;

@@ -20,6 +20,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -252,8 +253,11 @@ inline void AddWorkloadFlags(FlagSet& flags, WorkloadFlags* w) {
                 &w->cfg.relaxed_deadlines);
 }
 
-/// Generates the arrival stream the flags describe.
-inline Result<std::vector<Request>> BuildWorkload(const WorkloadFlags& w) {
+/// The generator of the arrival stream the flags describe. csfc_sim runs
+/// the simulator straight off it; BuildWorkload drains it for callers
+/// that need the whole stream up front.
+inline Result<std::unique_ptr<RequestGenerator>> MakeWorkloadGenerator(
+    const WorkloadFlags& w) {
   if (w.kind == "mpeg") {
     MpegWorkloadConfig mc;
     mc.seed = w.cfg.seed;
@@ -262,7 +266,7 @@ inline Result<std::vector<Request>> BuildWorkload(const WorkloadFlags& w) {
     mc.user_phase_spread_ms = mc.PeriodMs() - mc.batch_jitter_ms;
     auto gen = MpegStreamGenerator::Create(mc);
     if (!gen.ok()) return gen.status();
-    return DrainGenerator(**gen);
+    return std::unique_ptr<RequestGenerator>(std::move(*gen));
   }
   if (w.kind == "edl") {
     EdlWorkloadConfig ec;
@@ -270,15 +274,22 @@ inline Result<std::vector<Request>> BuildWorkload(const WorkloadFlags& w) {
     ec.num_editors = w.users;
     auto gen = EdlWorkloadGenerator::Create(ec);
     if (!gen.ok()) return gen.status();
-    return DrainGenerator(**gen);
+    return std::unique_ptr<RequestGenerator>(std::move(*gen));
   }
   if (w.kind == "synthetic") {
     auto gen = SyntheticGenerator::Create(w.cfg);
     if (!gen.ok()) return gen.status();
-    return DrainGenerator(**gen);
+    return std::unique_ptr<RequestGenerator>(std::move(*gen));
   }
   return Status::InvalidArgument("unknown --workload=" + w.kind +
                                  " (synthetic|mpeg|edl)");
+}
+
+/// Generates the whole arrival stream the flags describe.
+inline Result<std::vector<Request>> BuildWorkload(const WorkloadFlags& w) {
+  auto gen = MakeWorkloadGenerator(w);
+  if (!gen.ok()) return gen.status();
+  return DrainGenerator(**gen);
 }
 
 /// Scheduler selection and cascaded-preset knobs.

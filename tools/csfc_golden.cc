@@ -86,7 +86,7 @@ class HashWriter : public obs::Writer {
 // — the simd-scalar CI flavor exists precisely to prove it changes
 // nothing), no entropy. Workload seeds are fixed here and nowhere else.
 
-Result<std::vector<Request>> PinnedWorkload(
+tools::WorkloadFlags PinnedWorkloadFlags(
     const std::string& kind, uint64_t seed, uint64_t count,
     std::optional<double> interarrival_ms = std::nullopt) {
   tools::WorkloadFlags wf;
@@ -96,7 +96,7 @@ Result<std::vector<Request>> PinnedWorkload(
   if (interarrival_ms) wf.cfg.mean_interarrival_ms = *interarrival_ms;
   wf.users = 6;              // mpeg streams / edl editors
   wf.duration_ms = 3000.0;   // mpeg horizon
-  return tools::BuildWorkload(wf);
+  return wf;
 }
 
 /// Builds the ServerConfig the scheduler flags describe, the same path
@@ -114,13 +114,16 @@ Result<ServerConfig> PinnedConfig(const std::string& sched) {
 }
 
 /// Offline simulator run: hashes the full JSONL lifecycle trace plus the
-/// final RunMetrics document.
+/// final RunMetrics document. The workload streams from its generator,
+/// as in csfc_sim; the committed digests were computed over a drained and
+/// replayed trace, so verifying them also proves the two paths agree.
 Result<std::string> SimDigest(const std::string& sched,
                               const std::string& workload, uint64_t seed,
                               std::optional<uint64_t> latency_seed,
                               std::optional<double> interarrival_ms) {
-  auto trace = PinnedWorkload(workload, seed, /*count=*/2000, interarrival_ms);
-  if (!trace.ok()) return trace.status();
+  auto gen = tools::MakeWorkloadGenerator(
+      PinnedWorkloadFlags(workload, seed, /*count=*/2000, interarrival_ms));
+  if (!gen.ok()) return gen.status();
   auto config = PinnedConfig(sched);
   if (!config.ok()) return config.status();
   config->sim.latency_seed = latency_seed;
@@ -134,7 +137,7 @@ Result<std::string> SimDigest(const std::string& sched,
   if (!disk.ok()) return disk.status();
   auto factory = config->MakeFactory(*disk);
   if (!factory.ok()) return factory.status();
-  auto metrics = RunSchedulerOnTrace(config->sim, *trace, *factory);
+  auto metrics = RunScheduler(config->sim, **gen, *factory);
   if (!metrics.ok()) return metrics.status();
   if (!sink.status().ok()) return sink.status();
 
@@ -148,7 +151,9 @@ Result<std::string> SimDigest(const std::string& sched,
 /// Service front-end run in deterministic virtual time: hashes the event
 /// stream RunVirtual emits plus the settled ServiceStats.
 Result<std::string> ServeDigest(const std::string& sched) {
-  auto trace = PinnedWorkload("synthetic", /*seed=*/42, /*count=*/1500);
+  // RunVirtual takes the whole offered stream up front.
+  auto trace = tools::BuildWorkload(
+      PinnedWorkloadFlags("synthetic", /*seed=*/42, /*count=*/1500));
   if (!trace.ok()) return trace.status();
   auto config = PinnedConfig(sched);
   if (!config.ok()) return config.status();
@@ -189,7 +194,8 @@ Result<std::string> ServeDigest(const std::string& sched) {
 /// paths are cross-checked request for request, so the simd-scalar CI
 /// flavor proves the kernel bit-identity claim against the same digest.
 Result<std::string> CharacterizeDigest() {
-  auto trace = PinnedWorkload("synthetic", /*seed=*/1234, /*count=*/1024);
+  auto trace = tools::BuildWorkload(
+      PinnedWorkloadFlags("synthetic", /*seed=*/1234, /*count=*/1024));
   if (!trace.ok()) return trace.status();
 
   EncapsulatorConfig ec;  // hilbert, D=3, 4 bits, f=1, R=3, PanaViss-sized

@@ -3,6 +3,12 @@
 // prints the full metric set — the quickest way to explore the design
 // space without writing C++.
 //
+// A generated workload streams straight from its generator into the
+// simulator (RunScheduler in exp/runner.h), so memory stays flat in the
+// request count. The trace is materialized only when it is read
+// (--trace-in) or written (--trace-out); the run then replays that one
+// vector in place.
+//
 // Flags come from the shared table in cli_flags.h (same workload and
 // scheduler flags as csfc_serve); run `csfc_sim --help` for the full
 // generated list. Configuration flows through ServerConfig, the same
@@ -11,7 +17,8 @@
 //
 // --trace-jsonl streams every lifecycle event of the run to FILE in the
 // JSONL schema of DESIGN.md section 10 (inspect with trace_inspect).
-// --json replaces the human-readable summary with RunMetrics::ToJson().
+// --json replaces the human-readable summary with RunMetrics::ToJson();
+// stdout then holds that document alone (file notices go to stderr).
 //
 // Examples:
 //   csfc_sim --sched=edf --count=5000 --interarrival=20
@@ -21,6 +28,7 @@
 //   csfc_sim --sched=csfc --trace-jsonl=run.jsonl && trace_inspect run.jsonl
 
 #include <cstdio>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -62,8 +70,10 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  // Workload: trace replay or synthetic.
+  // Workload: a generator streamed into the run, or a trace replayed.
+  // `trace` is declared first so it outlives the replay that borrows it.
   std::vector<Request> trace;
+  std::unique_ptr<RequestGenerator> arrivals;
   if (!trace_in.empty()) {
     auto loaded = LoadTrace(trace_in);
     if (!loaded.ok()) {
@@ -72,20 +82,24 @@ int main(int argc, char** argv) {
     }
     trace = std::move(*loaded);
   } else {
-    auto built = tools::BuildWorkload(wf);
-    if (!built.ok()) {
-      std::fprintf(stderr, "%s\n", built.status().ToString().c_str());
+    auto gen = tools::MakeWorkloadGenerator(wf);
+    if (!gen.ok()) {
+      std::fprintf(stderr, "%s\n", gen.status().ToString().c_str());
       return 1;
     }
-    trace = std::move(*built);
+    arrivals = std::move(*gen);
+    if (!trace_out.empty()) trace = DrainGenerator(*arrivals);
   }
   if (!trace_out.empty()) {
     if (Status s = SaveTrace(trace_out, trace); !s.ok()) {
       std::fprintf(stderr, "%s\n", s.ToString().c_str());
       return 1;
     }
-    std::printf("trace written: %s (%zu requests)\n", trace_out.c_str(),
-                trace.size());
+    std::fprintf(stderr, "trace written: %s (%zu requests)\n",
+                 trace_out.c_str(), trace.size());
+  }
+  if (!trace_in.empty() || !trace_out.empty()) {
+    arrivals = std::make_unique<TraceReplayGenerator>(trace);
   }
 
   ServerConfig config;
@@ -123,7 +137,7 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  auto metrics = RunSchedulerOnTrace(config.sim, trace, *factory);
+  auto metrics = RunScheduler(config.sim, *arrivals, *factory);
   if (!metrics.ok()) {
     std::fprintf(stderr, "%s\n", metrics.status().ToString().c_str());
     return 1;
