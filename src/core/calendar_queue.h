@@ -84,8 +84,9 @@ struct QueueKey {
 /// one short re-sort — and the few that cross a range boundary go
 /// through a migration scratch list, preserving assignment order.
 ///
-/// All bucket storage is pre-sized at Configure (cold); steady-state ops
-/// allocate nothing. Growth past a bucket's reserve happens only on
+/// All bucket storage is reserved at Configure (cold) but not written, so
+/// only the pages of buckets a run fills are ever faulted in; steady-state
+/// ops allocate nothing. Growth past a bucket's reserve happens only on
 /// adversarial single-range workloads and is marked csfc:alloc-ok.
 class BucketedSlotHeap {
  public:
@@ -101,10 +102,13 @@ class BucketedSlotHeap {
   /// orders of magnitude (calendar_queue_test pins FIFO order across the
   /// 2^32 wrap; the equivalence suites cross-check against the
   /// full-width reference).
+  ///
+  /// No default member initializers: entry arrays are allocated for
+  /// overwrite, and nothing reads an entry outside a bucket's [0, len).
   struct alignas(16) Entry {
-    CValue v = 0.0;
-    uint32_t seq = 0;
-    uint32_t slot = 0;
+    CValue v;
+    uint32_t seq;
+    uint32_t slot;
   };
 
   /// (v, seq) order with the wrap-aware FIFO tie-break. Bitwise, not
@@ -151,8 +155,11 @@ class BucketedSlotHeap {
     // All buckets start in one contiguous slab, in bucket order: the pop
     // cursor drains buckets in exactly that order, so the drain sweep
     // walks memory sequentially and the hardware prefetcher tracks it.
-    // Only buckets that outgrow the reserve move to their own array.
-    slab_ = std::make_unique<Entry[]>(size_t{num_buckets_} * kBucketReserve);
+    // Only buckets that outgrow the reserve move to their own array. The
+    // slab is reserved, not written: a page is faulted in only when a
+    // bucket on it receives its first entry.
+    slab_ = std::make_unique_for_overwrite<Entry[]>(size_t{num_buckets_} *
+                                                    kBucketReserve);
     storage_.clear();
     storage_.resize(num_buckets_);
     buckets_.assign(num_buckets_, Bucket{});
@@ -469,7 +476,7 @@ class BucketedSlotHeap {
   void GrowBucket(uint32_t b) {
     Bucket& m = buckets_[b];
     const uint32_t new_cap = m.cap * 2;
-    auto grown = std::make_unique<Entry[]>(new_cap);  // csfc:alloc-ok(cold bucket growth on skewed workloads; the reserve covers the steady state)
+    auto grown = std::make_unique_for_overwrite<Entry[]>(new_cap);  // csfc:alloc-ok(cold bucket growth on skewed workloads; the reserve covers the steady state)
     std::copy_n(m.data, m.len, grown.get());
     m.data = grown.get();
     storage_[b] = std::move(grown);
@@ -570,13 +577,14 @@ class BucketedSlotHeap {
     num_buckets_ = o.num_buckets_;
     per_bucket_ = o.per_bucket_;
     magic_ = o.magic_;
-    slab_ = std::make_unique<Entry[]>(size_t{num_buckets_} * kBucketReserve);
+    slab_ = std::make_unique_for_overwrite<Entry[]>(size_t{num_buckets_} *
+                                                    kBucketReserve);
     storage_.clear();
     storage_.resize(buckets_.size());
     for (size_t b = 0; b < buckets_.size(); ++b) {
       Bucket& m = buckets_[b];
       if (o.storage_[b] != nullptr) {
-        storage_[b] = std::make_unique<Entry[]>(m.cap);
+        storage_[b] = std::make_unique_for_overwrite<Entry[]>(m.cap);
         m.data = storage_[b].get();
       } else {
         m.data = slab_.get() + b * kBucketReserve;

@@ -10,6 +10,12 @@ Result<std::unique_ptr<CascadedSfcScheduler>> CascadedSfcScheduler::Create(
   Result<std::unique_ptr<Encapsulator>> e =
       Encapsulator::Create(config.encapsulator);
   if (!e.ok()) return e.status();
+  return Create(config, std::move(*e));
+}
+
+Result<std::unique_ptr<CascadedSfcScheduler>> CascadedSfcScheduler::Create(
+    const CascadedConfig& config,
+    std::shared_ptr<const Encapsulator> encapsulator) {
   DispatcherConfig dc = config.dispatcher;
   if (dc.calendar_buckets == 0) {
     // Derive the calendar geometry from the SFC3 partition parameters the
@@ -34,12 +40,12 @@ Result<std::unique_ptr<CascadedSfcScheduler>> CascadedSfcScheduler::Create(
       ec.stage2_mode != Stage2Mode::kDisabled ||
       ec.stage3_mode != Stage3Mode::kDisabled;
   return std::unique_ptr<CascadedSfcScheduler>(new CascadedSfcScheduler(
-      std::move(*e), std::move(*d),
+      std::move(encapsulator), std::move(*d),
       config.recharacterize_on_swap && context_dependent));
 }
 
 CascadedSfcScheduler::CascadedSfcScheduler(
-    std::unique_ptr<Encapsulator> encapsulator, Dispatcher dispatcher,
+    std::shared_ptr<const Encapsulator> encapsulator, Dispatcher dispatcher,
     bool recharacterize_on_swap)
     : encapsulator_(std::move(encapsulator)),
       dispatcher_(std::make_unique<Dispatcher>(std::move(dispatcher))),

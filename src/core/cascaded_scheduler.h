@@ -29,8 +29,16 @@ struct CascadedConfig {
 /// The paper's scheduler.
 class CascadedSfcScheduler final : public Scheduler {
  public:
+  /// Builds the scheduler and its own encapsulator.
   static Result<std::unique_ptr<CascadedSfcScheduler>> Create(
       const CascadedConfig& config);
+  /// Builds the scheduler over `encapsulator`, which must be non-null and
+  /// built from config.encapsulator. The encapsulator is immutable, so every
+  /// scheduler of one configuration can share it (the registry's csfc
+  /// factory does); each scheduler still owns its queues.
+  static Result<std::unique_ptr<CascadedSfcScheduler>> Create(
+      const CascadedConfig& config,
+      std::shared_ptr<const Encapsulator> encapsulator);
 
   std::string_view name() const override { return name_; }
   CSFC_HOT void Enqueue(Request r, const DispatchContext& ctx) override;
@@ -59,10 +67,10 @@ class CascadedSfcScheduler final : public Scheduler {
   const Encapsulator& encapsulator() const { return *encapsulator_; }
 
  private:
-  CascadedSfcScheduler(std::unique_ptr<Encapsulator> encapsulator,
+  CascadedSfcScheduler(std::shared_ptr<const Encapsulator> encapsulator,
                        Dispatcher dispatcher, bool recharacterize_on_swap);
 
-  std::unique_ptr<Encapsulator> encapsulator_;
+  std::shared_ptr<const Encapsulator> encapsulator_;
   std::unique_ptr<Dispatcher> dispatcher_;
   std::string name_;
   CValue last_cvalue_ = 0.0;

@@ -43,11 +43,16 @@ uint32_t Dispatcher::AllocSlot(R&& r) {
   if (!free_.empty()) {
     const uint32_t slot = free_.back();
     free_.pop_back();
-    pool_[slot] = std::forward<R>(r);
+    Payload(slot) = std::forward<R>(r);
     return slot;
   }
-  pool_.push_back(std::forward<R>(r));  // csfc:alloc-ok(slot pool grows to peak depth, then recycles)
-  return static_cast<uint32_t>(pool_.size() - 1);
+  if (pool_.empty() || pool_.back().size() == kChunkSize) {
+    pool_.emplace_back().reserve(kChunkSize);  // csfc:alloc-ok(one chunk per kChunkSize slots of peak depth, then recycles)
+  }
+  std::vector<Request>& chunk = pool_.back();
+  chunk.push_back(std::forward<R>(r));  // csfc:alloc-ok(fills the chunk's reserve in place)
+  return static_cast<uint32_t>(((pool_.size() - 1) << kChunkBits) |
+                               (chunk.size() - 1));
 }
 
 void Dispatcher::Insert(CValue v, const Request& r) { InsertImpl(v, r); }
@@ -106,7 +111,8 @@ void Dispatcher::InsertImpl(CValue v, R&& r) {
   // doubles the prefetch lead on the same two lines for ~free, and if it
   // did, the new minimum's slot is the one just written — still hot.
   if (!active_.empty()) {
-    const char* next = reinterpret_cast<const char*>(&pool_[active_.MinSlot()]);
+    const char* next =
+        reinterpret_cast<const char*>(&Payload(active_.MinSlot()));
     __builtin_prefetch(next);
     __builtin_prefetch(next + 64);
   }
@@ -154,7 +160,7 @@ std::optional<Request> Dispatcher::Pop() {
               obs::TraceEvent ev;
               ev.kind = obs::TraceEventKind::kPromote;
               ev.t = tracer_->now();
-              ev.id = pool_[e.slot].id;
+              ev.id = Payload(e.slot).id;
               ev.vc = e.v;
               ev.window = window_;
               tracer_->Emit(ev);
@@ -178,29 +184,29 @@ std::optional<Request> Dispatcher::Pop() {
   // payload-move miss. A Request spans two cache lines; the move reads
   // both.
   if (!active_.empty()) {
-    const char* next = reinterpret_cast<const char*>(&pool_[active_.MinSlot()]);
+    const char* next =
+        reinterpret_cast<const char*>(&Payload(active_.MinSlot()));
     __builtin_prefetch(next);
     __builtin_prefetch(next + 64);
   }
   // Move the payload straight from its slot into the returned optional:
   // one ~100-byte transfer per pop, not a slot -> local -> optional pair.
-  std::optional<Request> out(std::move(pool_[e.slot]));
+  std::optional<Request> out(std::move(Payload(e.slot)));
   free_.push_back(e.slot);  // csfc:alloc-ok(free list capacity tracks the slot pool)
   return out;
 }
 
 void Dispatcher::RekeyWaiting(RekeyFn key) {
-  waiting_.Rekey([&](uint32_t slot) { return key(pool_[slot]); });
+  waiting_.Rekey([&](uint32_t slot) { return key(Payload(slot)); });
 }
 
 void Dispatcher::RekeyWaitingBatch(BatchRekeyFn key) {
   const size_t n = waiting_.size();
   rekey_reqs_.resize(n);  // csfc:alloc-ok(rekey scratch reused across swaps)
-  const Request* const pool = pool_.data();
   size_t gathered = 0;
   // Gather in AssignKeys' consumption order (bucket traversal order).
   waiting_.ForEachEntrySlot(
-      [&](uint32_t slot) { rekey_reqs_[gathered++] = pool + slot; });
+      [&](uint32_t slot) { rekey_reqs_[gathered++] = &Payload(slot); });
   assert(gathered == n);
   rekey_vals_.resize(n);  // csfc:alloc-ok(rekey scratch reused across swaps)
   key(rekey_reqs_, rekey_vals_);

@@ -180,6 +180,17 @@ class Dispatcher {
   template <typename R>
   CSFC_HOT uint32_t AllocSlot(R&& r);
 
+  /// Slot pool geometry: slot s lives at pool_[s >> kChunkBits][s &
+  /// kChunkMask].
+  static constexpr uint32_t kChunkBits = 12;
+  static constexpr uint32_t kChunkSize = 1u << kChunkBits;
+  static constexpr uint32_t kChunkMask = kChunkSize - 1;
+
+  /// The payload parked in `slot`.
+  Request& Payload(uint32_t slot) {
+    return pool_[slot >> kChunkBits][slot & kChunkMask];
+  }
+
   DispatcherConfig config_;
   double window_;
   /// v_c of the most recently dispatched request — the paper's T_cur, the
@@ -202,8 +213,14 @@ class Dispatcher {
   /// Request payloads, indexed by the slot in each queue entry. Queues
   /// only ever shuffle 16-byte (v, seq, slot) entries; payloads stay put
   /// between Insert and Pop, including across SP promotions and queue
-  /// swaps.
-  std::vector<Request> pool_;
+  /// swaps. The pool is a list of kChunkSize-request chunks, each reserved
+  /// whole when added and filled in place, so growth appends a chunk and
+  /// never moves a parked payload (a flat vector would move them all, with
+  /// old and new buffers both alive at the peak). A copied Dispatcher's
+  /// last chunk keeps no spare reserve and may reallocate on a later
+  /// insert; that is harmless, because slots are indices and no payload
+  /// pointer outlives a call.
+  std::vector<std::vector<Request>> pool_;
   std::vector<uint32_t> free_;
   /// Scratch for RekeyWaitingBatch (gathered payload pointers + new keys),
   /// reused across swaps so batch rekey settles to zero allocations.

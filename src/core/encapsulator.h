@@ -121,6 +121,11 @@ struct StageValues {
 };
 
 /// The encapsulator: maps requests to characterization values.
+///
+/// Immutable once Create returns: v_c is a pure function of the request
+/// and the dispatch context, so the const members are safe to call
+/// concurrently and one instance can serve every scheduler built from
+/// one configuration (see MakeSchedulerFactory).
 class Encapsulator {
  public:
   static Result<std::unique_ptr<Encapsulator>> Create(

@@ -123,11 +123,15 @@ Result<SchedulerFactory> MakeSchedulerFactory(
   }
   if (name == "csfc") {
     // Validate eagerly so a bad configuration fails here, not per run.
-    auto probe = CascadedSfcScheduler::Create(ctx.cascaded);
-    if (!probe.ok()) return probe.status();
+    // Building the encapsulator validates its half; it is immutable, so
+    // every scheduler the factory returns shares this one instance.
+    if (Status s = ctx.cascaded.dispatcher.Validate(); !s.ok()) return s;
+    auto built = Encapsulator::Create(ctx.cascaded.encapsulator);
+    if (!built.ok()) return built.status();
+    std::shared_ptr<const Encapsulator> encapsulator = std::move(*built);
     const CascadedConfig config = ctx.cascaded;
-    return SchedulerFactory([config]() -> SchedulerPtr {
-      auto s = CascadedSfcScheduler::Create(config);
+    return SchedulerFactory([config, encapsulator]() -> SchedulerPtr {
+      auto s = CascadedSfcScheduler::Create(config, encapsulator);
       if (!s.ok()) return nullptr;
       return std::move(*s);
     });

@@ -33,8 +33,14 @@ struct SchedulerRegistryContext {
 
 /// Builds a factory for `name`. Recognized names: fcfs, sstf, scan, look,
 /// cscan, clook, edf, scan-edf, fd-scan, scan-rt, ssedo, ssedv,
-/// multi-queue, bucket, dds, csfc. Names needing the disk model fail with
-/// FailedPrecondition when ctx.disk is null.
+/// multi-queue, bucket, dds, sfc-dds, sfc-bucket, csfc. Names needing the
+/// disk model fail with FailedPrecondition when ctx.disk is null.
+///
+/// Configuration errors surface here, not per run. The csfc factory
+/// validates ctx.cascaded and builds its encapsulator (the SFC lookup
+/// tables) once; every scheduler it returns shares that encapsulator and
+/// owns its own queues. A produced factory may be called from many
+/// threads at once (RunParallel workers do).
 Result<SchedulerFactory> MakeSchedulerFactory(
     std::string_view name, const SchedulerRegistryContext& ctx);
 

@@ -335,16 +335,21 @@ TEST(ParallelStressTest, CalendarBackendRekeyBatchesAreRaceFreeAndDeterministic)
   // Every point runs the full cascaded pipeline on the calendar queue
   // with swap-time re-characterization on, so RekeyWaitingBatch —
   // the calendar's bucket-sweep + migration path — executes continuously
-  // on every worker thread. The dispatchers are per-point (no sharing by
-  // design); TSan must see no races in the slab/storage handling, and an
-  // 8-thread sweep must stay bit-identical to the serial reference.
-  const TracePtr trace = ShareTrace(StressTrace(109));
+  // on every worker thread. All 24 points call one csfc factory, so their
+  // schedulers share its one immutable Encapsulator and read its lookup
+  // tables from eight threads at once, while each keeps its own
+  // dispatcher. TSan must see no races in the slab/storage handling or
+  // the shared encapsulator, and an 8-thread sweep must stay bit-identical
+  // to the serial reference.
+  const TracePtr traces[] = {ShareTrace(StressTrace(109)),
+                             ShareTrace(StressTrace(110)),
+                             ShareTrace(StressTrace(111))};
   const SimulatorConfig sc = StressSimConfig();
-  const CascadedConfig cal =
-      PresetFull("hilbert", 2, 3, 1.0, 3, 3832, 0.05, 700.0);
+  const SchedulerFactory shared = CascadedViaRegistry(
+      PresetFull("hilbert", 2, 3, 1.0, 3, 3832, 0.05, 700.0));
   std::vector<RunPoint> points;
-  for (size_t c = 0; c < 12; ++c) {
-    points.push_back({sc, trace, CascadedViaRegistry(cal)});
+  for (size_t i = 0; i < 24; ++i) {
+    points.push_back({sc, traces[i % 3], shared});
   }
 
   auto serial = RunParallel(points, 1);

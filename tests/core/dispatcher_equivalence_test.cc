@@ -202,13 +202,23 @@ std::vector<RequestId> ServiceOrder(ReferenceDispatcher ref) {
   return DrainAll(ref);
 }
 
+// Shares of a replay's ops, in percent; the rest drain a copy of both
+// implementations and compare service orders.
+struct OpMix {
+  uint64_t insert = 55;
+  uint64_t pop = 30;
+  uint64_t rekey = 8;
+};
+
 // Replays a random op trace against both implementations. key_of draws
 // each arrival's v_c; rekey_of draws each waiting request's new v_c and
 // must be pure (see the key-source comment). Rekeys alternate between the
-// per-request and the batch entry point.
+// per-request and the batch entry point. The deepest queue the trace
+// reached is stored through peak_depth when one is given.
 template <typename KeyFn, typename RekeyKeyFn>
 void Replay(const DispatcherConfig& cfg, uint64_t seed, int num_ops,
-            KeyFn&& key_of, RekeyKeyFn&& rekey_of, bool traced = false) {
+            KeyFn&& key_of, RekeyKeyFn&& rekey_of, bool traced = false,
+            const OpMix& mix = {}, size_t* peak_depth = nullptr) {
   auto created = Dispatcher::Create(cfg);
   ASSERT_TRUE(created.ok());
   Dispatcher d = *std::move(created);
@@ -220,17 +230,19 @@ void Replay(const DispatcherConfig& cfg, uint64_t seed, int num_ops,
 
   Rng rng(seed);
   RequestId next_id = 0;
+  size_t peak = 0;
   for (int i = 0; i < num_ops; ++i) {
     const uint64_t action = rng() % 100;
-    if (action < 55) {
+    if (action < mix.insert) {
       Request r;
       r.id = next_id++;
       const CValue v = key_of(rng);
       d.Insert(v, r);
       ref.Insert(v, r);
-    } else if (action < 85) {
+      peak = std::max(peak, d.size());
+    } else if (action < mix.insert + mix.pop) {
       ASSERT_NO_FATAL_FAILURE(PopBoth(d, ref, events));
-    } else if (action < 93) {
+    } else if (action < mix.insert + mix.pop + mix.rekey) {
       const uint64_t salt = rng();
       auto key = [salt, &rekey_of](const Request& r) {
         Rng h((r.id + 1) * 2654435761ULL ^ salt);
@@ -252,6 +264,7 @@ void Replay(const DispatcherConfig& cfg, uint64_t seed, int num_ops,
     }
     ASSERT_NO_FATAL_FAILURE(ExpectObservablesMatch(d, ref, tally));
   }
+  if (peak_depth != nullptr) *peak_depth = peak;
 
   // Drain both to the end: the complete service order must agree.
   while (!d.empty() || !ref.empty()) {
@@ -407,6 +420,21 @@ TEST(DispatcherEquivalenceTest, MoveBasedInsertPopRoundTripsPayloads) {
     ASSERT_EQ(a->priorities.size(), b->priorities.size());
   }
   EXPECT_FALSE(ref.Pop().has_value());
+}
+
+// The other replays peak near 10^3 entries, inside the first slot-pool
+// chunk (4,096 requests). This one is insert-heavy, so the pool grows
+// past two chunks while pops free slots in each of them for the LIFO free
+// list to hand back, and every rekey, promotion and copy-drain runs over
+// payloads spread across chunks.
+TEST(DispatcherEquivalenceTest, InsertHeavyReplaySpansSlotPoolChunks) {
+  constexpr OpMix kInsertHeavy{.insert = 90, .pop = 8, .rekey = 1};
+  size_t peak = 0;
+  ASSERT_NO_FATAL_FAILURE(
+      Replay(Config(QueueDiscipline::kConditionallyPreemptive, 0.05, true,
+                    true),
+             7, 12000, UniformGrid, UniformGrid, false, kInsertHeavy, &peak));
+  EXPECT_GT(peak, 2u * 4096u);
 }
 
 // ---------------------------------------------------------------------------

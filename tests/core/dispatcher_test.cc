@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <optional>
+#include <span>
+#include <utility>
 #include <vector>
 
 namespace csfc {
@@ -230,6 +234,162 @@ TEST(DispatcherTest, ForEachVisitsBothQueues) {
   std::vector<RequestId> drained;
   while (auto r = d.Pop()) drained.push_back(r->id);
   EXPECT_EQ(drained, (std::vector<RequestId>{2, 3}));
+}
+
+// ---------------------------------------------------------------------------
+// Slot pool. Payloads are parked in chunks of 4,096 requests; these cases
+// span several chunks, so the slot -> (chunk, index) mapping, chunk
+// growth, free-list reuse across chunks and copies of a multi-chunk pool
+// are all exercised. Every payload field is distinct per id, and every
+// fifth request carries a heap-spilled priority vector: those are what a
+// payload moved, overwritten or aliased by mistake would corrupt.
+// ---------------------------------------------------------------------------
+
+constexpr RequestId kPoolChunk = 4096;
+
+Request PoolPayload(RequestId id) {
+  Request r;
+  r.id = id;
+  r.cylinder = static_cast<Cylinder>((id * 7919) % 3832);
+  r.bytes = 4096 + id * 3;
+  if (id % 5 == 0) {
+    // 16 levels spills SmallVector's inline capacity of 12.
+    for (uint32_t k = 0; k < 16; ++k) {
+      r.priorities.push_back(static_cast<PriorityLevel>((id + k) % 8));
+    }
+  }
+  return r;
+}
+
+void ExpectPoolPayload(const Request& r) {
+  const Request want = PoolPayload(r.id);
+  EXPECT_EQ(r.cylinder, want.cylinder) << "id " << r.id;
+  EXPECT_EQ(r.bytes, want.bytes) << "id " << r.id;
+  ASSERT_EQ(r.priorities.size(), want.priorities.size()) << "id " << r.id;
+  for (size_t k = 0; k < r.priorities.size(); ++k) {
+    EXPECT_EQ(r.priorities[k], want.priorities[k]) << "id " << r.id;
+  }
+}
+
+// Distinct keys for ids below 2^16 (an odd multiplier permutes the 16-bit
+// grid), scattered so service order jumps between chunks.
+CValue PoolKey(RequestId id) {
+  return static_cast<double>((id * 40503) % 65536) / 65536.0;
+}
+
+// Inserts alternate the copy and the move overload.
+void InsertPoolPayload(Dispatcher& d, RequestId id) {
+  if (id % 2 == 0) {
+    d.Insert(PoolKey(id), PoolPayload(id));
+  } else {
+    const Request r = PoolPayload(id);
+    d.Insert(PoolKey(id), r);
+  }
+}
+
+// Grows the pool to 3 x 4,096 + 1 payloads, churns it, then drains it:
+// every request is popped once and checked field by field. Fully
+// preemptive with distinct keys, so the dispatcher serves the global key
+// minimum and an ordered map is an exact oracle.
+TEST(DispatcherSlotPoolTest, PayloadsSurviveGrowthAndReuseAcrossChunks) {
+  Dispatcher d = Make(QueueDiscipline::kFullyPreemptive);
+  std::map<CValue, RequestId> oracle;
+  RequestId next = 0;
+  auto insert = [&] {
+    InsertPoolPayload(d, next);
+    oracle.emplace(PoolKey(next), next);
+    ++next;
+  };
+  auto pop = [&] {
+    const std::optional<Request> r = d.Pop();
+    ASSERT_TRUE(r.has_value());
+    ASSERT_EQ(r->id, oracle.begin()->second);
+    ASSERT_NO_FATAL_FAILURE(ExpectPoolPayload(*r));
+    oracle.erase(oracle.begin());
+  };
+  for (RequestId i = 0; i < 3 * kPoolChunk + 1; ++i) insert();
+  // The smallest keys belong to ids spread over all four chunks, so each
+  // pop burst frees slots in every chunk, and the insert burst after it
+  // takes them back from the LIFO free list before growing the pool.
+  for (int round = 0; round < 8; ++round) {
+    for (int i = 0; i < 1500; ++i) ASSERT_NO_FATAL_FAILURE(pop());
+    for (int i = 0; i < 1000 + 100 * round; ++i) insert();
+    ASSERT_EQ(d.size(), oracle.size());
+  }
+  while (!oracle.empty()) ASSERT_NO_FATAL_FAILURE(pop());
+  EXPECT_TRUE(d.empty());
+  EXPECT_FALSE(d.Pop().has_value());
+}
+
+// Batch rekey hands the hook a pointer to every parked payload in q', so
+// it can observe where payloads live. Each request is rekeyed to its own
+// key, leaving the order as it was.
+std::map<RequestId, const Request*> WaitingPayloadAddresses(Dispatcher& d) {
+  std::map<RequestId, const Request*> where;
+  d.RekeyWaitingBatch(
+      [&where](std::span<const Request* const> reqs, std::span<CValue> keys) {
+        for (size_t i = 0; i < reqs.size(); ++i) {
+          where[reqs[i]->id] = reqs[i];
+          keys[i] = PoolKey(reqs[i]->id);
+        }
+      });
+  return where;
+}
+
+TEST(DispatcherSlotPoolTest, GrowthNeverMovesAParkedPayload) {
+  // Non-preemptive: before the first pop every arrival waits in q'.
+  Dispatcher d = Make(QueueDiscipline::kNonPreemptive);
+  RequestId next = 0;
+  for (; next < 1000; ++next) InsertPoolPayload(d, next);
+  const std::map<RequestId, const Request*> before =
+      WaitingPayloadAddresses(d);
+  ASSERT_EQ(before.size(), 1000u);
+  // Grow the pool past three more chunks.
+  for (; next < 3 * kPoolChunk + 1; ++next) InsertPoolPayload(d, next);
+  const std::map<RequestId, const Request*> after =
+      WaitingPayloadAddresses(d);
+  ASSERT_EQ(after.size(), next);
+  for (const auto& [id, address] : before) {
+    ASSERT_EQ(after.at(id), address) << "payload " << id << " moved";
+  }
+  for (RequestId served = 0; served < next; ++served) {
+    const std::optional<Request> r = d.Pop();
+    ASSERT_TRUE(r.has_value());
+    ASSERT_NO_FATAL_FAILURE(ExpectPoolPayload(*r));
+  }
+  EXPECT_TRUE(d.empty());
+}
+
+std::vector<Request> DrainPayloads(Dispatcher& d) {
+  std::vector<Request> out;
+  while (std::optional<Request> r = d.Pop()) out.push_back(std::move(*r));
+  return out;
+}
+
+TEST(DispatcherSlotPoolTest, CopyOfMultiChunkPoolDrainsLikeOriginal) {
+  // Conditional discipline with SP, so the copy carries both queues.
+  Dispatcher d = Make(QueueDiscipline::kConditionallyPreemptive, 0.05);
+  RequestId next = 0;
+  for (; next < 2 * kPoolChunk + 100; ++next) InsertPoolPayload(d, next);
+  for (int i = 0; i < 300; ++i) ASSERT_TRUE(d.Pop().has_value());
+  for (RequestId end = next + 500; next < end; ++next) {
+    InsertPoolPayload(d, next);
+  }
+  Dispatcher copy = d;
+  // The copy's last chunk has no spare reserve, so these inserts may
+  // reallocate it; the original grows in place.
+  for (RequestId end = next + 700; next < end; ++next) {
+    InsertPoolPayload(d, next);
+    InsertPoolPayload(copy, next);
+  }
+  ASSERT_EQ(copy.size(), d.size());
+  const std::vector<Request> a = DrainPayloads(d);
+  const std::vector<Request> b = DrainPayloads(copy);
+  ASSERT_EQ(a.size(), b.size());
+  for (size_t i = 0; i < a.size(); ++i) {
+    ASSERT_EQ(a[i].id, b[i].id) << "position " << i;
+    ASSERT_NO_FATAL_FAILURE(ExpectPoolPayload(b[i]));
+  }
 }
 
 }  // namespace

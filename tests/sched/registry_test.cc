@@ -47,11 +47,51 @@ TEST(SchedulerRegistryTest, DiskFreePoliciesWorkWithoutDisk) {
   }
 }
 
+// A bad encapsulator or dispatcher half fails at MakeSchedulerFactory,
+// not when a run calls the factory (no probe scheduler catches it).
 TEST(SchedulerRegistryTest, BadCascadedConfigFailsEagerly) {
+  SchedulerRegistryContext bad_curve, negative_window, flat_expansion;
+  bad_curve.cascaded.encapsulator.sfc1 = "bogus";
+  negative_window.cascaded.dispatcher.window = -1.0;
+  flat_expansion.cascaded.dispatcher.expand_reset = true;
+  flat_expansion.cascaded.dispatcher.expansion_factor = 1.0;
+  for (const SchedulerRegistryContext* ctx :
+       {&bad_curve, &negative_window, &flat_expansion}) {
+    EXPECT_FALSE(MakeSchedulerFactory("csfc", *ctx).ok());
+  }
+}
+
+// One csfc factory builds one encapsulator: every scheduler it returns
+// shares it, while queues stay per scheduler.
+TEST(SchedulerRegistryTest, CsfcSchedulersShareOneEncapsulator) {
   SchedulerRegistryContext ctx;
-  ctx.cascaded.encapsulator.sfc1 = "bogus";
   auto factory = MakeSchedulerFactory("csfc", ctx);
-  EXPECT_FALSE(factory.ok());
+  ASSERT_TRUE(factory.ok()) << factory.status().ToString();
+  SchedulerPtr a = (*factory)();
+  SchedulerPtr b = (*factory)();
+  auto* ca = dynamic_cast<CascadedSfcScheduler*>(a.get());
+  auto* cb = dynamic_cast<CascadedSfcScheduler*>(b.get());
+  ASSERT_NE(ca, nullptr);
+  ASSERT_NE(cb, nullptr);
+  EXPECT_EQ(&ca->encapsulator(), &cb->encapsulator());
+  EXPECT_NE(&ca->dispatcher(), &cb->dispatcher());
+
+  DispatchContext dctx;
+  Request r;
+  r.priorities.push_back(1);
+  a->Enqueue(r, dctx);
+  EXPECT_EQ(a->queue_size(), 1u);
+  EXPECT_EQ(b->queue_size(), 0u);
+  EXPECT_EQ(a->Dispatch(dctx)->id, r.id);
+  EXPECT_FALSE(b->Dispatch(dctx).has_value());
+
+  // A second factory builds its own.
+  auto other = MakeSchedulerFactory("csfc", ctx);
+  ASSERT_TRUE(other.ok());
+  SchedulerPtr c = (*other)();
+  auto* cc = dynamic_cast<CascadedSfcScheduler*>(c.get());
+  ASSERT_NE(cc, nullptr);
+  EXPECT_NE(&cc->encapsulator(), &ca->encapsulator());
 }
 
 TEST(SchedulerRegistryTest, FactoriesProduceFreshInstances) {

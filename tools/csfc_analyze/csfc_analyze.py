@@ -370,7 +370,8 @@ ALLOC_PATTERNS: List[Tuple[re.Pattern, str]] = [
     (re.compile(r"\bnew\b"), "operator new"),
     (re.compile(r"\b(?:malloc|calloc|realloc|strdup)\s*\("),
      "C heap allocation"),
-    (re.compile(r"\bmake_(?:unique|shared)\b"), "make_unique/make_shared"),
+    (re.compile(r"\bmake_(?:unique|shared)(?:_for_overwrite)?\b"),
+     "make_unique/make_shared"),
     (re.compile(r"\bstd::function\b"),
      "std::function (type-erasing, may allocate)"),
     (re.compile(r"\bstd::(?:multi)?(?:map|set)\b"
@@ -1479,7 +1480,8 @@ def load_libclang():
 
 
 C_ALLOC_FNS = {"malloc", "calloc", "realloc", "strdup"}
-STD_ALLOC_FNS = {"make_unique", "make_shared", "to_string"}
+STD_ALLOC_FNS = {"make_unique", "make_shared", "make_unique_for_overwrite",
+                 "make_shared_for_overwrite", "to_string"}
 GROWTH_METHODS = {"push_back", "emplace_back", "emplace", "emplace_hint",
                   "resize", "reserve", "insert", "append", "assign",
                   "push_front"}
@@ -2147,6 +2149,13 @@ def self_test() -> int:
         "    // new std::function push_back in a comment is fine\n",
         "    names_.push_back(v);\n")
     expect("hot-growth", run(t), "hot-alloc", "container growth call")
+
+    # 2a. Hot-alloc: the default-initializing make_unique spelling.
+    t = _clean_tree()
+    t["src/core/hot.h"] = t["src/core/hot.h"].replace(
+        "    // new std::function push_back in a comment is fine\n",
+        "    auto buf = std::make_unique_for_overwrite<int[]>(v);\n")
+    expect("hot-overwrite", run(t), "hot-alloc", "make_unique")
 
     # 2b. Hot-alloc through a declaration: definition lives in the .cc.
     t = _clean_tree()
