@@ -5,6 +5,10 @@
 
 #include <benchmark/benchmark.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "core/cascaded_scheduler.h"
 #include "core/presets.h"
 #include "sched/registry.h"
@@ -48,6 +52,27 @@ void BM_CurvePoint(benchmark::State& state, const std::string& name,
     (*curve)->Point(x % cells, std::span<uint32_t>(p.data(), dims));
     benchmark::DoNotOptimize(p.data());
   }
+}
+
+// The forward lookup table Encapsulator::Create builds per stage curve.
+// `point_walk` times the base class's one-Point()-per-cell walk, which
+// curves without their own BuildIndexTable use anyway.
+void BM_BuildIndexTable(benchmark::State& state, const std::string& name,
+                        uint32_t dims, uint32_t bits, bool point_walk) {
+  auto curve = MakeCurve(name, GridSpec{.dims = dims, .bits = bits});
+  if (!curve.ok()) {
+    state.SkipWithError("curve creation failed");
+    return;
+  }
+  const SpaceFillingCurve& c = **curve;
+  for (auto _ : state) {
+    std::vector<uint64_t> table = point_walk
+                                      ? c.SpaceFillingCurve::BuildIndexTable()
+                                      : c.BuildIndexTable();
+    benchmark::DoNotOptimize(table.data());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(c.num_cells()));
 }
 
 void BM_Characterize(benchmark::State& state) {
@@ -103,6 +128,25 @@ void RegisterAll() {
     benchmark::RegisterBenchmark(
         (std::string("BM_CurvePoint/") + name + "/3d4b").c_str(),
         [name](benchmark::State& s) { BM_CurvePoint(s, name, 3, 4); });
+    // The default SFC1 grid (3 dims x 4 bits) and a 2-D one of 2^16 cells.
+    for (const auto& shape : {std::pair{3u, 4u}, std::pair{2u, 8u}}) {
+      // Named locals: clang before 16 cannot capture structured bindings.
+      const uint32_t dims = shape.first;
+      const uint32_t bits = shape.second;
+      const std::string grid =
+          "/" + std::to_string(dims) + "d" + std::to_string(bits) + "b";
+      benchmark::RegisterBenchmark(
+          ("BM_BuildIndexTable/" + std::string(name) + grid).c_str(),
+          [name, dims, bits](benchmark::State& s) {
+            BM_BuildIndexTable(s, name, dims, bits, /*point_walk=*/false);
+          });
+      benchmark::RegisterBenchmark(
+          ("BM_BuildIndexTable/" + std::string(name) + grid + "/point_walk")
+              .c_str(),
+          [name, dims, bits](benchmark::State& s) {
+            BM_BuildIndexTable(s, name, dims, bits, /*point_walk=*/true);
+          });
+    }
   }
   benchmark::RegisterBenchmark("BM_Characterize", BM_Characterize);
   benchmark::RegisterBenchmark("BM_EnqueueDispatch", BM_EnqueueDispatch);

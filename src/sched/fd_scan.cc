@@ -5,9 +5,10 @@
 namespace csfc {
 
 void FdScanScheduler::Enqueue(Request r, const DispatchContext&) {
-  if (r.has_deadline()) by_deadline_.emplace(r.deadline, r.id);
-  by_cylinder_.emplace(r.cylinder, std::move(r));
-  ++size_;
+  const SimTime deadline = r.deadline;
+  const bool has_deadline = r.has_deadline();
+  auto it = by_cylinder_.emplace(r.cylinder, std::move(r));
+  if (has_deadline) by_deadline_.emplace(deadline, it);
 }
 
 SimTime FdScanScheduler::EstimateFinish(const Request& r,
@@ -18,35 +19,32 @@ SimTime FdScanScheduler::EstimateFinish(const Request& r,
   return ctx.now + MsToSim(ms);
 }
 
+Request FdScanScheduler::Take(ByCylinder::iterator it) {
+  if (it->second.has_deadline()) {
+    auto dit = by_deadline_.lower_bound(it->second.deadline);
+    while (dit->second != it) ++dit;
+    by_deadline_.erase(dit);
+  }
+  Request r = std::move(it->second);
+  by_cylinder_.erase(it);
+  return r;
+}
+
 std::optional<Request> FdScanScheduler::Dispatch(const DispatchContext& ctx) {
   if (by_cylinder_.empty()) return std::nullopt;
 
-  // Find the earliest feasible deadline and its cylinder.
+  // Find the earliest feasible deadline. Seek and transfer times are never
+  // negative, so EstimateFinish is at least now plus the rotational
+  // latency, and no deadline before that can be met.
   const Request* target = nullptr;
-  for (const auto& [deadline, id] : by_deadline_) {
-    // Locate the request by scanning its deadline peers (ids are unique).
-    for (auto it = by_cylinder_.begin(); it != by_cylinder_.end(); ++it) {
-      if (it->second.id == id) {
-        if (EstimateFinish(it->second, ctx) <= deadline) target = &it->second;
-        break;
-      }
+  for (auto it = by_deadline_.lower_bound(
+           ctx.now + MsToSim(disk_->AvgRotationalLatencyMs()));
+       it != by_deadline_.end(); ++it) {
+    if (EstimateFinish(it->second->second, ctx) <= it->first) {
+      target = &it->second->second;
+      break;
     }
-    if (target != nullptr) break;
   }
-
-  auto take = [&](std::multimap<Cylinder, Request>::iterator it) {
-    Request r = std::move(it->second);
-    by_cylinder_.erase(it);
-    for (auto dit = by_deadline_.lower_bound(r.deadline);
-         dit != by_deadline_.end() && dit->first == r.deadline; ++dit) {
-      if (dit->second == r.id) {
-        by_deadline_.erase(dit);
-        break;
-      }
-    }
-    --size_;
-    return r;
-  };
 
   if (target == nullptr) {
     // No feasible deadline: fall back to nearest-first (SSTF move).
@@ -58,17 +56,15 @@ std::optional<Request> FdScanScheduler::Dispatch(const DispatchContext& ctx) {
     } else if (above == by_cylinder_.end()) {
       chosen = std::prev(by_cylinder_.end());
     }
-    return take(chosen);
+    return Take(chosen);
   }
 
   // Serve the first pending request en route toward the target (including
   // the target itself when nothing is closer in that direction).
   if (target->cylinder >= ctx.head) {
-    auto it = by_cylinder_.lower_bound(ctx.head);  // first at/after head
-    return take(it);
+    return Take(by_cylinder_.lower_bound(ctx.head));  // first at/after head
   }
-  auto it = by_cylinder_.upper_bound(ctx.head);
-  return take(std::prev(it));  // first at/below head going down
+  return Take(std::prev(by_cylinder_.upper_bound(ctx.head)));  // going down
 }
 
 }  // namespace csfc

@@ -24,16 +24,21 @@ class FdScanScheduler final : public Scheduler {
   void Enqueue(Request r, const DispatchContext& ctx) override;
   CSFC_HOT CSFC_DETERMINISTIC
   std::optional<Request> Dispatch(const DispatchContext& ctx) override;
-  size_t queue_size() const override { return size_; }
+  size_t queue_size() const override { return by_cylinder_.size(); }
 
  private:
+  using ByCylinder = std::multimap<Cylinder, Request>;
+
   // Estimated completion time if the head went straight to `r` now.
   SimTime EstimateFinish(const Request& r, const DispatchContext& ctx) const;
+  // Removes a pending request from both indexes and returns it.
+  Request Take(ByCylinder::iterator it);
 
   const DiskModel* disk_;
-  std::multimap<Cylinder, Request> by_cylinder_;
-  std::multimap<SimTime, RequestId> by_deadline_;  // deadline -> id index
-  size_t size_ = 0;
+  ByCylinder by_cylinder_;
+  // Deadline -> the request that owns it. Multimap iterators stay valid
+  // until their own entry is erased.
+  std::multimap<SimTime, ByCylinder::iterator> by_deadline_;
 };
 
 }  // namespace csfc

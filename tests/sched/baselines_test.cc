@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "disk/disk_model.h"
+#include "reference_fd_scan.h"
 #include "sched/bucket.h"
 #include "sched/dds.h"
 #include "sched/edf.h"
@@ -16,6 +20,7 @@
 #include "sched/scan_rt.h"
 #include "sched/ssed.h"
 #include "sched/sstf.h"
+#include "workload/generator.h"
 
 namespace csfc {
 namespace {
@@ -235,6 +240,80 @@ TEST(FdScanTest, DrainsCompletely) {
   }
   EXPECT_EQ(DrainIds(s, 0).size(), 20u);
   EXPECT_EQ(s.queue_size(), 0u);
+}
+
+// Replays a generated workload through the indexed FD-SCAN and the
+// original linear scan (reference_fd_scan.h), serving each request with
+// the disk's average-latency service time, and checks both dispatch the
+// same request at every step. Deadlines are cut to a 10 ms grid so many requests share
+// one, and every fifth request has none. Returns the dispatch count.
+uint64_t ReplayAgainstLinearScan(const WorkloadConfig& wc) {
+  auto gen = SyntheticGenerator::Create(wc);
+  EXPECT_TRUE(gen.ok()) << gen.status().ToString();
+  if (!gen.ok()) return 0;
+  const DiskModel& disk = *SharedDisk();
+  FdScanScheduler indexed(&disk);
+  ReferenceFdScanScheduler reference(&disk);
+  auto next = [&] {
+    std::optional<Request> r = (*gen)->Next();
+    if (r && r->id % 5 == 0) {
+      r->deadline = kNoDeadline;
+    } else if (r) {
+      r->deadline -= r->deadline % (10 * kMillisecond);
+    }
+    return r;
+  };
+
+  DispatchContext ctx{.now = 0, .head = 0};
+  std::optional<Request> pending = next();
+  uint64_t dispatched = 0;
+  while (pending || indexed.queue_size() > 0) {
+    // An idle disk waits for the next arrival.
+    if (indexed.queue_size() == 0) {
+      ctx.now = std::max(ctx.now, pending->arrival);
+    }
+    for (; pending && pending->arrival <= ctx.now; pending = next()) {
+      indexed.Enqueue(*pending, ctx);
+      reference.Enqueue(*pending, ctx);
+    }
+    std::optional<Request> got = indexed.Dispatch(ctx);
+    std::optional<Request> want = reference.Dispatch(ctx);
+    if (!got || !want || got->id != want->id) {
+      ADD_FAILURE() << "dispatch " << dispatched << ": indexed "
+                    << (got ? std::to_string(got->id) : "none")
+                    << ", reference "
+                    << (want ? std::to_string(want->id) : "none");
+      return dispatched;
+    }
+    ++dispatched;
+    ctx.now += MsToSim(disk.ServiceTimeMs(ctx.head, got->cylinder, got->bytes,
+                                          /*rng=*/nullptr));
+    ctx.head = got->cylinder;
+  }
+  EXPECT_EQ(reference.queue_size(), 0u);
+  return dispatched;
+}
+
+// Steady overload: the backlog, and its missed deadlines, grow all run.
+TEST(FdScanTest, MatchesLinearScanReferenceUnderOverload) {
+  WorkloadConfig wc;
+  wc.seed = 11;
+  wc.count = 1000;
+  wc.mean_interarrival_ms = 2.0;
+  EXPECT_EQ(ReplayAgainstLinearScan(wc), wc.count);
+}
+
+// Bursts of 100 requests at one instant: each builds a backlog whose
+// tail misses its deadlines, then drains before the next burst. Transfers
+// of 4-64 KB put feasible deadlines closer to the scan's starting point.
+TEST(FdScanTest, MatchesLinearScanReferenceAcrossBursts) {
+  WorkloadConfig wc;
+  wc.seed = 12;
+  wc.count = 3000;
+  wc.burst_size = 100;
+  wc.mean_interarrival_ms = 20.0;
+  wc.bytes_lo = 4 * 1024;
+  EXPECT_EQ(ReplayAgainstLinearScan(wc), wc.count);
 }
 
 // --- SSEDO / SSEDV ----------------------------------------------------------------

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -37,6 +38,15 @@ std::vector<uint32_t> RandomPoints(Rng& rng, const GridSpec& spec, size_t n) {
     c = static_cast<uint32_t>(rng.Uniform(spec.side()));
   }
   return flat;
+}
+
+// The grid point whose row-major cell number is `cell` (CellOf inverted).
+void CellToPoint(const GridSpec& spec, uint64_t cell,
+                 std::vector<uint32_t>& p) {
+  for (uint32_t k = 0; k < spec.dims; ++k) {
+    p[k] = static_cast<uint32_t>(cell >> ((spec.dims - 1 - k) * spec.bits)) &
+           static_cast<uint32_t>(spec.side() - 1);
+  }
 }
 
 void ExpectIndexBatchMatchesIndex(const SpaceFillingCurve& curve,
@@ -105,17 +115,46 @@ TEST(IndexBatchTest, EncodeBuiltTablesMatchCurveWalk) {
       std::vector<bool> seen(table.size(), false);
       std::vector<uint32_t> p(spec.dims);
       for (uint64_t cell = 0; cell < table.size(); ++cell) {
-        for (uint32_t k = 0; k < spec.dims; ++k) {
-          p[k] = static_cast<uint32_t>(cell >> ((spec.dims - 1 - k) *
-                                                spec.bits)) &
-                 static_cast<uint32_t>(spec.side() - 1);
-        }
+        CellToPoint(spec, cell, p);
         const uint64_t idx =
             (*curve)->Index(std::span<const uint32_t>(p.data(), p.size()));
         EXPECT_EQ(table[cell], idx) << name << " cell " << cell;
         ASSERT_LT(idx, table.size());
         EXPECT_FALSE(seen[idx]) << name << " duplicate index " << idx;
         seen[idx] = true;
+      }
+    }
+  }
+}
+
+// Hilbert builds its table in one descent over the bit levels instead of
+// the base class's Point() walk. On every grid the encapsulator tabulates
+// (dims*bits <= 20: the default lut_max_cells of 2^20) the descent must
+// build the walk's exact table, and every entry must round-trip through
+// Index(). Sanitizer builds stop at 2^16 cells, which keeps the sweep to
+// a few seconds there.
+TEST(IndexBatchTest, HilbertTableMatchesPointWalkOnEveryLutGrid) {
+#ifdef CSFC_SANITIZER_BUILD
+  constexpr uint32_t kLutBits = 16;
+#else
+  constexpr uint32_t kLutBits = 20;
+#endif
+  for (uint32_t dims = 1; dims <= 16; ++dims) {
+    for (uint32_t bits = 1; bits <= 16 && dims * bits <= kLutBits; ++bits) {
+      const GridSpec spec{.dims = dims, .bits = bits};
+      SCOPED_TRACE(std::to_string(dims) + " dims x " + std::to_string(bits) +
+                   " bits");
+      auto curve = MakeCurve("hilbert", spec);
+      ASSERT_TRUE(curve.ok());
+      const SpaceFillingCurve& c = **curve;
+      const std::vector<uint64_t> table = c.BuildIndexTable();
+      ASSERT_TRUE(table == c.SpaceFillingCurve::BuildIndexTable());
+      std::vector<uint32_t> p(dims);
+      for (uint64_t cell = 0; cell < table.size(); ++cell) {
+        CellToPoint(spec, cell, p);
+        ASSERT_EQ(c.Index(std::span<const uint32_t>(p.data(), p.size())),
+                  table[cell])
+            << "cell " << cell;
       }
     }
   }

@@ -26,9 +26,7 @@ WorkloadFlags Flags(const std::string& kind, double interarrival_ms = 25.0) {
   WorkloadFlags wf;
   wf.kind = kind;
   wf.cfg.seed = 7;
-  // fd-scan's dispatch cost grows steeply with queue depth (~10x per
-  // doubling in overload), so the overload backlog is kept short.
-  wf.cfg.count = 500;
+  wf.cfg.count = 3000;
   wf.cfg.mean_interarrival_ms = interarrival_ms;
   wf.users = 6;             // mpeg streams / edl editors
   wf.duration_ms = 3000.0;  // mpeg horizon
