@@ -8,6 +8,7 @@
 #define CSFC_COMMON_TYPES_H_
 
 #include <cstdint>
+#include <limits>
 
 namespace csfc {
 
@@ -19,9 +20,26 @@ inline constexpr SimTime kMillisecond = 1000;
 /// One second in SimTime units.
 inline constexpr SimTime kSecond = 1000 * kMillisecond;
 
-/// Converts a duration in (possibly fractional) milliseconds to SimTime.
+/// Converts a duration in (possibly fractional) milliseconds to SimTime,
+/// saturating at SimTime's range (NaN maps to the maximum): a disk model
+/// prices a 2^64-byte request past 2^63 us, where the bare cast is
+/// undefined.
 constexpr SimTime MsToSim(double ms) {
-  return static_cast<SimTime>(ms * static_cast<double>(kMillisecond) + 0.5);
+  const double us = ms * static_cast<double>(kMillisecond) + 0.5;
+  if (!(us < 0x1p63)) return std::numeric_limits<SimTime>::max();
+  if (us < -0x1p63) return std::numeric_limits<SimTime>::min();
+  return static_cast<SimTime>(us);
+}
+
+/// t + d, saturating at SimTime's range, for timestamps a service time
+/// is added to: one near the top of the range must not wrap.
+constexpr SimTime AddSaturating(SimTime t, SimTime d) {
+  SimTime sum = 0;
+  if (__builtin_add_overflow(t, d, &sum)) {
+    return d > 0 ? std::numeric_limits<SimTime>::max()
+                 : std::numeric_limits<SimTime>::min();
+  }
+  return sum;
 }
 
 /// Converts a SimTime duration to fractional milliseconds.

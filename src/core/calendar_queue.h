@@ -84,10 +84,23 @@ struct QueueKey {
 /// one short re-sort — and the few that cross a range boundary go
 /// through a migration scratch list, preserving assignment order.
 ///
-/// All bucket storage is reserved at Configure (cold) but not written, so
-/// only the pages of buckets a run fills are ever faulted in; steady-state
-/// ops allocate nothing. Growth past a bucket's reserve happens only on
-/// adversarial single-range workloads and is marked csfc:alloc-ok.
+/// Each bucket's run starts in a reserve of one slab per queue, allocated
+/// at Configure (cold) but not written, so only the pages of buckets a
+/// run fills are ever faulted in; steady-state ops allocate nothing. A
+/// bucket that outgrows its reserve moves to its own array (marked
+/// csfc:alloc-ok). A queue's records only ever point into its own slab
+/// and arrays, never a sibling's, so either queue's memory can be freed
+/// or replaced without the other noticing.
+///
+/// The Configure geometry is a starting point. Refine reslices a queue to
+/// one bucket per grid cell in one O(n) pass, once its owner sees the
+/// backlog outgrow it (the Dispatcher does at kScanInsertMax entries per
+/// bucket); nothing coarsens it again. Traversal order (ForEachEntrySlot,
+/// the order AssignKeys consumes values and Rekey calls its hook in)
+/// stays that of the starting geometry: its buckets ascending, entries
+/// descending in (v, seq) within each. So batch rekey callers, and the
+/// trace events they emit in that order, see the same sequence at every
+/// geometry.
 class BucketedSlotHeap {
  public:
   /// Internal node: 16 bytes, four per 64-byte line, so a typical run
@@ -124,6 +137,12 @@ class BucketedSlotHeap {
   /// finer slicing cannot separate values the quantizer maps to one cell.
   static constexpr uint32_t kMaxBuckets = 1u << 16;
 
+  /// Longest run the insert seats by scan-and-shift; beyond this, binary
+  /// search + bulk memmove wins. Also the occupancy past which the
+  /// Dispatcher refines its queues: deeper runs pay the search and the
+  /// memmove on every insert.
+  static constexpr uint32_t kScanInsertMax = 32;
+
   BucketedSlotHeap() = default;
   // Entry storage is uniquely owned, so copies (Dispatcher copies, which
   // tests drain to read a queue's contents) rebuild it; moves and swaps
@@ -158,25 +177,67 @@ class BucketedSlotHeap {
     // Only buckets that outgrow the reserve move to their own array. The
     // slab is reserved, not written: a page is faulted in only when a
     // bucket on it receives its first entry.
+    reserve_ = num_buckets_ == kMaxBuckets ? kFineReserve : kBucketReserve;
     slab_ = std::make_unique_for_overwrite<Entry[]>(size_t{num_buckets_} *
-                                                    kBucketReserve);
+                                                    reserve_);
     storage_.clear();
     storage_.resize(num_buckets_);
     buckets_.assign(num_buckets_, Bucket{});
     for (uint32_t b = 0; b < num_buckets_; ++b) {
-      buckets_[b].data = slab_.get() + size_t{b} * kBucketReserve;
-      buckets_[b].cap = kBucketReserve;
+      buckets_[b].data = SlabReserve(b);
+      buckets_[b].cap = reserve_;
     }
     live_.assign((num_buckets_ + 63u) / 64u, 0);
     summary_.assign((live_.size() + 63u) / 64u, 0);
     size_ = 0;
     cur_ = 0;
+    order_span_ = 1;
     pf_v_ = std::numeric_limits<double>::quiet_NaN();
     pf_b_ = 0;
   }
 
+  /// Reslices the calendar to one bucket per grid cell (kMaxBuckets; a
+  /// no-op if it is there already) and frees the old slab and arrays. One
+  /// O(n) pass with no compares: a fine bucket's entries all come from
+  /// one coarse run, where they already sit in descending (v, seq) order,
+  /// so copying each run head to tail onto the ends of the fine runs
+  /// leaves every fine run descending, exact-v FIFO ties included. Pop
+  /// order, the minimum, size and traversal order are unchanged. Cold:
+  /// the Dispatcher calls it at most once per queue.
+  void Refine() {
+    if (num_buckets_ == kMaxBuckets) return;
+    BucketedSlotHeap fine;
+    fine.Configure(kMaxBuckets);  // csfc:alloc-ok(one-time reslice to the finest geometry)
+    for (uint32_t b = FindNonEmptyFrom(0); b != kNoBucket;
+         b = FindNonEmptyFrom(b + 1)) {
+      const Bucket& m = buckets_[b];
+      for (uint32_t i = 0; i < m.len; ++i) {
+        const uint32_t nb = fine.BucketOf(m.data[i].v);
+        if (fine.buckets_[nb].len == fine.buckets_[nb].cap) {
+          fine.GrowBucket(nb);
+        }
+        Bucket& f = fine.buckets_[nb];
+        if (f.len == 0) fine.MarkLive(nb);
+        f.data[f.len++] = m.data[i];
+      }
+    }
+    if (size_ != 0) {
+      fine.min_ = min_;
+      fine.size_ = size_;
+      fine.cur_ = fine.BucketOf(min_.v);
+    }
+    // Each starting bucket spanned per_bucket_ grid cells, now as many
+    // fine buckets.
+    fine.order_span_ = per_bucket_;
+    // Also drops the PrefetchFor hint: it maps v to a coarse bucket.
+    *this = std::move(fine);
+  }
+
   bool empty() const { return size_ == 0; }
   size_t size() const { return size_; }
+  /// Current bucket count: the Configure geometry, or kMaxBuckets once
+  /// refined.
+  uint32_t num_buckets() const { return num_buckets_; }
 
   /// v_c of the smallest (v, seq) entry; queue must be non-empty. Served
   /// from a header-resident cache: the dispatcher's SP scan reads both
@@ -194,17 +255,14 @@ class BucketedSlotHeap {
   CSFC_HOT void PrefetchFor(CValue v) const {
     const uint32_t b = BucketOf(v);
     // No dependent loads: the reserve's slab position is pure arithmetic,
-    // so the bucket record's line and the full reserve (4 lines) all
-    // start pulling immediately — a record load here would serialize the
-    // entry prefetches behind its own possible miss. Buckets grown past
-    // the reserve prefetch a stale region (harmless); their Push still
-    // gets the record line early.
+    // so the bucket record's line and the full reserve (4 lines, 1 at the
+    // finest geometry) all start pulling immediately — a record load here
+    // would serialize the entry prefetches behind its own possible miss.
+    // Buckets grown past the reserve prefetch a stale region (harmless);
+    // their Push still gets the record line early.
     __builtin_prefetch(&buckets_[b]);
-    const Entry* h = slab_.get() + size_t{b} * kBucketReserve;
-    __builtin_prefetch(h + 0, 1);
-    __builtin_prefetch(h + 4, 1);
-    __builtin_prefetch(h + 8, 1);
-    __builtin_prefetch(h + 12, 1);
+    const Entry* h = SlabReserve(b);
+    for (uint32_t i = 0; i < reserve_; i += 4) __builtin_prefetch(h + i, 1);
     // Remember the mapping: the Push this call fronts skips its own
     // quantize + divide (the hint is invalidated by Configure and only
     // ever used on an exact v match, so it can never be wrong).
@@ -284,9 +342,10 @@ class BucketedSlotHeap {
     for (; b != kNoBucket && b < bt; b = FindNonEmptyFrom(b + 1)) {
       // bucket(v) < bucket(threshold) implies v < threshold (monotone
       // mapping): the whole run moves. Runs that fit the destination's
-      // array are block-copied into it (a line or two; keeps each
-      // queue's reserves in its own slab, which PrefetchFor's arithmetic
-      // relies on); oversized runs exchange records and ownership.
+      // array are block-copied into it (a line or two); oversized runs
+      // exchange records and ownership. Either way each queue keeps
+      // pointing only into its own memory, which PrefetchFor's
+      // arithmetic and an independent free of either queue rely on.
       Bucket& src = buckets_[b];
       Bucket& d = dst.buckets_[b];
       assert(d.len == 0);
@@ -298,6 +357,12 @@ class BucketedSlotHeap {
       } else {
         std::swap(src, d);
         storage_[b].swap(dst.storage_[b]);
+        // The emptied record came from the destination's slab reserve:
+        // take this queue's own reserve at b instead, free since the run
+        // it held outgrew it.
+        if (storage_[b] == nullptr) {
+          src = Bucket{SlabReserve(b), 0, reserve_};
+        }
       }
       for (uint32_t i = d.len; i-- > 0;) on_moved(d.data[i]);
       dst.MarkLive(b);
@@ -370,16 +435,15 @@ class BucketedSlotHeap {
     RekeyImpl([&](const Entry&) { return values[i++]; });
   }
 
-  /// Visits every entry's slot in a fixed traversal order (non-empty
-  /// buckets ascending, run-array order within a bucket) — the order
-  /// AssignKeys consumes values in.
+  /// Visits every entry's slot in a fixed traversal order — the order
+  /// AssignKeys consumes values in: the starting geometry's buckets
+  /// ascending, entries descending in (v, seq) within each (ForEachRun).
   template <typename Fn>
   void ForEachEntrySlot(Fn&& fn) const {
-    for (uint32_t b = FindNonEmptyFrom(0); b != kNoBucket;
-         b = FindNonEmptyFrom(b + 1)) {
+    ForEachRun([&](uint32_t b) {
       const Bucket& m = buckets_[b];
       for (uint32_t i = 0; i < m.len; ++i) fn(m.data[i].slot);
-    }
+    });
   }
 
   friend void swap(BucketedSlotHeap& a, BucketedSlotHeap& b) {
@@ -394,16 +458,21 @@ class BucketedSlotHeap {
     std::swap(a.cur_, b.cur_);
     std::swap(a.num_buckets_, b.num_buckets_);
     std::swap(a.per_bucket_, b.per_bucket_);
+    std::swap(a.order_span_, b.order_span_);
+    std::swap(a.reserve_, b.reserve_);
     std::swap(a.magic_, b.magic_);
   }
 
  private:
   static constexpr uint32_t kGridBits = 16;
   static constexpr uint32_t kGridCells = 1u << kGridBits;
+  /// Slab reserve per bucket, in entries: four lines while a bucket
+  /// spans many grid cells, one line at kMaxBuckets. A refined queue
+  /// averages under one entry per bucket when it refines; a 16-entry
+  /// reserve there would fault in 16 MB of slab per queue, 4x what the
+  /// backlog needs.
   static constexpr uint32_t kBucketReserve = 16;
-  /// Longest run the insert seats by scan-and-shift; beyond this, binary
-  /// search + bulk memmove wins.
-  static constexpr uint32_t kScanInsertMax = 32;
+  static constexpr uint32_t kFineReserve = 4;
   static constexpr uint32_t kNoBucket = ~uint32_t{0};
 
   /// One calendar range: the run pointer and its occupancy, packed in 16
@@ -431,6 +500,11 @@ class BucketedSlotHeap {
   CSFC_HOT uint32_t BucketOf(CValue v) const {
     const uint32_t cell = QuantizeUnit(v, kGridCells);
     return static_cast<uint32_t>((uint64_t{cell} * magic_) >> 32);
+  }
+
+  /// Bucket b's reserve in this queue's slab.
+  Entry* SlabReserve(uint32_t b) const {
+    return slab_.get() + size_t{b} * reserve_;
   }
 
   void MarkLive(uint32_t b) {
@@ -470,13 +544,49 @@ class BucketedSlotHeap {
     return kNoBucket;
   }
 
-  /// Doubles one bucket's entry array. Cold: only adversarial single-range
-  /// workloads outgrow the Configure-time reserve, and capacity is sticky
-  /// afterwards.
+  /// Highest non-empty bucket in [lo, hi), or kNoBucket: the downward
+  /// twin of FindNonEmptyFrom, bounded below so a short range costs a
+  /// word test or two.
+  uint32_t LastNonEmptyIn(uint32_t lo, uint32_t hi) const {
+    while (hi > lo) {
+      const uint32_t top = hi - 1;
+      const uint64_t word =
+          live_[top >> 6] & (~uint64_t{0} >> (63u - (top & 63u)));
+      if (word != 0) {
+        const uint32_t bit = 63u - static_cast<uint32_t>(__builtin_clzll(word));
+        const uint32_t b = (top & ~63u) | bit;
+        return b >= lo ? b : kNoBucket;
+      }
+      hi = top & ~63u;
+    }
+    return kNoBucket;
+  }
+
+  /// Calls visit(b) for every non-empty bucket in traversal order: the
+  /// starting geometry's buckets ascending and, inside each (order_span_
+  /// buckets once refined), from the top down, so the runs visited
+  /// concatenate in descending (v, seq) order as the starting bucket's
+  /// one run did. visit may empty the bucket it is handed, not others.
+  template <typename Visit>
+  void ForEachRun(Visit&& visit) const {
+    for (uint32_t b = FindNonEmptyFrom(0); b != kNoBucket;) {
+      const uint32_t lo = b - b % order_span_;
+      const uint32_t hi = std::min(lo + order_span_, num_buckets_);
+      for (uint32_t top = LastNonEmptyIn(lo, hi); top != kNoBucket;
+           top = LastNonEmptyIn(lo, top)) {
+        visit(top);
+      }
+      b = FindNonEmptyFrom(hi);
+    }
+  }
+
+  /// Doubles one bucket's entry array. Cold: a bucket outgrows its reserve
+  /// only on skewed workloads or at depths of ~kBucketReserve entries per
+  /// bucket, and capacity is sticky afterwards.
   void GrowBucket(uint32_t b) {
     Bucket& m = buckets_[b];
     const uint32_t new_cap = m.cap * 2;
-    auto grown = std::make_unique_for_overwrite<Entry[]>(new_cap);  // csfc:alloc-ok(cold bucket growth on skewed workloads; the reserve covers the steady state)
+    auto grown = std::make_unique_for_overwrite<Entry[]>(new_cap);  // csfc:alloc-ok(cold bucket growth past the reserve; capacity is sticky)
     std::copy_n(m.data, m.len, grown.get());
     m.data = grown.get();
     storage_[b] = std::move(grown);
@@ -533,8 +643,7 @@ class BucketedSlotHeap {
   template <typename KeyOfEntry>
   CSFC_HOT void RekeyImpl(KeyOfEntry&& key_of_entry) {
     migrate_.clear();
-    for (uint32_t b = FindNonEmptyFrom(0); b != kNoBucket;
-         b = FindNonEmptyFrom(b + 1)) {
+    ForEachRun([&](uint32_t b) {
       Bucket& m = buckets_[b];
       Entry* h = m.data;
       const uint32_t n = m.len;
@@ -552,11 +661,11 @@ class BucketedSlotHeap {
       m.len = keep;
       if (keep == 0) {
         MarkDead(b);
-        continue;
+        return;
       }
       std::sort(h, h + keep,
                 [](const Entry& a, const Entry& b2) { return Less(b2, a); });
-    }
+    });
     for (const Migrant& m : migrate_) PlaceEntry(m.entry, m.bucket);
     if (size_ != 0) {
       cur_ = FindNonEmptyFrom(0);
@@ -576,28 +685,31 @@ class BucketedSlotHeap {
     cur_ = o.cur_;
     num_buckets_ = o.num_buckets_;
     per_bucket_ = o.per_bucket_;
+    order_span_ = o.order_span_;
     magic_ = o.magic_;
+    // A hint this queue held may be for another geometry.
+    pf_v_ = std::numeric_limits<double>::quiet_NaN();
+    reserve_ = o.reserve_;
     slab_ = std::make_unique_for_overwrite<Entry[]>(size_t{num_buckets_} *
-                                                    kBucketReserve);
+                                                    reserve_);
     storage_.clear();
     storage_.resize(buckets_.size());
-    for (size_t b = 0; b < buckets_.size(); ++b) {
+    for (uint32_t b = 0; b < num_buckets_; ++b) {
       Bucket& m = buckets_[b];
       if (o.storage_[b] != nullptr) {
         storage_[b] = std::make_unique_for_overwrite<Entry[]>(m.cap);
         m.data = storage_[b].get();
       } else {
-        m.data = slab_.get() + b * kBucketReserve;
+        m.data = SlabReserve(b);
       }
       std::copy_n(o.buckets_[b].data, m.len, m.data);
     }
   }
 
   /// One 16-byte Bucket record per range, in one dense array (16KB at
-  /// the default geometry). buckets_[b].data points into slab_
-  /// (bucket-ordered reserves, sequential for the drain sweep) until
-  /// bucket b outgrows its reserve, after which it points at
-  /// storage_[b].
+  /// the default starting geometry). buckets_[b].data points into this
+  /// queue's slab_ (bucket-ordered reserves, sequential for the drain
+  /// sweep) while storage_[b] is empty, and at storage_[b] otherwise.
   std::vector<Bucket> buckets_;
   std::unique_ptr<Entry[]> slab_;
   std::vector<std::unique_ptr<Entry[]>> storage_;
@@ -620,6 +732,12 @@ class BucketedSlotHeap {
   uint32_t cur_ = 0;
   uint32_t num_buckets_ = 0;
   uint32_t per_bucket_ = 0;
+  /// Buckets per starting-geometry bucket: 1 until Refine, then the
+  /// starting width in grid cells (ForEachRun's grouping).
+  uint32_t order_span_ = 1;
+  /// Entries per bucket in slab_: kBucketReserve, or kFineReserve at
+  /// kMaxBuckets.
+  uint32_t reserve_ = kBucketReserve;
   uint64_t magic_ = 0;
 };
 

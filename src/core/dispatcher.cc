@@ -1,6 +1,7 @@
 #include "core/dispatcher.h"
 
 #include <cassert>
+#include <limits>
 #include <utility>
 
 namespace csfc {
@@ -36,6 +37,17 @@ Dispatcher::Dispatcher(const DispatcherConfig& config)
   // exchange and SP promotion a per-bucket run move.
   active_.Configure(buckets);
   waiting_.Configure(buckets);
+  if (active_.num_buckets() < BucketedSlotHeap::kMaxBuckets) {
+    refine_above_ =
+        size_t{active_.num_buckets()} * BucketedSlotHeap::kScanInsertMax;
+  }
+}
+
+void Dispatcher::Refine() {
+  // Both at once: the queues must keep sharing one geometry.
+  active_.Refine();
+  waiting_.Refine();
+  refine_above_ = std::numeric_limits<size_t>::max();
 }
 
 template <typename R>
@@ -89,6 +101,10 @@ void Dispatcher::InsertImpl(CValue v, R&& r) {
   q.PrefetchFor(v);
   const uint32_t slot = AllocSlot(std::forward<R>(r));
   q.Push(key, slot);
+  // Past ~kScanInsertMax entries per bucket every insert pays a binary
+  // search and a memmove over a long run; one bucket per grid cell keeps
+  // runs short at any depth the grid can separate.
+  if (size() > refine_above_) Refine();
   if (preempt &&
       config_.discipline == QueueDiscipline::kConditionallyPreemptive) {
     ++preemptions_;

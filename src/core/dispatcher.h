@@ -79,10 +79,11 @@ enum class QueueDiscipline {
 /// Standalone-dispatcher default for DispatcherConfig::calendar_buckets
 /// == 0. ~1K ranges keeps the calendar's metadata arrays L1-resident
 /// while holding per-bucket occupancy to a few entries even at depth
-/// 10^4; measurably better at every depth than finer slicings whose
-/// metadata spills to L2. The cascaded scheduler derives its figure from
-/// its own SFC3 partition parameters instead, targeting the same total
-/// (core/cascaded_scheduler.cc).
+/// 10^4; measurably better at those depths than finer slicings whose
+/// metadata spills to L2 (and cheaper to set up). Deeper backlogs refine
+/// the geometry (see DispatcherConfig::calendar_buckets). The cascaded
+/// scheduler derives its figure from its own SFC3 partition parameters
+/// instead, targeting the same total (core/cascaded_scheduler.cc).
 inline constexpr uint32_t kDefaultCalendarBuckets = 1024;
 
 /// Dispatcher configuration.
@@ -96,11 +97,15 @@ struct DispatcherConfig {
   bool expand_reset = false;
   /// ER expansion factor e (> 1).
   double expansion_factor = 2.0;
-  /// Calendar bucket count of q and q' (see BucketedSlotHeap). 0 =
-  /// derive: the cascaded scheduler slices its R SFC3 sweep partitions at
-  /// up-to-cylinder granularity, targeting ~kDefaultCalendarBuckets
-  /// ranges in total; a standalone dispatcher uses kDefaultCalendarBuckets
-  /// directly. Capped at BucketedSlotHeap::kMaxBuckets.
+  /// Starting calendar bucket count of q and q' (see BucketedSlotHeap).
+  /// 0 = derive: the cascaded scheduler slices its R SFC3 sweep
+  /// partitions at up-to-cylinder granularity, targeting
+  /// ~kDefaultCalendarBuckets ranges in total; a standalone dispatcher
+  /// uses kDefaultCalendarBuckets directly. Capped at
+  /// BucketedSlotHeap::kMaxBuckets. Once q and q' together hold more than
+  /// BucketedSlotHeap::kScanInsertMax entries per bucket, the dispatcher
+  /// refines both to kMaxBuckets for good; dispatch order is the same at
+  /// every geometry.
   uint32_t calendar_buckets = 0;
 
   Status Validate() const;
@@ -152,6 +157,9 @@ class Dispatcher {
   uint64_t promotions() const { return promotions_; }
   /// Total queue swaps.
   uint64_t swaps() const { return swaps_; }
+  /// Current calendar bucket count of q and q': the starting geometry,
+  /// or BucketedSlotHeap::kMaxBuckets once a deep backlog refined it.
+  uint32_t calendar_buckets() const { return active_.num_buckets(); }
 
   /// Attaches the tracer preempt / SP-promote / queue-swap / ER-reset
   /// events are emitted through (null or disabled = no tracing; the only
@@ -171,6 +179,8 @@ class Dispatcher {
   explicit Dispatcher(const DispatcherConfig& config);
 
   CSFC_HOT void Swap();
+  /// Reslices q and q' to BucketedSlotHeap::kMaxBuckets (cold; once).
+  void Refine();
   /// Shared body of the Insert overloads; R is Request& or Request&&.
   template <typename R>
   CSFC_HOT void InsertImpl(CValue v, R&& r);
@@ -208,6 +218,10 @@ class Dispatcher {
   /// Pop runs the SP scan (conditional discipline with serve_promote);
   /// folded to one flag at construction for the per-pop gate.
   bool sp_scan_ = false;
+  /// Combined depth past which Insert refines both queues: kScanInsertMax
+  /// entries per starting bucket; SIZE_MAX once refined, or when the
+  /// starting geometry is already the finest.
+  size_t refine_above_ = std::numeric_limits<size_t>::max();
   BucketedSlotHeap active_;   // q
   BucketedSlotHeap waiting_;  // q'
   /// Request payloads, indexed by the slot in each queue entry. Queues

@@ -16,7 +16,7 @@ SimTime FdScanScheduler::EstimateFinish(const Request& r,
   const double ms = disk_->SeekTimeMs(ctx.head, r.cylinder) +
                     disk_->AvgRotationalLatencyMs() +
                     disk_->TransferTimeMs(r.cylinder, r.bytes);
-  return ctx.now + MsToSim(ms);
+  return AddSaturating(ctx.now, MsToSim(ms));
 }
 
 Request FdScanScheduler::Take(ByCylinder::iterator it) {
@@ -37,8 +37,9 @@ std::optional<Request> FdScanScheduler::Dispatch(const DispatchContext& ctx) {
   // negative, so EstimateFinish is at least now plus the rotational
   // latency, and no deadline before that can be met.
   const Request* target = nullptr;
-  for (auto it = by_deadline_.lower_bound(
-           ctx.now + MsToSim(disk_->AvgRotationalLatencyMs()));
+  const SimTime earliest =
+      AddSaturating(ctx.now, MsToSim(disk_->AvgRotationalLatencyMs()));
+  for (auto it = by_deadline_.lower_bound(earliest);
        it != by_deadline_.end(); ++it) {
     if (EstimateFinish(it->second->second, ctx) <= it->first) {
       target = &it->second->second;

@@ -17,7 +17,7 @@ bool ScanRtScheduler::PlanFeasible(const DispatchContext& ctx) const {
     const double ms = disk_->SeekTimeMs(head, r.cylinder) +
                       disk_->AvgRotationalLatencyMs() +
                       disk_->TransferTimeMs(r.cylinder, r.bytes);
-    clock += MsToSim(ms);
+    clock = AddSaturating(clock, MsToSim(ms));
     if (r.has_deadline() && clock > r.deadline) return false;
     head = r.cylinder;
   }

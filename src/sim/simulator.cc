@@ -68,7 +68,7 @@ RunMetrics DiskServerSimulator::Run(RequestGenerator& gen, Scheduler& sched) {
         in_service = std::move(*r);
         in_service_seek_ms = seek_ms;
         in_service_total_ms = service_ms;
-        completion_time = now + MsToSim(service_ms);
+        completion_time = AddSaturating(now, MsToSim(service_ms));
         busy = true;
       }
     }

@@ -179,7 +179,8 @@ bool ServiceServer::TryDispatch(DiskState& disk, double scale) {
   const double service_ms = service_time_(disk.head, *r);
   disk.in_service = std::move(*r);
   disk.in_service_ms = service_ms;
-  disk.completion_time = disk.now + MsToSim(service_ms * scale);
+  disk.completion_time =
+      AddSaturating(disk.now, MsToSim(service_ms * scale));
   disk.busy = true;
   return true;
 }

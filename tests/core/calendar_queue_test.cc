@@ -1,7 +1,11 @@
 // Calendar-queue correctness, on BucketedSlotHeap directly: run ordering,
 // FIFO ties (including across the 32-bit sequence wrap), bulk promotion
-// and its per-entry callback order, bucket growth, and rekey migration.
-// The Dispatcher built on it is replayed against the std::map reference in
+// and its per-entry callback order, bucket growth, rekey migration, and
+// the reslice to the finest geometry. These heaps never refine on their
+// own (the Dispatcher decides when), so the long-run paths — runs past
+// kScanInsertMax, GrowBucket, the drain's boundary search over a long
+// run — are pinned here at fixed geometries. The Dispatcher built on it is
+// replayed against the std::map reference in
 // dispatcher_equivalence_test.cc.
 
 #include <gtest/gtest.h>
@@ -201,6 +205,116 @@ TEST(BucketedSlotHeapTest, DrainBelowBucketBoundaryThreshold) {
 
 TEST(BucketedSlotHeapTest, DrainBelowOversizedRunSwapsStorage) {
   ExpectDrainMatchesBruteForce(1024, 7, 4000, 0.75, /*pileup=*/true);
+}
+
+TEST(BucketedSlotHeapTest, OversizedDrainLeavesNoRecordInTheOtherQueue) {
+  // The whole-run move of a run longer than the destination's reserve
+  // exchanges bucket records. The source's emptied record must not keep
+  // pointing into the destination's slab: once the destination is gone,
+  // a push into that bucket would write into freed memory (ASan reports
+  // it as a heap-use-after-free).
+  BucketedSlotHeap src;
+  src.Configure(2);
+  {
+    BucketedSlotHeap dst;
+    dst.Configure(2);
+    for (uint32_t i = 0; i < 40; ++i) {
+      src.Push(QueueKey{0.01 * static_cast<double>(i), i}, i);
+    }
+    EXPECT_EQ(src.DrainBelowInto(0.75, dst, Ignore), 40u);
+    EXPECT_TRUE(src.empty());
+    EXPECT_EQ(dst.size(), 40u);
+  }
+  for (uint32_t i = 0; i < 20; ++i) {
+    src.Push(QueueKey{0.4 - 0.01 * static_cast<double>(i), 100 + i}, i);
+  }
+  for (uint32_t i = 20; i-- > 0;) {
+    ASSERT_FALSE(src.empty());
+    EXPECT_EQ(src.PopMin().slot, i);
+  }
+  EXPECT_TRUE(src.empty());
+}
+
+// Everything observable is what the unrefined copy shows: size, minimum,
+// traversal order (so AssignKeys gives both the same keys), and the pop
+// sequence, including pushes after the reslice below and above the
+// cursor, exact-v ties and sequence numbers across the 2^32 wrap.
+void ExpectRefineIsInvisible(uint32_t buckets, uint64_t seed) {
+  SCOPED_TRACE(testing::Message() << buckets << " starting buckets");
+  const uint64_t first_seq = (uint64_t{1} << 32) - 1500;
+  BucketedSlotHeap q;
+  q.Configure(buckets);
+  Rng rng(seed);
+  uint32_t slot = 0;
+  // 512 distinct values for 3000 entries: every value repeats, and the
+  // sequence numbers straddle the wrap.
+  const auto draw = [&rng] {
+    return static_cast<double>(rng() % 512) / 512.0;
+  };
+  for (; slot < 3000; ++slot) q.Push(QueueKey{draw(), first_seq + slot}, slot);
+  // Move the cursor mid-sweep, as a refining dispatcher's queues are.
+  for (int i = 0; i < 700; ++i) q.PopMin();
+
+  BucketedSlotHeap coarse = q;
+  q.Refine();
+  EXPECT_EQ(q.num_buckets(), BucketedSlotHeap::kMaxBuckets);
+  EXPECT_EQ(coarse.num_buckets(), buckets);
+  ASSERT_EQ(q.size(), coarse.size());
+  EXPECT_EQ(q.MinValue(), coarse.MinValue());
+  EXPECT_EQ(q.MinSlot(), coarse.MinSlot());
+  std::vector<uint32_t> fine_order, coarse_order;
+  q.ForEachEntrySlot([&](uint32_t s) { fine_order.push_back(s); });
+  coarse.ForEachEntrySlot([&](uint32_t s) { coarse_order.push_back(s); });
+  EXPECT_EQ(fine_order, coarse_order);
+
+  const auto push_both = [&](CValue v) {
+    q.Push(QueueKey{v, first_seq + slot}, slot);
+    coarse.Push(QueueKey{v, first_seq + slot}, slot);
+    ++slot;
+  };
+  const auto pop_both = [&] {
+    ASSERT_EQ(q.empty(), coarse.empty());
+    if (q.empty()) return;
+    EXPECT_EQ(q.MinValue(), coarse.MinValue());
+    const Entry a = q.PopMin();
+    const Entry b = coarse.PopMin();
+    ASSERT_EQ(a.slot, b.slot);
+    ASSERT_EQ(a.v, b.v);
+    ASSERT_EQ(a.seq, b.seq);
+  };
+  push_both(0.0);  // below the cursor
+  push_both(q.MinValue());  // ties the minimum
+  for (int i = 0; i < 400; ++i) {
+    push_both(draw());
+    pop_both();
+  }
+  // A rekey after the reslice consumes its keys in the same order.
+  std::vector<CValue> keys(q.size());
+  for (CValue& k : keys) k = draw();
+  q.AssignKeys(keys);
+  coarse.AssignKeys(keys);
+  while (!q.empty() || !coarse.empty()) pop_both();
+}
+
+TEST(BucketedSlotHeapTest, RefineKeepsOrderMinimumSizeAndTraversal) {
+  // 1024 slices the grid evenly; 3 and 1000 do not, so the last starting
+  // bucket is short; kMaxBuckets is already the finest (a no-op).
+  for (const uint32_t buckets :
+       {1u, 3u, 16u, 1000u, 1024u, BucketedSlotHeap::kMaxBuckets}) {
+    ExpectRefineIsInvisible(buckets, buckets);
+  }
+}
+
+TEST(BucketedSlotHeapTest, RefineEmptyQueue) {
+  BucketedSlotHeap q;
+  q.Configure(64);
+  q.Refine();
+  EXPECT_EQ(q.num_buckets(), BucketedSlotHeap::kMaxBuckets);
+  EXPECT_TRUE(q.empty());
+  q.Push(QueueKey{0.5, 1}, 7);
+  EXPECT_EQ(q.MinSlot(), 7u);
+  EXPECT_EQ(q.PopMin().v, 0.5);
+  EXPECT_TRUE(q.empty());
 }
 
 TEST(BucketedSlotHeapTest, SequenceWrapKeepsFifo) {

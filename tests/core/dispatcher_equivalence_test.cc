@@ -12,7 +12,9 @@
 // and single-range keys), and the differential fuzzer over adversarial key
 // sources x disciplines x SP/ER x bucket counts x tracing, plus one replay
 // of the op pattern CascadedSfcScheduler issues (Encapsulator keys and
-// batch rekeys under a moving head).
+// batch rekeys under a moving head). Replays that start on a coarse
+// geometry and grow past kScanInsertMax entries per bucket cross the
+// dispatcher's refinement to kMaxBuckets mid-trace.
 
 #include <gtest/gtest.h>
 
@@ -93,6 +95,15 @@ CValue BucketEdge(Rng& rng, uint32_t buckets) {
 CValue DefaultBucketEdges(Rng& rng) {
   return BucketEdge(rng, kDefaultCalendarBuckets);
 }
+
+// 64 values 2^-24 apart inside one 2^-16 grid cell: after the refinement
+// they still share one bucket, so its run grows long (the binary-search
+// insert, GrowBucket) and every promotion threshold lands inside it (the
+// drain's boundary search). Pair it with kOneCellWindow.
+CValue OneGridCell(Rng& rng) {
+  return 0.5 + static_cast<double>(rng() % 64) * 0x1p-24;
+}
+constexpr double kOneCellWindow = 0x1p-22;
 
 CValue AdversarialMix(Rng& rng) {
   switch (rng() % 5) {
@@ -210,15 +221,27 @@ struct OpMix {
   uint64_t rekey = 8;
 };
 
+// Enough inserts that a replay of a few hundred ops outgrows a starting
+// geometry of a few buckets, with pops, swaps and rekeys on either side
+// of the refinement.
+constexpr OpMix kRefining{.insert = 62, .pop = 26, .rekey = 8};
+
+// What a replay reached: its deepest queue and the calendar geometry it
+// ended on.
+struct ReplayStats {
+  size_t peak_depth = 0;
+  uint32_t final_buckets = 0;
+};
+
 // Replays a random op trace against both implementations. key_of draws
 // each arrival's v_c; rekey_of draws each waiting request's new v_c and
 // must be pure (see the key-source comment). Rekeys alternate between the
-// per-request and the batch entry point. The deepest queue the trace
-// reached is stored through peak_depth when one is given.
+// per-request and the batch entry point. What the trace reached is
+// stored through stats when one is given.
 template <typename KeyFn, typename RekeyKeyFn>
 void Replay(const DispatcherConfig& cfg, uint64_t seed, int num_ops,
             KeyFn&& key_of, RekeyKeyFn&& rekey_of, bool traced = false,
-            const OpMix& mix = {}, size_t* peak_depth = nullptr) {
+            const OpMix& mix = {}, ReplayStats* stats = nullptr) {
   auto created = Dispatcher::Create(cfg);
   ASSERT_TRUE(created.ok());
   Dispatcher d = *std::move(created);
@@ -264,7 +287,7 @@ void Replay(const DispatcherConfig& cfg, uint64_t seed, int num_ops,
     }
     ASSERT_NO_FATAL_FAILURE(ExpectObservablesMatch(d, ref, tally));
   }
-  if (peak_depth != nullptr) *peak_depth = peak;
+  if (stats != nullptr) *stats = {peak, d.calendar_buckets()};
 
   // Drain both to the end: the complete service order must agree.
   while (!d.empty() || !ref.empty()) {
@@ -429,12 +452,79 @@ TEST(DispatcherEquivalenceTest, MoveBasedInsertPopRoundTripsPayloads) {
 // payloads spread across chunks.
 TEST(DispatcherEquivalenceTest, InsertHeavyReplaySpansSlotPoolChunks) {
   constexpr OpMix kInsertHeavy{.insert = 90, .pop = 8, .rekey = 1};
-  size_t peak = 0;
+  ReplayStats stats;
   ASSERT_NO_FATAL_FAILURE(
       Replay(Config(QueueDiscipline::kConditionallyPreemptive, 0.05, true,
                     true),
-             7, 12000, UniformGrid, UniformGrid, false, kInsertHeavy, &peak));
-  EXPECT_GT(peak, 2u * 4096u);
+             7, 12000, UniformGrid, UniformGrid, false, kInsertHeavy, &stats));
+  EXPECT_GT(stats.peak_depth, 2u * 4096u);
+}
+
+// SP's whole-run move hands a run longer than the destination's 16-entry
+// reserve over by exchanging bucket records; the emptied record must then
+// point into its own queue's slab. The refinement that follows frees both
+// slabs, so a record left pointing into the other queue's would be read
+// or written after the free (ASan). Then queue swaps and batch rekeys run
+// on the refined queues.
+TEST(DispatcherEquivalenceTest, OversizedPromotionThenRefinement) {
+  const DispatcherConfig cfg =
+      Config(QueueDiscipline::kConditionallyPreemptive, kFuzzWindow, true,
+             false, 2);
+  for (bool traced : {false, true}) {
+    SCOPED_TRACE(traced ? "traced" : "untraced");
+    auto created = Dispatcher::Create(cfg);
+    ASSERT_TRUE(created.ok());
+    Dispatcher d = *std::move(created);
+    ReferenceDispatcher ref(cfg);
+    DispatcherEvents events;
+    obs::Tracer tracer(&events);
+    if (traced) d.set_tracer(&tracer);
+    const DispatcherEvents* tally = traced ? &events : nullptr;
+    RequestId next_id = 0;
+    const auto insert = [&](CValue v) {
+      Request r;
+      r.id = next_id++;
+      d.Insert(v, r);
+      ref.Insert(v, r);
+    };
+
+    // Serve 0.1 while 0.9 stays in q, so arrivals from 0.1 - w up wait in
+    // q' and the next pop's threshold is 0.9 - w, in the upper bucket.
+    insert(0.1);
+    insert(0.9);
+    ASSERT_NO_FATAL_FAILURE(PopBoth(d, ref, events));
+    for (int i = 0; i < 40; ++i) insert(0.05 + 0.005 * i);
+    ASSERT_NO_FATAL_FAILURE(PopBoth(d, ref, events));
+    EXPECT_EQ(d.promotions(), 40u);
+    ASSERT_NO_FATAL_FAILURE(ExpectObservablesMatch(d, ref, tally));
+    ASSERT_EQ(d.calendar_buckets(), 2u);
+
+    // 2 buckets x kScanInsertMax = 64 entries: this crosses it.
+    Rng rng(5);
+    for (int i = 0; i < 200; ++i) insert(UniformGrid(rng));
+    ASSERT_EQ(d.calendar_buckets(), BucketedSlotHeap::kMaxBuckets);
+    ASSERT_NO_FATAL_FAILURE(ExpectObservablesMatch(d, ref, tally));
+    const uint64_t swaps_at_refinement = d.swaps();
+
+    for (int i = 0; !d.empty(); ++i) {
+      if (d.NeedsSwapForPop()) {
+        const uint64_t salt = rng();
+        auto batch = [salt](std::span<const Request* const> reqs,
+                            std::span<CValue> out) {
+          for (size_t k = 0; k < reqs.size(); ++k) {
+            Rng h((reqs[k]->id + 1) * 2654435761ULL ^ salt);
+            out[k] = UniformGrid(h);
+          }
+        };
+        d.RekeyWaitingBatch(batch);
+        ref.RekeyWaitingBatch(batch);
+      }
+      ASSERT_NO_FATAL_FAILURE(PopBoth(d, ref, events));
+      if (i < 600 && i % 3 == 0) insert(UniformGrid(rng));
+      ASSERT_NO_FATAL_FAILURE(ExpectObservablesMatch(d, ref, tally));
+    }
+    EXPECT_GT(d.swaps(), swaps_at_refinement);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -563,9 +653,13 @@ TEST(CalendarEquivalenceTest, BatchRekeyAgrees) {
 // Differential fuzzer.
 // ---------------------------------------------------------------------------
 
-// Every discipline x SP x ER, traced and untraced, on the adversarial key
-// mix at one calendar geometry.
-void FuzzEveryConfiguration(uint32_t buckets, int num_ops, uint64_t seed) {
+// Every discipline x SP x ER, traced and untraced, on one key source
+// (the adversarial mix by default) from one starting calendar geometry.
+// With refining set, every replay must cross the refinement mid-trace.
+void FuzzEveryConfiguration(uint32_t buckets, int num_ops, uint64_t seed,
+                            CValue (*key_of)(Rng&) = AdversarialMix,
+                            double window = kFuzzWindow,
+                            bool refining = false) {
   for (QueueDiscipline disc : kDisciplines) {
     for (bool sp : {false, true}) {
       for (bool er : {false, true}) {
@@ -573,18 +667,39 @@ void FuzzEveryConfiguration(uint32_t buckets, int num_ops, uint64_t seed) {
           SCOPED_TRACE(testing::Message()
                        << "discipline " << static_cast<int>(disc) << " sp "
                        << sp << " er " << er << " traced " << traced);
-          ASSERT_NO_FATAL_FAILURE(Replay(Config(disc, kFuzzWindow, sp, er,
-                                                buckets),
-                                         seed++, num_ops, AdversarialMix,
-                                         traced));
+          ReplayStats stats;
+          ASSERT_NO_FATAL_FAILURE(Replay(
+              Config(disc, window, sp, er, buckets), seed++, num_ops, key_of,
+              key_of, traced, refining ? kRefining : OpMix{}, &stats));
+          if (refining) {
+            EXPECT_GT(stats.peak_depth,
+                      2 * buckets * BucketedSlotHeap::kScanInsertMax);
+            EXPECT_EQ(stats.final_buckets, BucketedSlotHeap::kMaxBuckets);
+          }
         }
       }
     }
   }
 }
 
+// One starting bucket refines after 32 entries, early in every trace.
 TEST(DispatcherFuzzTest, AdversarialKeysOneBucket) {
   FuzzEveryConfiguration(1, 600, 1000);
+}
+
+// Four starting buckets refine after 128 entries, so swaps, rekeys and
+// SP promotions (oversized runs among them) run on both geometries.
+TEST(DispatcherFuzzTest, AdversarialKeysCrossTheRefinement) {
+  FuzzEveryConfiguration(4, 1000, 1300, AdversarialMix, kFuzzWindow,
+                         /*refining=*/true);
+}
+
+// Keys packed into one grid cell keep a single long run after the
+// refinement: the paths a coarse geometry exercised with AdversarialKeys
+// in one bucket.
+TEST(DispatcherFuzzTest, OneGridCellAcrossTheRefinement) {
+  FuzzEveryConfiguration(1, 600, 1400, OneGridCell, kOneCellWindow,
+                         /*refining=*/true);
 }
 
 TEST(DispatcherFuzzTest, AdversarialKeysDerivedBuckets) {

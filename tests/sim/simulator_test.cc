@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <string>
+#include <vector>
+
 #include "sched/edf.h"
 #include "sched/fcfs.h"
+#include "sched/registry.h"
 #include "sched/sstf.h"
 #include "workload/trace.h"
 
@@ -253,6 +259,54 @@ TEST(SimulatorTest, SstfBeatsFcfsOnSeekTime) {
   const RunMetrics mf = sim1.Run(g1, fcfs);
   const RunMetrics ms = sim2.Run(g2, sstf);
   EXPECT_LT(ms.total_seek_ms, mf.total_seek_ms * 0.5);
+}
+
+TEST(SimTimeTest, ConversionAndSumsSaturate) {
+  constexpr SimTime kMax = std::numeric_limits<SimTime>::max();
+  constexpr SimTime kMin = std::numeric_limits<SimTime>::min();
+  EXPECT_EQ(MsToSim(2.5), 2500);
+  EXPECT_EQ(MsToSim(4e15), SimTime{4'000'000'000'000'000'000});
+  EXPECT_EQ(MsToSim(1e16), kMax);
+  EXPECT_EQ(MsToSim(-1e16), kMin);
+  EXPECT_EQ(MsToSim(std::nan("")), kMax);
+  EXPECT_EQ(AddSaturating(kMax - 1, 5), kMax);
+  EXPECT_EQ(AddSaturating(kMin + 1, -5), kMin);
+  EXPECT_EQ(AddSaturating(kMax, kMin), -1);
+  EXPECT_EQ(AddSaturating(40, -2), 38);
+}
+
+// Five 2^64 - 1 byte requests: each prices at ~3.6e18 us on the default
+// disk, so completion times pass 2^63 us by the third. They must pin at
+// the top of the range instead of wrapping (undefined behaviour, which
+// the UBSan build turns into a failure), under every scheduler.
+TEST(SimulatorTest, HugeRequestsSaturateCompletionTimes) {
+  const char* const kLines[] = {
+      "0 0 -1 100 18446744073709551615 0 0 1 2 3",
+      "1 1000 -1 3000 18446744073709551615 0 0 0 0 0",
+      "2 2000 900000 1500 18446744073709551615 1 1 15 15 15",
+      "3 3000 -1 0 18446744073709551615 0 1 7 7 7",
+      "4 4000 5000 3831 18446744073709551615 1 2 3 2 1",
+  };
+  std::vector<Request> reqs;
+  for (const char* line : kLines) {
+    auto r = ParseTraceLine(line);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    reqs.push_back(*r);
+  }
+  DiskServerSimulator sim = MakeSim();
+  SchedulerRegistryContext ctx;
+  ctx.disk = &sim.disk();
+  for (std::string_view name : AllSchedulerNames()) {
+    SCOPED_TRACE(name);
+    auto factory = MakeSchedulerFactory(name, ctx);
+    ASSERT_TRUE(factory.ok()) << factory.status().ToString();
+    SchedulerPtr sched = (*factory)();
+    ASSERT_NE(sched, nullptr);
+    TraceReplayGenerator gen(reqs);
+    const RunMetrics m = sim.Run(gen, *sched);
+    EXPECT_EQ(m.completions, reqs.size());
+    EXPECT_EQ(m.makespan, std::numeric_limits<SimTime>::max());
+  }
 }
 
 }  // namespace

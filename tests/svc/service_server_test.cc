@@ -131,6 +131,27 @@ TEST(ServiceServerTest, VirtualMatchesOfflineWithSeededLatency) {
   ExpectDispatchOrderMatchesOffline(uint64_t{42});
 }
 
+// Five 2^64 - 1 byte requests price past 2^63 us between them: the
+// pump's completion times must saturate instead of wrapping (undefined
+// behaviour, which the UBSan build turns into a failure).
+TEST(ServiceServerTest, HugeRequestsSaturateCompletionTimes) {
+  std::vector<Request> trace;
+  for (RequestId id = 0; id < 5; ++id) {
+    Request r;
+    r.id = id;
+    r.arrival = static_cast<SimTime>(id) * 1000;
+    r.cylinder = static_cast<Cylinder>(id * 700);
+    r.bytes = ~uint64_t{0};
+    for (PriorityLevel p : {1u, 2u, 3u}) r.priorities.push_back(p);
+    trace.push_back(r);
+  }
+  auto handle = MakeServer(BaseConfig());
+  ASSERT_TRUE(handle.ok()) << handle.status().ToString();
+  const ServiceStats stats = handle->server->RunVirtual(trace);
+  EXPECT_EQ(stats.dispatched, trace.size());
+  EXPECT_EQ(stats.completions, trace.size());
+}
+
 TEST(ServiceServerTest, RunVirtualTwiceIsBitIdentical) {
   const std::vector<Request> trace = SyntheticTrace(31, 1500, 0.4);
 

@@ -13,10 +13,12 @@
 #include <vector>
 
 #include "cli_flags.h"
+#include "core/cascaded_scheduler.h"
 #include "exp/runner.h"
 #include "gtest/gtest.h"
 #include "obs/export.h"
 #include "sched/registry.h"
+#include "sim/simulator.h"
 
 namespace csfc {
 namespace tools {
@@ -140,6 +142,38 @@ std::string ParamName(const ::testing::TestParamInfo<std::string>& info) {
 
 INSTANTIATE_TEST_SUITE_P(AllSchedulers, StreamedRunTest,
                          ::testing::ValuesIn(AllNames()), ParamName);
+
+// csfc as csfc_sim configures it refines its calendar only once the
+// backlog outgrows kScanInsertMax entries per starting bucket (~32.7k
+// requests): overload at 10^4 requests peaks near 9.2k deep and ends on
+// the starting geometry, 10^5 requests end on the finest one.
+TEST(CalendarGeometryTest, OnlyADeepBacklogRefinesTheCalendar) {
+  for (const uint64_t count : {uint64_t{10000}, uint64_t{100000}}) {
+    SCOPED_TRACE(count);
+    WorkloadFlags wf;
+    wf.cfg.count = count;
+    wf.cfg.mean_interarrival_ms = 2.0;
+    ServerConfig config;
+    ASSERT_TRUE(ApplySchedulerFlags(SchedulerFlags{}, wf, &config).ok());
+    auto disk = DiskModel::Create(config.sim.disk);
+    ASSERT_TRUE(disk.ok());
+    auto factory = config.MakeFactory(*disk);
+    ASSERT_TRUE(factory.ok());
+    SchedulerPtr sched = (*factory)();
+    const auto* csfc = dynamic_cast<const CascadedSfcScheduler*>(sched.get());
+    ASSERT_NE(csfc, nullptr);
+    const uint32_t start = csfc->dispatcher().calendar_buckets();
+    EXPECT_LT(start, BucketedSlotHeap::kMaxBuckets);
+
+    auto sim = DiskServerSimulator::Create(config.sim);
+    ASSERT_TRUE(sim.ok());
+    auto gen = MakeWorkloadGenerator(wf);
+    ASSERT_TRUE(gen.ok());
+    EXPECT_EQ(sim->Run(**gen, *sched).completions, count);
+    EXPECT_EQ(csfc->dispatcher().calendar_buckets(),
+              count == 10000 ? start : BucketedSlotHeap::kMaxBuckets);
+  }
+}
 
 }  // namespace
 }  // namespace tools

@@ -119,10 +119,11 @@ Result<ServerConfig> PinnedConfig(const std::string& sched) {
 /// replayed trace, so verifying them also proves the two paths agree.
 Result<std::string> SimDigest(const std::string& sched,
                               const std::string& workload, uint64_t seed,
+                              uint64_t count,
                               std::optional<uint64_t> latency_seed,
                               std::optional<double> interarrival_ms) {
   auto gen = tools::MakeWorkloadGenerator(
-      PinnedWorkloadFlags(workload, seed, /*count=*/2000, interarrival_ms));
+      PinnedWorkloadFlags(workload, seed, count, interarrival_ms));
   if (!gen.ok()) return gen.status();
   auto config = PinnedConfig(sched);
   if (!config.ok()) return config.status();
@@ -294,17 +295,18 @@ struct GoldenEntry {
   std::string sched, workload;
   uint64_t seed = 42;
   std::optional<uint64_t> latency_seed;
+  uint64_t count = 2000;
 };
 
 Result<std::string> ComputeSim(const GoldenEntry& e) {
-  return SimDigest(e.sched, e.workload, e.seed, e.latency_seed,
+  return SimDigest(e.sched, e.workload, e.seed, e.count, e.latency_seed,
                    /*interarrival_ms=*/std::nullopt);
 }
 // Overload: arrivals every 2 ms outpace service, so the backlog grows with
 // the run and the inversion counts are pinned at queue depth, not only
 // over the near-empty queues of the default load.
 Result<std::string> ComputeSimOverload(const GoldenEntry& e) {
-  return SimDigest(e.sched, e.workload, e.seed, e.latency_seed,
+  return SimDigest(e.sched, e.workload, e.seed, e.count, e.latency_seed,
                    /*interarrival_ms=*/2.0);
 }
 Result<std::string> ComputeServe(const GoldenEntry& e) {
@@ -340,6 +342,12 @@ std::vector<GoldenEntry> BuildMatrix() {
                "synthetic", 42, uint64_t{7}});
   m.push_back({"sim/csfc-calendar/synthetic-overload", ComputeSimOverload,
                "csfc", "synthetic", 42, std::nullopt});
+  // Deep overload: the backlog peaks near 36.5k requests, past the
+  // dispatcher's refinement threshold (kScanInsertMax entries per starting
+  // bucket, ~32.7k here), so the run and its traced rekeys cross from the
+  // starting calendar geometry to the finest one.
+  m.push_back({"sim/csfc-calendar/synthetic-deep", ComputeSimOverload,
+               "csfc", "synthetic", 42, std::nullopt, 40000});
   m.push_back({"serve/csfc/virtual", ComputeServe, "csfc", "", 42,
                std::nullopt});
   m.push_back({"serve/edf/virtual", ComputeServe, "edf", "", 42,
