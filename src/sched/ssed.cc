@@ -27,7 +27,10 @@ std::optional<Request> SsedScheduler::Dispatch(const DispatchContext& ctx) {
   SimTime min_dl = kNoDeadline;
   SimTime max_dl = 0;
   if (variant_ == SsedVariant::kOrdering) {
-    std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    // queue_ is in arrival order, so a stable sort ranks equal deadlines
+    // (every relaxed request shares kNoDeadline) by arrival; std::sort
+    // would leave their order to the standard library.
+    std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
       return queue_[a].deadline < queue_[b].deadline;
     });
   } else {
