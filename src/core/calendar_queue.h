@@ -5,7 +5,7 @@
 // re-characterization). Entries are (v_c, seq, slot) nodes; requests
 // themselves live in a slot pool owned by the dispatcher, so queue
 // operations move 16-byte POD entries over hot cache lines — never the
-// ~100-byte Request payloads — and moving an entry between queues (SP
+// 96-byte Request payloads — and moving an entry between queues (SP
 // promotion, queue swap) never touches the payload at all.
 //
 // Ordering is that of the std::map formulation the dispatcher started

@@ -251,7 +251,7 @@ CSFC_HOT inline void FusedSimdKernel(const FusedInvariants& in,
       cyl_buf[j] = static_cast<int32_t>(cyl);
       if constexpr (kDims > 0) {
         const size_t psz = r.priorities.size();
-        const PriorityLevel* pd = r.priorities.inline_data();
+        const PriorityLevel* pd = r.priorities.data();
         uint64_t cell = 0;
         if (psz >= kDims) [[likely]] {
           // Full-width request: straight loads, no per-dim selects.

@@ -9,7 +9,7 @@
 namespace csfc {
 
 Status MetricsConfig::Validate() const {
-  if (dims > 12) {
+  if (dims > kMaxPriorityDims) {
     return Status::InvalidArgument("metrics dims must be <= 12");
   }
   return Status::OK();

@@ -48,45 +48,42 @@ double AdmissionController::PredictedWaitMs(size_t queue_depth) const {
          config_.sweep_cost_ms;
 }
 
+bool AdmissionController::TakeToken(uint32_t stream, SimTime now) {
+  MutexLock lock(mu_);
+  Bucket& b = buckets_[stream % config_.max_streams];
+  if (now > b.last_refill) {
+    const double dt_s =
+        static_cast<double>(now - b.last_refill) / static_cast<double>(kSecond);
+    b.tokens = std::min(burst_, b.tokens + dt_s * config_.stream_rate_rps);
+    b.last_refill = now;
+  }
+  if (b.tokens < 1.0) return false;
+  b.tokens -= 1.0;
+  return true;
+}
+
 AdmitDecision AdmissionController::Admit(uint32_t stream, SimTime now,
                                          size_t queue_depth) {
-  MutexLock lock(mu_);
-  ++counters_.offered;
-  if (config_.stream_rate_rps > 0.0) {
-    Bucket& b = buckets_[stream % config_.max_streams];
-    if (now > b.last_refill) {
-      const double dt_s =
-          static_cast<double>(now - b.last_refill) / static_cast<double>(kSecond);
-      b.tokens = std::min(burst_, b.tokens + dt_s * config_.stream_rate_rps);
-      b.last_refill = now;
-    }
-    if (b.tokens < 1.0) {
-      ++counters_.rejected_rate;
-      return AdmitDecision::kRejectRate;
-    }
-    b.tokens -= 1.0;
+  offered_.fetch_add(1, std::memory_order_relaxed);
+  if (config_.stream_rate_rps > 0.0 && !TakeToken(stream, now)) {
+    rejected_rate_.fetch_add(1, std::memory_order_relaxed);
+    return AdmitDecision::kRejectRate;
   }
-  if (config_.slo_wait_ms > 0.0 &&
-      PredictedWaitMs(queue_depth) > config_.slo_wait_ms) {
-    ++counters_.rejected_load;
+  if (load_gate() && PredictedWaitMs(queue_depth) > config_.slo_wait_ms) {
+    rejected_load_.fetch_add(1, std::memory_order_relaxed);
     return AdmitDecision::kRejectLoad;
   }
   return AdmitDecision::kAdmit;
 }
 
-void AdmissionController::RecordAdmit() {
-  MutexLock lock(mu_);
-  ++counters_.admitted;
-}
-
-void AdmissionController::RecordRingReject() {
-  MutexLock lock(mu_);
-  ++counters_.rejected_ring_full;
-}
-
 AdmissionController::Counters AdmissionController::counters() const {
-  MutexLock lock(mu_);
-  return counters_;
+  Counters c;
+  c.offered = offered_.load(std::memory_order_relaxed);
+  c.admitted = admitted_.load(std::memory_order_relaxed);
+  c.rejected_rate = rejected_rate_.load(std::memory_order_relaxed);
+  c.rejected_load = rejected_load_.load(std::memory_order_relaxed);
+  c.rejected_ring_full = rejected_ring_full_.load(std::memory_order_relaxed);
+  return c;
 }
 
 }  // namespace svc

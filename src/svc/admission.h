@@ -29,13 +29,20 @@
 //     offered == admitted + rejected_rate + rejected_load
 //                + rejected_ring_full
 //
-// Thread safety: every gate and counter sits behind one internal mutex.
-// Producers call Admit()/RecordAdmit()/RecordRingReject() concurrently;
-// the critical sections are a few dozen instructions.
+// Thread safety: producers call Admit()/RecordAdmit()/RecordRingReject()
+// concurrently. The five counters are relaxed atomics: each is monotone,
+// and the identity above holds exactly once producers are quiescent (a
+// mid-run counters() snapshot reads them one by one, so it is not a
+// consistent cut). The internal mutex guards only the token buckets, and
+// is taken only while the rate gate is on: with both gates off, an offer
+// costs two relaxed atomic increments and no lock. The load gate reads
+// its queue-depth argument only when slo_wait_ms > 0, so callers may skip
+// computing the depth otherwise (load_gate()).
 
 #ifndef CSFC_SVC_ADMISSION_H_
 #define CSFC_SVC_ADMISSION_H_
 
+#include <atomic>
 #include <cstdint>
 #include <vector>
 
@@ -95,17 +102,22 @@ class AdmissionController {
   AdmitDecision Admit(uint32_t stream, SimTime now, size_t queue_depth)
       EXCLUDES(mu_);
 
+  /// Whether Admit() reads its `queue_depth` argument.
+  bool load_gate() const { return config_.slo_wait_ms > 0.0; }
+
   /// The admitted offer made it into the ingest ring.
-  void RecordAdmit() EXCLUDES(mu_);
+  void RecordAdmit() { admitted_.fetch_add(1, std::memory_order_relaxed); }
   /// The admitted offer bounced off a full ring (backpressure). The
   /// stream's token stays spent — a full ring should also slow the
   /// offending streams down.
-  void RecordRingReject() EXCLUDES(mu_);
+  void RecordRingReject() {
+    rejected_ring_full_.fetch_add(1, std::memory_order_relaxed);
+  }
 
   /// The oracle, exposed for tests and the serve CLI's report.
   double PredictedWaitMs(size_t queue_depth) const;
 
-  Counters counters() const EXCLUDES(mu_);
+  Counters counters() const;
 
   const AdmissionConfig& config() const { return config_; }
 
@@ -115,11 +127,19 @@ class AdmissionController {
     SimTime last_refill = 0;
   };
 
+  /// Refills `stream`'s bucket to `now` and takes one token from it;
+  /// false when the bucket holds less than one.
+  bool TakeToken(uint32_t stream, SimTime now) EXCLUDES(mu_);
+
   AdmissionConfig config_;
   double burst_;  ///< resolved burst (config_.stream_burst or its default)
   mutable Mutex mu_;
   std::vector<Bucket> buckets_ GUARDED_BY(mu_);
-  Counters counters_ GUARDED_BY(mu_);
+  std::atomic<uint64_t> offered_{0};
+  std::atomic<uint64_t> admitted_{0};
+  std::atomic<uint64_t> rejected_rate_{0};
+  std::atomic<uint64_t> rejected_load_{0};
+  std::atomic<uint64_t> rejected_ring_full_{0};
 };
 
 }  // namespace svc

@@ -1,6 +1,7 @@
 #include "svc/server.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 #include <span>
 #include <utility>
@@ -82,7 +83,10 @@ bool ServiceServer::Ingest(Request&& r, SimTime now) {
     e.stream = stream;
     tracer_.Emit(e);
   }
-  const AdmitDecision d = admission_.Admit(stream, now, ApproxDepth());
+  // The depth reads both ring cursors (one shared with every producer), so
+  // it is computed only when the load gate will look at it.
+  const size_t depth = admission_.load_gate() ? ApproxDepth() : 0;
+  const AdmitDecision d = admission_.Admit(stream, now, depth);
   if (d != AdmitDecision::kAdmit) {
     if (tracer_.enabled()) {
       obs::TraceEvent e;
@@ -121,15 +125,18 @@ bool ServiceServer::Ingest(Request&& r, SimTime now) {
 size_t ServiceServer::DrainRing(const DispatchContext& ctx) {
   size_t total = 0;
   tracer_.set_now(ctx.now);
+  const bool tracing = tracer_.enabled();
   for (;;) {
     drain_buf_.clear();
     const size_t n = ring_.DrainInto(drain_buf_, options_.ingest.drain_batch);
     if (n == 0) break;
-    drain_ids_.clear();
-    for (const Request& r : drain_buf_) drain_ids_.push_back(r.id);
+    if (tracing) {
+      // EnqueueBatch may move from the buffer; keep the ids for the events.
+      drain_ids_.clear();
+      for (const Request& r : drain_buf_) drain_ids_.push_back(r.id);
+    }
     sched_->EnqueueBatch(std::span<Request>(drain_buf_), ctx);
-    queue_depth_.store(sched_->queue_size(), std::memory_order_relaxed);
-    if (tracer_.enabled()) {
+    if (tracing) {
       for (RequestId id : drain_ids_) {
         obs::TraceEvent e;
         e.kind = obs::TraceEventKind::kEnqueue;
@@ -141,10 +148,7 @@ size_t ServiceServer::DrainRing(const DispatchContext& ctx) {
     }
     total += n;
   }
-  if (total != 0) {
-    MutexLock lock(stats_mu_);
-    enqueued_ += total;
-  }
+  pass_.enqueued += total;
   return total;
 }
 
@@ -153,13 +157,10 @@ bool ServiceServer::TryDispatch(DiskState& disk, double scale) {
   tracer_.set_now(disk.now);
   std::optional<Request> r = sched_->Dispatch(ctx);
   if (!r) return false;
-  queue_depth_.store(sched_->queue_size(), std::memory_order_relaxed);
   const SimTime wait = std::max<SimTime>(disk.now - r->arrival, 0);
-  {
-    MutexLock lock(stats_mu_);
-    wait_hist_.Add(wait);
-    ++dispatched_;
-  }
+  assert(pass_.dispatched == 0 && "one dispatch per published pass");
+  ++pass_.dispatched;
+  pass_.wait = wait;
   if (tracer_.enabled()) {
     obs::TraceEvent e;
     e.kind = obs::TraceEventKind::kDispatch;
@@ -188,10 +189,7 @@ bool ServiceServer::TryDispatch(DiskState& disk, double scale) {
 void ServiceServer::Complete(DiskState& disk) {
   disk.head = disk.in_service.cylinder;
   disk.busy = false;
-  {
-    MutexLock lock(stats_mu_);
-    ++completions_;
-  }
+  ++pass_.completions;
   if (tracer_.enabled()) {
     obs::TraceEvent e;
     e.kind = obs::TraceEventKind::kCompletion;
@@ -205,6 +203,19 @@ void ServiceServer::Complete(DiskState& disk) {
   }
 }
 
+void ServiceServer::Publish() {
+  const size_t depth = sched_->queue_size();
+  {
+    MutexLock lock(stats_mu_);
+    enqueued_ += pass_.enqueued;
+    dispatched_ += pass_.dispatched;
+    completions_ += pass_.completions;
+    if (pass_.dispatched != 0) wait_hist_.Add(pass_.wait);
+    queue_depth_.store(depth, std::memory_order_relaxed);
+  }
+  pass_ = PassTally{};
+}
+
 ServiceStats ServiceServer::RunVirtual(std::vector<Request> offered) {
   if (running_.load(std::memory_order_acquire)) return Stats();
   sched_->Observe(tracer_);
@@ -214,9 +225,10 @@ ServiceStats ServiceServer::RunVirtual(std::vector<Request> offered) {
   // replaced by ingest -> ring -> immediate drain (the ring is a
   // pass-through at each arrival instant, so enqueue order and times —
   // and therefore dispatch order — match the offline simulator run on
-  // the same admitted set).
+  // the same admitted set). Publishing after every dispatch and every
+  // drain keeps the load gate's depth exact.
   while (true) {
-    if (!disk.busy) TryDispatch(disk, /*scale=*/1.0);
+    if (!disk.busy && TryDispatch(disk, /*scale=*/1.0)) Publish();
     const bool has_arrival = next < offered.size();
     const bool take_completion =
         disk.busy &&
@@ -230,11 +242,13 @@ ServiceStats ServiceServer::RunVirtual(std::vector<Request> offered) {
       disk.now = r.arrival;
       if (Ingest(std::move(r), disk.now)) {
         DrainRing(DispatchContext{.now = disk.now, .head = disk.head});
+        Publish();
       }
     } else if (!disk.busy) {
       break;
     }
   }
+  Publish();  // the completions since the last dispatch
   return Stats();
 }
 
@@ -278,7 +292,10 @@ void ServiceServer::PumpLoop() {
       // Unpaced (time_scale 0) service completes within the iteration.
       if (disk.completion_time <= disk.now) Complete(disk);
     }
-    if (progress) continue;
+    if (progress) {
+      Publish();  // one stats_mu_ acquisition per pass
+      continue;
+    }
     if (stop_.load(std::memory_order_acquire) && ring_.size() == 0 &&
         sched_->queue_size() == 0 && !disk.busy) {
       break;  // graceful: everything admitted before Stop has been served

@@ -174,19 +174,33 @@ class ServiceServer {
   /// events. Returns true iff the request entered the ring.
   bool Ingest(Request&& r, SimTime now);
 
+  /// Counts of one pump pass that Stats() readers have not seen yet.
+  /// A pass dispatches at most once, so it holds at most one wait sample.
+  struct PassTally {
+    uint64_t enqueued = 0;
+    uint64_t dispatched = 0;
+    uint64_t completions = 0;
+    SimTime wait = 0;  ///< the dispatch's wait sample, if dispatched != 0
+  };
+
   /// Drains the ring into the scheduler in batches of drain_batch,
   /// emitting enqueue events. Pump thread only.
-  size_t DrainRing(const DispatchContext& ctx) EXCLUDES(stats_mu_);
+  size_t DrainRing(const DispatchContext& ctx);
 
   /// Pops the next request if one is pending: emits dispatch + drain,
-  /// records the wait sample, and marks the disk busy until now +
+  /// tallies the wait sample, and marks the disk busy until now +
   /// service_ms (scaled by `scale`). Pump thread only. Returns whether a
   /// request was dispatched.
-  bool TryDispatch(DiskState& disk, double scale) EXCLUDES(stats_mu_);
+  bool TryDispatch(DiskState& disk, double scale);
 
   /// Completes the in-service request: advances the head, emits the
   /// completion event. Pump thread only.
-  void Complete(DiskState& disk) EXCLUDES(stats_mu_);
+  void Complete(DiskState& disk);
+
+  /// Publishes the pass tally and the scheduler's queue depth to Stats()
+  /// readers and producers under one stats_mu_ acquisition, then clears
+  /// the tally. Pump thread only.
+  void Publish() EXCLUDES(stats_mu_);
 
   void PumpLoop();
 
@@ -209,8 +223,11 @@ class ServiceServer {
   obs::Tracer tracer_;
 
   /// Pump-thread scratch for ring drains; reserved once in the ctor.
+  /// drain_ids_ is filled only when tracing.
   std::vector<Request> drain_buf_;
   std::vector<RequestId> drain_ids_;
+  /// Pump-thread counts since the last Publish().
+  PassTally pass_;
 
   std::thread pump_;
   /// Lifecycle flags. Memory-order contracts (allowed orders per op,
@@ -219,8 +236,8 @@ class ServiceServer {
   std::atomic<bool> running_{false};
   std::atomic<bool> stop_{false};
   std::atomic<bool> cancel_{false};
-  /// Scheduler queue size mirror, maintained by the pump for producers'
-  /// admission checks (the scheduler itself is pump-owned).
+  /// Scheduler queue size mirror for producers' admission checks (the
+  /// scheduler itself is pump-owned), refreshed by each Publish().
   std::atomic<size_t> queue_depth_{0};
 
   /// Wakes the pump when work arrives or shutdown is requested.

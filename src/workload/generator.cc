@@ -11,7 +11,7 @@ Status WorkloadConfig::Validate() const {
     return Status::InvalidArgument("mean_interarrival_ms must be > 0");
   }
   if (burst_size == 0) return Status::InvalidArgument("burst_size must be > 0");
-  if (priority_dims > 12) {
+  if (priority_dims > kMaxPriorityDims) {
     return Status::InvalidArgument("priority_dims must be <= 12");
   }
   if (priority_dims > 0 && priority_levels < 2) {

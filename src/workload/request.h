@@ -16,36 +16,39 @@
 
 namespace csfc {
 
-/// Per-request vector of priority levels, one per QoS dimension.
-/// Inline capacity covers the paper's maximum of 12 dimensions.
-using PriorityVec = SmallVector<PriorityLevel, 12>;
+/// Per-request vector of priority levels, one per QoS dimension: at most
+/// kMaxPriorityDims, the paper's maximum of 12 dimensions (Fig. 6), held
+/// inline. Workload and metrics configs and the trace parser reject more.
+inline constexpr size_t kMaxPriorityDims = 12;
+using PriorityVec = SmallVector<PriorityLevel, kMaxPriorityDims>;
 
 /// Sentinel deadline for requests with relaxed (no) deadlines.
 inline constexpr SimTime kNoDeadline = std::numeric_limits<SimTime>::max();
 
-/// A disk request flowing through the simulator.
+/// A disk request flowing through the simulator. Fields are ordered widest
+/// first so the struct packs into 96 bytes with no heap part: every ring
+/// cell, drain buffer, slot-pool entry and std::optional<Request> hand-off
+/// copies it as one memcpy.
 struct Request {
   RequestId id = 0;
   /// Absolute arrival time.
   SimTime arrival = 0;
   /// Absolute deadline; kNoDeadline when relaxed.
   SimTime deadline = kNoDeadline;
-  /// Target cylinder.
-  Cylinder cylinder = 0;
   /// Transfer size in bytes.
   uint64_t bytes = 64 * 1024;
+  /// Target cylinder.
+  Cylinder cylinder = 0;
+  /// Owning stream for stream workloads (0 when not applicable).
+  uint32_t stream = 0;
   /// QoS priority levels; empty for single-class workloads.
   PriorityVec priorities;
   /// True for writes (affects nothing in the base disk model but is kept
   /// for stream workloads and trace fidelity).
   bool is_write = false;
-  /// Owning stream for stream workloads (0 when not applicable).
-  uint32_t stream = 0;
 
-  // Requests move through slot pools and growing vectors on the zero-copy
-  // dispatch path; the moves are declared noexcept explicitly so the
-  // compiler rejects any member change that would make them throwing
-  // (which would silently degrade every vector growth back to copies).
+  // Explicitly defaulted, so they stay trivial; declared noexcept so the
+  // compiler rejects a member that would make a move throwing.
   Request() = default;
   Request(const Request&) = default;
   Request& operator=(const Request&) = default;
@@ -64,10 +67,14 @@ struct Request {
   std::string DebugString() const;
 };
 
-static_assert(std::is_nothrow_move_constructible_v<Request> &&
-                  std::is_nothrow_move_assignable_v<Request>,
-              "Request must stay nothrow-movable: slot pools and queue "
-              "growth rely on moves never falling back to copies");
+// Requests move through the ingest ring, drain buffers, slot pools and
+// growing vectors on the zero-copy dispatch path; a member that made the
+// copy non-trivial (or grew the struct) would put a per-request cost back
+// on every one of those hops.
+static_assert(std::is_trivially_copyable_v<Request>,
+              "Request must stay trivially copyable: every queue hop is a "
+              "memcpy");
+static_assert(sizeof(Request) == 96, "Request must stay 96 bytes");
 
 }  // namespace csfc
 

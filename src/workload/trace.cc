@@ -1,9 +1,10 @@
 #include "workload/trace.h"
 
-#include <cinttypes>
-#include <cstdio>
+#include <algorithm>
+#include <charconv>
 #include <fstream>
 #include <sstream>
+#include <string_view>
 
 namespace csfc {
 
@@ -16,13 +17,47 @@ std::string FormatTraceLine(const Request& r) {
   return out.str();
 }
 
+namespace {
+
+/// Parses one whole whitespace-delimited token as an integer. from_chars
+/// takes no sign for unsigned types and reports overflow, so "-1" in an
+/// unsigned field is an error instead of wrapping to 2^32 - 1.
+template <typename T>
+bool ParseToken(std::string_view token, T* out) {
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, *out);
+  return ec == std::errc() && ptr == end;
+}
+
+/// Splits off the next whitespace-delimited token; empty at end of line.
+std::string_view NextToken(std::string_view& rest) {
+  constexpr std::string_view kSpace = " \t\r\n\f\v";
+  const size_t begin = rest.find_first_not_of(kSpace);
+  if (begin == std::string_view::npos) {
+    rest = {};
+    return {};
+  }
+  rest.remove_prefix(begin);
+  const size_t len = std::min(rest.find_first_of(kSpace), rest.size());
+  const std::string_view token = rest.substr(0, len);
+  rest.remove_prefix(len);
+  return token;
+}
+
+}  // namespace
+
 Result<Request> ParseTraceLine(const std::string& line) {
-  std::istringstream in(line);
+  std::string_view rest(line);
   Request r;
   int64_t deadline = 0;
   int is_write = 0;
-  if (!(in >> r.id >> r.arrival >> deadline >> r.cylinder >> r.bytes >>
-        is_write >> r.stream)) {
+  if (!ParseToken(NextToken(rest), &r.id) ||
+      !ParseToken(NextToken(rest), &r.arrival) ||
+      !ParseToken(NextToken(rest), &deadline) ||
+      !ParseToken(NextToken(rest), &r.cylinder) ||
+      !ParseToken(NextToken(rest), &r.bytes) ||
+      !ParseToken(NextToken(rest), &is_write) ||
+      !ParseToken(NextToken(rest), &r.stream)) {
     return Status::InvalidArgument("malformed trace line: " + line);
   }
   if (deadline < -1) {
@@ -30,16 +65,19 @@ Result<Request> ParseTraceLine(const std::string& line) {
   }
   r.deadline = deadline == -1 ? kNoDeadline : deadline;
   r.is_write = is_write != 0;
-  PriorityLevel p;
-  while (in >> p) r.priorities.push_back(p);
-  if (!in.eof() && in.fail()) {
-    // trailing garbage that failed to parse as a priority level
-    in.clear();
-    std::string rest;
-    in >> rest;
-    if (!rest.empty()) {
-      return Status::InvalidArgument("trailing garbage in trace line: " + line);
+  for (std::string_view token = NextToken(rest); !token.empty();
+       token = NextToken(rest)) {
+    PriorityLevel p = 0;
+    if (!ParseToken(token, &p)) {
+      return Status::InvalidArgument("bad priority level in trace line: " +
+                                     line);
     }
+    if (r.priorities.size() == kMaxPriorityDims) {
+      return Status::InvalidArgument(
+          "more than " + std::to_string(kMaxPriorityDims) +
+          " priority levels in trace line: " + line);
+    }
+    r.priorities.push_back(p);
   }
   return r;
 }

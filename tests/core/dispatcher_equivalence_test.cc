@@ -390,9 +390,9 @@ TEST(DispatcherEquivalenceTest, CalendarBackendBucketCounts) {
 
 // Zero-copy flow: requests inserted as rvalues (moved into the slot pool)
 // and popped (moved out) must round-trip every payload field intact and
-// still agree with the copying ReferenceDispatcher on service order. The
-// heap-allocating fields (priorities beyond the inline capacity) are the
-// ones a broken move would corrupt.
+// still agree with the copying ReferenceDispatcher on service order. Every
+// request fills all 12 priority slots, so the payload's tail bytes are
+// checked too.
 TEST(DispatcherEquivalenceTest, MoveBasedInsertPopRoundTripsPayloads) {
   const DispatcherConfig cfg =
       Config(QueueDiscipline::kConditionallyPreemptive, 0.05, true, true);
@@ -412,8 +412,7 @@ TEST(DispatcherEquivalenceTest, MoveBasedInsertPopRoundTripsPayloads) {
       r.cylinder = static_cast<Cylinder>(rng() % 4000);
       r.bytes = 1024 + r.id;
       r.stream = static_cast<uint32_t>(r.id % 7);
-      // 16 levels spills SmallVector's inline capacity of 12.
-      for (uint32_t k = 0; k < 16; ++k) {
+      for (uint32_t k = 0; k < kMaxPriorityDims; ++k) {
         r.priorities.push_back(static_cast<PriorityLevel>((r.id + k) % 8));
       }
       const CValue v = UniformGrid(rng);

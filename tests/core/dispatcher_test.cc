@@ -241,8 +241,8 @@ TEST(DispatcherTest, ForEachVisitsBothQueues) {
 // span several chunks, so the slot -> (chunk, index) mapping, chunk
 // growth, free-list reuse across chunks and copies of a multi-chunk pool
 // are all exercised. Every payload field is distinct per id, and every
-// fifth request carries a heap-spilled priority vector: those are what a
-// payload moved, overwritten or aliased by mistake would corrupt.
+// fifth request fills all 12 priority slots: a payload moved, overwritten
+// or aliased by mistake would corrupt those.
 // ---------------------------------------------------------------------------
 
 constexpr RequestId kPoolChunk = 4096;
@@ -253,8 +253,7 @@ Request PoolPayload(RequestId id) {
   r.cylinder = static_cast<Cylinder>((id * 7919) % 3832);
   r.bytes = 4096 + id * 3;
   if (id % 5 == 0) {
-    // 16 levels spills SmallVector's inline capacity of 12.
-    for (uint32_t k = 0; k < 16; ++k) {
+    for (uint32_t k = 0; k < kMaxPriorityDims; ++k) {
       r.priorities.push_back(static_cast<PriorityLevel>((id + k) % 8));
     }
   }

@@ -69,6 +69,42 @@ TEST(TraceFormatTest, MalformedLineRejected) {
   EXPECT_FALSE(ParseTraceLine("x y z w v u t").ok());
 }
 
+TEST(TraceFormatTest, TwelvePriorityLevelsParse) {
+  auto parsed = ParseTraceLine("1 0 -1 10 4096 0 0 0 1 2 3 4 5 6 7 8 9 10 11");
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  ASSERT_EQ(parsed->priorities.size(), 12u);
+  EXPECT_EQ(parsed->priorities[11], 11u);
+}
+
+TEST(TraceFormatTest, ThirteenPriorityLevelsRejected) {
+  // A Request holds at most kMaxPriorityDims levels inline.
+  auto parsed =
+      ParseTraceLine("1 0 -1 10 4096 0 0 0 1 2 3 4 5 6 7 8 9 10 11 12");
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(TraceFormatTest, NegativeCylinderRejected) {
+  // operator>> used to read "-1" into an unsigned field as 4,294,967,295.
+  auto parsed = ParseTraceLine("1 0 -1 -1 4096 0 0 3 0 7");
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(TraceFormatTest, NegativePriorityRejected) {
+  auto parsed = ParseTraceLine("1 0 -1 10 4096 0 0 3 -1 7");
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(TraceFormatTest, NegativeUnsignedFieldsRejected) {
+  // id, bytes and stream are unsigned too; the deadline's -1 stays valid.
+  EXPECT_FALSE(ParseTraceLine("-1 0 -1 10 4096 0 0").ok());
+  EXPECT_FALSE(ParseTraceLine("1 0 -1 10 -4096 0 0").ok());
+  EXPECT_FALSE(ParseTraceLine("1 0 -1 10 4096 0 -2").ok());
+  EXPECT_TRUE(ParseTraceLine("1 0 -1 10 4096 0 0").ok());
+}
+
 TEST(TraceFileTest, SaveLoadRoundTrips) {
   WorkloadConfig c;
   c.seed = 5;

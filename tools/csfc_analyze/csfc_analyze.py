@@ -22,8 +22,8 @@ tools/csfc_analyze/determinism.toml):
                  only audits what is annotated; this closes the loop so a
                  backend rewrite cannot silently drop the per-request path
                  out of the audit.
-  exc-safety     Types on the zero-copy queue path (Request, SmallVector)
-                 must declare explicit noexcept move operations, and
+  exc-safety     Types on the zero-copy queue path (Request) must declare
+                 explicit noexcept move operations, and
                  Status / Result must be [[nodiscard]] at class level —
                  a throwing move silently degrades every vector growth
                  and slot-pool recycle back to copies.
@@ -192,10 +192,11 @@ class Contracts(NamedTuple):
 
 DEFAULT_CONTRACTS = Contracts(
     nothrow_move=[
-        # Slot-pool entries and SmallVector spill both live inside Request;
-        # CValue is a trivial double alias and needs no declaration.
+        # Slot-pool entries live inside Request. Its priority vector is a
+        # fixed inline array, so request.h static_asserts that Request is
+        # trivially copyable instead of listing SmallVector here; CValue
+        # is a trivial double alias and needs no declaration.
         ("src/workload/request.h", "Request"),
-        ("src/common/small_vector.h", "SmallVector"),
     ],
     nodiscard=[
         ("src/common/status.h", "Status"),
