@@ -35,6 +35,7 @@
 #include <cstdio>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "cli_flags.h"
@@ -42,6 +43,7 @@
 #include "exp/runner.h"
 #include "obs/export.h"
 #include "obs/json.h"
+#include "sched/registry.h"
 #include "sfc/registry.h"
 
 using namespace csfc;
@@ -88,12 +90,14 @@ class HashWriter : public obs::Writer {
 
 tools::WorkloadFlags PinnedWorkloadFlags(
     const std::string& kind, uint64_t seed, uint64_t count,
-    std::optional<double> interarrival_ms = std::nullopt) {
+    std::optional<double> interarrival_ms = std::nullopt,
+    std::optional<uint32_t> levels = std::nullopt) {
   tools::WorkloadFlags wf;
   wf.kind = kind;
   wf.cfg.seed = seed;
   wf.cfg.count = count;
   if (interarrival_ms) wf.cfg.mean_interarrival_ms = *interarrival_ms;
+  if (levels) wf.cfg.priority_levels = *levels;
   wf.users = 6;              // mpeg streams / edl editors
   wf.duration_ms = 3000.0;   // mpeg horizon
   return wf;
@@ -101,9 +105,10 @@ tools::WorkloadFlags PinnedWorkloadFlags(
 
 /// Builds the ServerConfig the scheduler flags describe, the same path
 /// csfc_sim and csfc_serve take, so the ledger pins the user-facing
-/// configuration surface and not a hand-rolled twin of it.
-Result<ServerConfig> PinnedConfig(const std::string& sched) {
-  tools::WorkloadFlags wf;  // defaults only: dims/levels/deadline shape
+/// configuration surface and not a hand-rolled twin of it. The metrics
+/// and cascade shape (dims, levels, deadline horizon) follow `wf`.
+Result<ServerConfig> PinnedConfig(const std::string& sched,
+                                  const tools::WorkloadFlags& wf) {
   tools::SchedulerFlags sf;
   sf.sched = sched;
   ServerConfig config;
@@ -121,11 +126,13 @@ Result<std::string> SimDigest(const std::string& sched,
                               const std::string& workload, uint64_t seed,
                               uint64_t count,
                               std::optional<uint64_t> latency_seed,
-                              std::optional<double> interarrival_ms) {
-  auto gen = tools::MakeWorkloadGenerator(
-      PinnedWorkloadFlags(workload, seed, count, interarrival_ms));
+                              std::optional<double> interarrival_ms,
+                              std::optional<uint32_t> levels) {
+  const tools::WorkloadFlags wf =
+      PinnedWorkloadFlags(workload, seed, count, interarrival_ms, levels);
+  auto gen = tools::MakeWorkloadGenerator(wf);
   if (!gen.ok()) return gen.status();
-  auto config = PinnedConfig(sched);
+  auto config = PinnedConfig(sched, wf);
   if (!config.ok()) return config.status();
   config->sim.latency_seed = latency_seed;
 
@@ -155,10 +162,11 @@ Result<std::string> SimDigest(const std::string& sched,
 Result<std::string> ServeDigest(const std::string& sched, double slo_ms,
                                 double stream_rate_rps) {
   // RunVirtual takes the whole offered stream up front.
-  auto trace = tools::BuildWorkload(
-      PinnedWorkloadFlags("synthetic", /*seed=*/42, /*count=*/1500));
+  const tools::WorkloadFlags wf =
+      PinnedWorkloadFlags("synthetic", /*seed=*/42, /*count=*/1500);
+  auto trace = tools::BuildWorkload(wf);
   if (!trace.ok()) return trace.status();
-  auto config = PinnedConfig(sched);
+  auto config = PinnedConfig(sched, wf);
   if (!config.ok()) return config.status();
   config->WithSlo(slo_ms).WithStreamRate(stream_rate_rps);
 
@@ -299,18 +307,21 @@ struct GoldenEntry {
   uint64_t seed = 42;
   std::optional<uint64_t> latency_seed;
   uint64_t count = 2000;
+  /// Priority levels per dimension (workload, metrics and cascade shape);
+  /// unset = the workload default of 16.
+  std::optional<uint32_t> levels = std::nullopt;
 };
 
 Result<std::string> ComputeSim(const GoldenEntry& e) {
   return SimDigest(e.sched, e.workload, e.seed, e.count, e.latency_seed,
-                   /*interarrival_ms=*/std::nullopt);
+                   /*interarrival_ms=*/std::nullopt, e.levels);
 }
 // Overload: arrivals every 2 ms outpace service, so the backlog grows with
 // the run and the inversion counts are pinned at queue depth, not only
 // over the near-empty queues of the default load.
 Result<std::string> ComputeSimOverload(const GoldenEntry& e) {
   return SimDigest(e.sched, e.workload, e.seed, e.count, e.latency_seed,
-                   /*interarrival_ms=*/2.0);
+                   /*interarrival_ms=*/2.0, e.levels);
 }
 Result<std::string> ComputeServe(const GoldenEntry& e) {
   return ServeDigest(e.sched, /*slo_ms=*/0.0, /*stream_rate_rps=*/0.0);
@@ -332,9 +343,14 @@ Result<std::string> ComputeCurves(const GoldenEntry&) {
 /// ledger change and needs --update + review like any digest change.
 std::vector<GoldenEntry> BuildMatrix() {
   std::vector<GoldenEntry> m;
-  for (const char* sched : {"fcfs", "sstf", "edf", "scan-rt", "ssedo"}) {
-    m.push_back({std::string("sim/") + sched + "/synthetic", ComputeSim,
-                 sched, "synthetic", 42, std::nullopt});
+  // Every registered scheduler at the default load, so a rewrite of any
+  // of them is proven byte-identical in every build flavor. csfc follows
+  // under its historic names.
+  for (std::string_view name : AllSchedulerNames()) {
+    if (name == "csfc") continue;
+    const std::string sched(name);
+    m.push_back({"sim/" + sched + "/synthetic", ComputeSim, sched,
+                 "synthetic", 42, std::nullopt});
   }
   // The csfc entries keep their "-calendar" names from when the dispatcher
   // had two queue backends: renaming an entry is a ledger change.
@@ -357,6 +373,11 @@ std::vector<GoldenEntry> BuildMatrix() {
   // starting calendar geometry to the finest one.
   m.push_back({"sim/csfc-calendar/synthetic-deep", ComputeSimOverload,
                "csfc", "synthetic", 42, std::nullopt, 40000});
+  // A large level grid under overload: deep queues whose waiting levels
+  // spread over 4,096 levels per dimension pin the inversion count far
+  // past the default 16-level grid.
+  m.push_back({"sim/csfc/synthetic-overload-levels4096", ComputeSimOverload,
+               "csfc", "synthetic", 42, std::nullopt, 2000, 4096});
   m.push_back({"serve/csfc/virtual", ComputeServe, "csfc", "", 42,
                std::nullopt});
   m.push_back({"serve/edf/virtual", ComputeServe, "edf", "", 42,
