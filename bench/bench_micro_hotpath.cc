@@ -10,6 +10,9 @@
 //  * Service front-end: closed-loop soak of the MPSC ingest ring +
 //    dispatcher pump (src/svc) with oversubscribed producers — offer and
 //    dispatch throughput plus the enqueue-to-dispatch wait tail.
+//  * Metrics: the MetricsCollector's per-request cost (one arrival, one
+//    dispatch with its priority-inversion count, one completion) at 3
+//    dimensions of 16 and of 4,096 levels, in requests/sec.
 //
 // Results go to stdout and to BENCH_hotpath.json (in CSFC_BENCH_JSON_DIR
 // or the working directory) — the perf baseline future PRs compare
@@ -38,6 +41,7 @@
 #include "exp/table.h"
 #include "obs/export.h"
 #include "obs/json.h"
+#include "stats/metrics.h"
 
 namespace csfc {
 namespace {
@@ -353,6 +357,40 @@ DispatcherResult BenchDispatcher(size_t depth, bool quick) {
   return DispatcherResult{depth, best};
 }
 
+struct MetricsResult {
+  uint32_t dims;
+  uint32_t levels;
+  size_t depth;
+  double rps;
+};
+
+/// The collector as an untraced simulator run drives it: each request
+/// arrives, is dispatched (FIFO) with `depth` others still waiting, and
+/// completes. Best of several reps.
+MetricsResult BenchMetrics(uint32_t levels, bool quick) {
+  constexpr uint32_t kDims = 3;  // MakeRequests' priority vector
+  constexpr size_t kDepth = 4;   // about sim-paper's shallow queue
+  constexpr size_t kMask = (1 << 12) - 1;
+  const auto reqs = MakeRequests(kMask + 1, levels, 3832);
+  const size_t ops = quick ? 200000 : 2000000;
+  double best = 0.0;
+  for (int rep = 0; rep < (quick ? 2 : 5); ++rep) {
+    MetricsCollector c(MetricsConfig{.dims = kDims, .levels = levels});
+    for (size_t i = 0; i < kDepth; ++i) c.OnArrival(reqs[i]);
+    const auto start = Clock::now();
+    for (size_t i = 0; i < ops; ++i) {
+      c.OnArrival(reqs[(i + kDepth) & kMask]);
+      const Request& r = reqs[i & kMask];
+      c.OnDispatch(r, kDepth);
+      c.OnCompletion(r, MsToSim(500.0), 1.0, 10.0);
+    }
+    const double secs = SecondsSince(start);
+    if (c.metrics().total_inversions() == 0) std::abort();  // keeps the work
+    best = std::max(best, static_cast<double>(ops) / secs);
+  }
+  return MetricsResult{kDims, levels, kDepth, best};
+}
+
 struct ServiceResult {
   size_t producers;
   uint64_t offered;
@@ -422,6 +460,7 @@ void WriteJson(const std::vector<CharacterizeResult>& chars,
                const std::vector<SimdResult>& simds,
                const std::vector<DispatcherResult>& disps,
                const std::vector<RekeyResult>& rekeys,
+               const std::vector<MetricsResult>& metrics,
                const std::vector<ServiceResult>& services) {
   std::string path = "BENCH_hotpath.json";
   if (const char* dir = std::getenv("CSFC_BENCH_JSON_DIR")) {
@@ -472,6 +511,17 @@ void WriteJson(const std::vector<CharacterizeResult>& chars,
     json.Field("scalar_rps", r.scalar_rps);
     json.Field("batch_rps", r.batch_rps);
     json.Field("speedup", r.batch_rps / r.scalar_rps);
+    json.EndObject();
+  }
+  json.EndArray();
+  json.Key("metrics");
+  json.BeginArray();
+  for (const MetricsResult& m : metrics) {
+    json.BeginObject();
+    json.Field("dims", uint64_t{m.dims});
+    json.Field("levels", uint64_t{m.levels});
+    json.Field("depth", static_cast<uint64_t>(m.depth));
+    json.Field("requests_per_sec", m.rps);
     json.EndObject();
   }
   json.EndArray();
@@ -585,6 +635,20 @@ void Run(const BenchOptions& opts) {
   }
   rt.Print();
 
+  std::vector<MetricsResult> metrics;
+  for (uint32_t levels : {16u, 4096u}) {
+    metrics.push_back(BenchMetrics(levels, opts.quick));
+  }
+  std::printf(
+      "\n== Metrics collector: arrival + dispatch + completion "
+      "(requests/sec) ==\n\n");
+  TablePrinter mt({"dims", "levels", "waiting", "requests/s"});
+  for (const MetricsResult& m : metrics) {
+    mt.AddRow({std::to_string(m.dims), std::to_string(m.levels),
+               std::to_string(m.depth), FormatDouble(m.rps / 1e6, 2) + "M"});
+  }
+  mt.Print();
+
   std::vector<ServiceResult> services;
   for (size_t producers : std::vector<size_t>{4, 8}) {
     services.push_back(BenchServiceFrontend(producers, opts.quick));
@@ -605,7 +669,7 @@ void Run(const BenchOptions& opts) {
   st.Print();
   std::printf("\n");
 
-  WriteJson(chars, simds, disps, rekeys, services);
+  WriteJson(chars, simds, disps, rekeys, metrics, services);
 }
 
 bool ParseDepths(const std::string& csv, std::vector<size_t>* out) {

@@ -20,6 +20,9 @@ Status DiskParams::Validate() const {
   if (zones == 0 || zones > cylinders) {
     return Status::InvalidArgument("zones must be in [1, cylinders]");
   }
+  if (zones > kMaxZones) {
+    return Status::InvalidArgument("zones must be <= 65536");
+  }
   if (rpm == 0) return Status::InvalidArgument("rpm must be > 0");
   if (outer_rate_mbps <= 0 || inner_rate_mbps <= 0) {
     return Status::InvalidArgument("zone rates must be > 0");
@@ -37,19 +40,29 @@ Result<DiskModel> DiskModel::Create(const DiskParams& params) {
   return DiskModel(params);
 }
 
+DiskModel::DiskModel(const DiskParams& params)
+    : params_(params),
+      rotation_ms_(60.0 * 1000.0 / static_cast<double>(params.rpm)),
+      avg_rotational_latency_ms_(rotation_ms_ / 2.0) {
+  zone_bytes_per_ms_.reserve(params.zones);
+  for (uint32_t z = 0; z < params.zones; ++z) {
+    zone_bytes_per_ms_.push_back(ZoneRateMBps(z) * 1e6 / 1000.0);
+  }
+}
+
 double DiskModel::SeekTimeMs(Cylinder from, Cylinder to) const {
   const uint32_t d = from > to ? from - to : to - from;
   return params_.seek.SeekMs(d);
 }
 
-double DiskModel::RotationMs() const {
-  return 60.0 * 1000.0 / static_cast<double>(params_.rpm);
+double DiskModel::RotationMs() const { return rotation_ms_; }
+
+double DiskModel::AvgRotationalLatencyMs() const {
+  return avg_rotational_latency_ms_;
 }
 
-double DiskModel::AvgRotationalLatencyMs() const { return RotationMs() / 2.0; }
-
 double DiskModel::SampleRotationalLatencyMs(Rng& rng) const {
-  return rng.UniformDouble(0.0, RotationMs());
+  return rng.UniformDouble(0.0, rotation_ms_);
 }
 
 uint32_t DiskModel::ZoneOf(Cylinder cyl) const {
@@ -66,14 +79,13 @@ double DiskModel::ZoneRateMBps(uint32_t zone) const {
 }
 
 double DiskModel::TransferTimeMs(Cylinder cyl, uint64_t bytes) const {
-  const double rate_bytes_per_ms = ZoneRateMBps(ZoneOf(cyl)) * 1e6 / 1000.0;
-  return static_cast<double>(bytes) / rate_bytes_per_ms;
+  return static_cast<double>(bytes) / zone_bytes_per_ms_[ZoneOf(cyl)];
 }
 
 double DiskModel::ServiceTimeMs(Cylinder from, Cylinder to, uint64_t bytes,
                                 Rng* rng) const {
   const double latency =
-      rng ? SampleRotationalLatencyMs(*rng) : AvgRotationalLatencyMs();
+      rng ? SampleRotationalLatencyMs(*rng) : avg_rotational_latency_ms_;
   return SeekTimeMs(from, to) + latency + TransferTimeMs(to, bytes);
 }
 

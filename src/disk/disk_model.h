@@ -17,6 +17,7 @@
 #define CSFC_DISK_DISK_MODEL_H_
 
 #include <cstdint>
+#include <vector>
 
 #include "common/random.h"
 #include "common/status.h"
@@ -58,6 +59,10 @@ struct DiskParams {
   /// Parameters of the Table-1 drive (the defaults above).
   static DiskParams PanaVissDisk();
 
+  /// Largest `zones` Validate accepts, so DiskModel's per-zone rate table
+  /// stays small.
+  static constexpr uint32_t kMaxZones = 65536;
+
   Status Validate() const;
 };
 
@@ -67,6 +72,11 @@ struct DiskParams {
 /// simulator boundary. The model is deliberately head-position-only (no
 /// track skew / head switch): the scheduling algorithms under study act on
 /// cylinder distance, which this captures.
+///
+/// Create evaluates the per-request constants once: each zone's media rate
+/// in bytes/ms, the rotation time and the average rotational latency. The
+/// per-dispatch calls then return the same doubles without recomputing
+/// them.
 class DiskModel {
  public:
   /// `params` must validate; construction with invalid params is rejected.
@@ -110,9 +120,13 @@ class DiskModel {
   double MaxSeekMs() const;
 
  private:
-  explicit DiskModel(const DiskParams& params) : params_(params) {}
+  explicit DiskModel(const DiskParams& params);
 
   DiskParams params_;
+  double rotation_ms_;
+  double avg_rotational_latency_ms_;
+  /// zone_bytes_per_ms_[z]: ZoneRateMBps(z) in bytes per millisecond.
+  std::vector<double> zone_bytes_per_ms_;
 };
 
 }  // namespace csfc

@@ -48,7 +48,9 @@ RunMetrics DiskServerSimulator::Run(RequestGenerator& gen, Scheduler& sched) {
       tracer_.set_now(now);
       std::optional<Request> r = sched.Dispatch(ctx);
       if (r) {
-        metrics.OnDispatch(*r, sched.queue_size());
+        // The queue depth only feeds the trace event: skip the virtual
+        // call on untraced runs.
+        metrics.OnDispatch(*r, tracer_.enabled() ? sched.queue_size() : 0);
         double seek_ms = 0.0;
         double service_ms = 0.0;
         switch (config_.service_model) {

@@ -117,7 +117,7 @@ class MetricsCollector {
   /// Stops counting `r` as waiting and charges, per dimension, one
   /// inversion for every waiting request at a strictly more important
   /// level. `queue_depth` (the scheduler's queue size after the dispatch)
-  /// only feeds the trace event.
+  /// only feeds the trace event, so untraced callers may pass 0.
   void OnDispatch(const Request& r, size_t queue_depth);
 
   /// Called when service finishes. `seek_ms`/`service_ms` are that
@@ -129,20 +129,37 @@ class MetricsCollector {
   RunMetrics TakeMetrics() { return std::move(metrics_); }
 
  private:
-  /// Multiset of the waiting requests' levels on one dimension: a Fenwick
-  /// tree over the configured levels (O(log levels) per operation), plus
-  /// an ordered map for levels past them, which trace replays may carry
-  /// up to 2^32-1, so every count stays exact.
+  /// Multiset of the waiting requests' levels on one dimension. Levels
+  /// in [0, levels) have one 32-bit counter each, 16 to a 64-byte block,
+  /// plus a Fenwick tree over the block sums. Add and Remove touch one
+  /// counter (and, past 16 levels, O(log blocks) tree nodes); CountBelow
+  /// is one fixed-length masked sum inside the level's block plus a tree
+  /// prefix over the whole blocks before it. At <= 16 levels there is one
+  /// block and no tree walk at all. Levels past the grid, which trace
+  /// replays may carry up to 2^32-1, go to an ordered map, so every count
+  /// stays exact. A counter or block sum never exceeds the number of
+  /// requests waiting, which is far below 2^32.
   class WaitingLevels {
    public:
-    explicit WaitingLevels(uint32_t levels) : tree_(size_t{levels} + 1, 0) {}
+    explicit WaitingLevels(uint32_t levels);
     void Add(PriorityLevel level);
     void Remove(PriorityLevel level);
     /// Waiting entries with a level strictly below `level`.
     uint64_t CountBelow(PriorityLevel level) const;
 
    private:
-    std::vector<uint64_t> tree_;  ///< 1-based Fenwick tree over [0, levels)
+    static constexpr uint32_t kBlockLevels = 16;
+    struct alignas(64) Block {
+      uint32_t count[kBlockLevels];
+    };
+    /// Waiting entries in blocks [0, b).
+    uint64_t BlocksBelow(size_t b) const;
+
+    uint32_t levels_;
+    std::vector<Block> blocks_;  ///< level l counts in blocks_[l / 16]
+    /// 1-based Fenwick tree over the sums of blocks [0, blocks - 1): no
+    /// prefix query reaches past the last block's start.
+    std::vector<uint64_t> tree_;
     std::map<PriorityLevel, uint64_t> overflow_;  ///< level -> count
   };
 

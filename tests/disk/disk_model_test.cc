@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <limits>
+
 namespace csfc {
 namespace {
 
@@ -132,6 +136,68 @@ TEST(DiskParamsTest, ValidationCatchesBadConfigs) {
   p.block_bytes = 0;
   EXPECT_FALSE(p.Validate().ok());
   EXPECT_TRUE(DiskParams().Validate().ok());
+}
+
+TEST(DiskParamsTest, ZonesAreBounded) {
+  // The bound keeps DiskModel's per-zone rate table small, even on a disk
+  // with enough cylinders for more zones.
+  DiskParams p;
+  p.cylinders = 1000000;
+  p.zones = DiskParams::kMaxZones;
+  EXPECT_TRUE(p.Validate().ok());
+  p.zones = DiskParams::kMaxZones + 1;
+  EXPECT_FALSE(p.Validate().ok());
+  EXPECT_FALSE(DiskModel::Create(p).ok());
+}
+
+/// The per-call expressions DiskModel evaluated before it precomputed its
+/// constants: zone of the cylinder, that zone's MB/s interpolated between
+/// the outer and inner rate, converted to bytes/ms.
+double FormulaTransferMs(const DiskParams& p, Cylinder cyl, uint64_t bytes) {
+  const uint64_t z = uint64_t{cyl} * p.zones / p.cylinders;
+  const uint32_t zone = static_cast<uint32_t>(z >= p.zones ? p.zones - 1 : z);
+  double rate_mbps = p.outer_rate_mbps;
+  if (p.zones != 1) {
+    const double frac =
+        static_cast<double>(zone) / static_cast<double>(p.zones - 1);
+    rate_mbps =
+        p.outer_rate_mbps + frac * (p.inner_rate_mbps - p.outer_rate_mbps);
+  }
+  return static_cast<double>(bytes) / (rate_mbps * 1e6 / 1000.0);
+}
+
+uint64_t Bits(double v) { return std::bit_cast<uint64_t>(v); }
+
+TEST(DiskModelTest, PrecomputedConstantsMatchTheFormulaBitForBit) {
+  DiskParams one_zone;
+  one_zone.zones = 1;
+  DiskParams zone_per_cylinder;
+  zone_per_cylinder.zones = zone_per_cylinder.cylinders;  // 3,832
+  for (const DiskParams& p :
+       {DiskParams::PanaVissDisk(), one_zone, zone_per_cylinder}) {
+    SCOPED_TRACE(p.zones);
+    auto m = DiskModel::Create(p);
+    ASSERT_TRUE(m.ok());
+    const double rotation = 60.0 * 1000.0 / static_cast<double>(p.rpm);
+    const double avg_latency = rotation / 2.0;
+    ASSERT_EQ(Bits(m->RotationMs()), Bits(rotation));
+    ASSERT_EQ(Bits(m->AvgRotationalLatencyMs()), Bits(avg_latency));
+    const Cylinder from = p.cylinders / 3;
+    for (Cylinder cyl = 0; cyl < p.cylinders; ++cyl) {
+      for (const uint64_t bytes :
+           {uint64_t{0}, uint64_t{1}, uint64_t{64 * 1024},
+            std::numeric_limits<uint64_t>::max()}) {
+        const double transfer = FormulaTransferMs(p, cyl, bytes);
+        ASSERT_EQ(Bits(m->TransferTimeMs(cyl, bytes)), Bits(transfer))
+            << "cylinder " << cyl << ", " << bytes << " bytes";
+        const uint32_t distance = from > cyl ? from - cyl : cyl - from;
+        const double service =
+            p.seek.SeekMs(distance) + avg_latency + transfer;
+        ASSERT_EQ(Bits(m->ServiceTimeMs(from, cyl, bytes)), Bits(service))
+            << "cylinder " << cyl << ", " << bytes << " bytes";
+      }
+    }
+  }
 }
 
 TEST(DiskModelTest, CreateRejectsInvalidParams) {

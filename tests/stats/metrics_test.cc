@@ -3,6 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <iterator>
+#include <limits>
+#include <set>
+#include <vector>
+
+#include "common/random.h"
 
 namespace csfc {
 namespace {
@@ -145,6 +152,87 @@ TEST(MetricsCollectorTest, LevelsBeyondTheGridCountExactly) {
   EXPECT_EQ(c.metrics().inversions_per_dim[0], 4u);
   c.OnDispatch(none, /*queue_depth=*/2);  // no levels: no inversions
   EXPECT_EQ(c.metrics().total_inversions(), 6u);
+}
+
+/// One random level for a request on a `levels` grid: half the draws come
+/// from a small pool (block edges, the grid's last level and the levels
+/// just past it, the top of the uint32 range) so that equal levels and
+/// boundary cases recur; the rest are uniform over the grid and a little
+/// beyond, or over all of uint32.
+PriorityLevel RandomLevel(Rng& rng, uint32_t levels) {
+  constexpr uint32_t kMax = std::numeric_limits<uint32_t>::max();
+  const uint32_t pool[] = {0,          1,          15,       16,
+                           17,         31,         32,       levels - 1,
+                           levels,     levels + 1, kMax - 1, kMax,
+                           levels / 2, levels / 3};
+  switch (rng.Uniform(4)) {
+    case 0:
+    case 1:
+      return pool[rng.Uniform(std::size(pool))];
+    case 2:
+      return static_cast<PriorityLevel>(rng.Uniform(uint64_t{levels} + 3));
+    default:
+      return static_cast<PriorityLevel>(rng.Uniform(uint64_t{kMax} + 1));
+  }
+}
+
+TEST(MetricsCollectorTest, InversionsMatchAMultisetOracle) {
+  // Random arrivals and dispatches against an oracle that keeps each
+  // dimension's waiting levels in a std::multiset and counts the levels
+  // below the dispatched one directly. Every grid size around the 16-level
+  // block edges, a 256-block and a 6,250-block grid; requests carry 0 to
+  // 12 levels against 0 to 12 tracked dimensions; the queue drains to
+  // empty at the end, so every level's last request leaves.
+  Rng rng(20041);
+  for (const uint32_t levels : {1u, 2u, 15u, 16u, 17u, 64u, 4096u, 100000u}) {
+    for (uint32_t dims = 0; dims <= kMaxPriorityDims; ++dims) {
+      SCOPED_TRACE(testing::Message() << levels << " levels, " << dims
+                                      << " dims");
+      MetricsCollector c(MetricsConfig{.dims = dims, .levels = levels});
+      std::vector<std::multiset<PriorityLevel>> oracle(dims);
+      std::vector<uint64_t> expected(dims, 0);
+      std::vector<Request> waiting;
+      const auto dispatch = [&] {
+        const size_t i = rng.Uniform(waiting.size());
+        const Request r = waiting[i];
+        waiting[i] = waiting.back();
+        waiting.pop_back();
+        for (size_t k = 0; k < std::min<size_t>(dims, r.priorities.size());
+             ++k) {
+          std::multiset<PriorityLevel>& w = oracle[k];
+          w.erase(w.find(r.priorities[k]));
+          expected[k] += static_cast<uint64_t>(
+              std::distance(w.begin(), w.lower_bound(r.priorities[k])));
+        }
+        c.OnDispatch(r, waiting.size());
+        ASSERT_EQ(c.metrics().inversions_per_dim, expected);
+      };
+      for (int step = 0; step < 600; ++step) {
+        // Arrivals outnumber dispatches while the queue is short, so it
+        // grows to a few dozen requests and then hovers.
+        if (waiting.empty() || rng.Uniform(64) >= waiting.size()) {
+          Request r;
+          const uint64_t n = rng.Uniform(kMaxPriorityDims + 1);
+          for (uint64_t k = 0; k < n; ++k) {
+            r.priorities.push_back(RandomLevel(rng, levels));
+          }
+          for (size_t k = 0; k < std::min<size_t>(dims, n); ++k) {
+            oracle[k].insert(r.priorities[k]);
+          }
+          c.OnArrival(r);
+          waiting.push_back(r);
+        } else {
+          ASSERT_NO_FATAL_FAILURE(dispatch());
+        }
+      }
+      while (!waiting.empty()) ASSERT_NO_FATAL_FAILURE(dispatch());
+      // Drained: nothing waits below even the highest level.
+      const Request top = Req({std::numeric_limits<uint32_t>::max()});
+      c.OnArrival(top);
+      c.OnDispatch(top, /*queue_depth=*/0);
+      EXPECT_EQ(c.metrics().inversions_per_dim, expected);
+    }
+  }
 }
 
 TEST(MetricsCollectorTest, ResponseTimeTracked) {

@@ -44,6 +44,7 @@ const std::vector<SectionSpec>& Specs() {
        {"auto_backend"}},
       {"dispatcher", {"depth", "ops_per_sec"}, {}},
       {"rekey_batch", {"depth", "scalar_rps", "batch_rps", "speedup"}, {}},
+      {"metrics", {"dims", "levels", "depth", "requests_per_sec"}, {}},
       {"service_frontend",
        {"producers", "offered", "admitted", "offers_per_sec",
         "dispatch_per_sec", "p50_wait_ms", "p99_wait_ms", "p999_wait_ms",
