@@ -1,8 +1,8 @@
 // Hot-path microbenchmark: the two per-request costs the scheduler pays on
 // every arrival — Characterize (encapsulation) and dispatcher queue ops:
 //
-//  * Characterize: direct per-request curve evaluation (enable_lut=false)
-//    vs. the precomputed lookup-table path (enable_lut=true), in
+//  * Characterize: direct per-request curve evaluation (lut_max_cells=0)
+//    vs. the precomputed lookup-table path (the default cap), in
 //    requests/sec. Values are verified identical before timing.
 //  * Dispatcher: steady-state insert+pop pairs against the calendar-queue
 //    Dispatcher at queue depths 10^2 through 10^6, in ops/sec (one op =
@@ -26,14 +26,12 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <functional>
 #include <optional>
 #include <span>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "common/simd.h"
 #include "core/cascaded_scheduler.h"
 #include "core/dispatcher.h"
 #include "core/presets.h"
@@ -78,8 +76,8 @@ std::vector<Request> MakeRequests(size_t n, uint32_t levels,
 }
 
 std::unique_ptr<Encapsulator> MustCreate(EncapsulatorConfig cfg,
-                                         bool enable_lut) {
-  cfg.enable_lut = enable_lut;
+                                         bool with_lut) {
+  if (!with_lut) cfg.lut_max_cells = 0;
   auto e = Encapsulator::Create(cfg);
   if (!e.ok()) {
     std::fprintf(stderr, "encapsulator create failed: %s\n",
@@ -118,8 +116,8 @@ struct CharacterizeResult {
 CharacterizeResult BenchCharacterize(const std::string& label,
                                      const EncapsulatorConfig& cfg,
                                      int rounds) {
-  const auto direct = MustCreate(cfg, /*enable_lut=*/false);
-  const auto lut = MustCreate(cfg, /*enable_lut=*/true);
+  const auto direct = MustCreate(cfg, /*with_lut=*/false);
+  const auto lut = MustCreate(cfg, /*with_lut=*/true);
   const uint32_t levels = uint32_t{1} << cfg.priority_bits;
   const auto reqs = MakeRequests(1 << 14, levels, cfg.cylinders);
 
@@ -138,91 +136,6 @@ CharacterizeResult BenchCharacterize(const std::string& label,
   TimeCharacterize(*lut, reqs, 2);
   return CharacterizeResult{label, TimeCharacterize(*direct, reqs, rounds),
                             TimeCharacterize(*lut, reqs, rounds)};
-}
-
-struct SimdResult {
-  size_t batch;
-  double scalar_rps;
-  double sse2_rps;
-  double avx2_rps;
-  double auto_rps;
-  std::string auto_backend;  // what kAuto resolved to on this machine
-};
-
-double TimeCharacterizeBatch(const Encapsulator& e,
-                             std::span<const Request* const> ptrs,
-                             std::span<CValue> out, int rounds) {
-  const DispatchContext ctx{.now = MsToSim(10), .head = 2000};
-  volatile double sink = 0.0;
-  const auto start = Clock::now();
-  for (int round = 0; round < rounds; ++round) {
-    e.CharacterizeBatch(ptrs, ctx, out);
-    sink = sink + out[0];
-  }
-  const double secs = SecondsSince(start);
-  return static_cast<double>(ptrs.size()) * rounds / secs;
-}
-
-/// The SIMD characterization kernel vs. the forced-scalar batch path, on
-/// the fused full-cascade shape (stage-2 formula + R-partition stage 3,
-/// LUT on). Each arm is an encapsulator created with a different
-/// EncapsulatorConfig::simd request; on hardware (or under a CSFC_SIMD
-/// override) that rules a level out, the arm silently resolves lower —
-/// the recorded `auto_backend` string says what actually ran, so the
-/// JSON stays honest on any machine. Outputs are verified bit-identical
-/// across all arms before timing.
-SimdResult BenchCharacterizeSimd(size_t batch, bool quick) {
-  const CascadedConfig ccfg =
-      PresetFull("hilbert", 3, 4, 1.0, 3, 3832, 0.05, 700.0);
-  EncapsulatorConfig cfg = ccfg.encapsulator;
-
-  cfg.simd = simd::Mode::kScalar;
-  const auto scalar_enc = MustCreate(cfg, /*enable_lut=*/true);
-  cfg.simd = simd::Mode::kSse2;
-  const auto sse2_enc = MustCreate(cfg, /*enable_lut=*/true);
-  cfg.simd = simd::Mode::kAvx2;
-  const auto avx2_enc = MustCreate(cfg, /*enable_lut=*/true);
-  cfg.simd = simd::Mode::kAuto;
-  const auto auto_enc = MustCreate(cfg, /*enable_lut=*/true);
-
-  const auto reqs = MakeRequests(batch, 16, cfg.cylinders);
-  std::vector<const Request*> ptrs;
-  for (const Request& r : reqs) ptrs.push_back(&r);
-  std::vector<CValue> want(batch), got(batch);
-
-  // Bit-identity gate: the SIMD kernel must be a pure optimization.
-  const DispatchContext ctx{.now = MsToSim(10), .head = 2000};
-  scalar_enc->CharacterizeBatch(ptrs, ctx, want);
-  for (const Encapsulator* e :
-       {sse2_enc.get(), avx2_enc.get(), auto_enc.get()}) {
-    e->CharacterizeBatch(ptrs, ctx, got);
-    for (size_t i = 0; i < batch; ++i) {
-      if (got[i] != want[i]) {
-        std::fprintf(stderr, "SIMD mismatch (%s) at request %zu, batch %zu\n",
-                     e->simd_backend(), i, batch);
-        std::abort();
-      }
-    }
-  }
-
-  const size_t target = quick ? (size_t{1} << 18) : (size_t{1} << 22);
-  const int rounds = static_cast<int>(std::max<size_t>(1, target / batch));
-  const int reps = quick ? 3 : 7;
-  TimeCharacterizeBatch(*scalar_enc, ptrs, want, rounds / 4 + 1);  // warmup
-  TimeCharacterizeBatch(*auto_enc, ptrs, want, rounds / 4 + 1);
-  // Best of several interleaved reps (same rationale as BenchRekeyBatch).
-  SimdResult r{batch, 0.0, 0.0, 0.0, 0.0, auto_enc->simd_backend()};
-  for (int rep = 0; rep < reps; ++rep) {
-    r.scalar_rps = std::max(
-        r.scalar_rps, TimeCharacterizeBatch(*scalar_enc, ptrs, want, rounds));
-    r.sse2_rps = std::max(
-        r.sse2_rps, TimeCharacterizeBatch(*sse2_enc, ptrs, want, rounds));
-    r.avx2_rps = std::max(
-        r.avx2_rps, TimeCharacterizeBatch(*avx2_enc, ptrs, want, rounds));
-    r.auto_rps = std::max(
-        r.auto_rps, TimeCharacterizeBatch(*auto_enc, ptrs, want, rounds));
-  }
-  return r;
 }
 
 double TimeInsertPop(Dispatcher& d, const std::vector<Request>& reqs,
@@ -253,18 +166,18 @@ struct DispatcherResult {
 
 struct RekeyResult {
   size_t depth;
-  double scalar_rps;  // RekeyWaiting + per-request Characterize
+  double scalar_rps;  // per-request Characterize inside the batch hook
   double batch_rps;   // RekeyWaitingBatch + CharacterizeBatch
 };
 
 /// Swap-time re-characterization: the whole waiting queue is rekeyed
-/// against a fresh context, per-request vs. batched. Keys are verified
-/// identical between the two entry points before timing (the batch path
-/// must be bit-identical, not just close).
+/// against a fresh context, per-request vs. batched characterization. Keys
+/// are verified identical between the two arms before timing (the batch
+/// path must be bit-identical, not just close).
 RekeyResult BenchRekeyBatch(size_t depth) {
   const CascadedConfig ccfg =
       PresetFull("hilbert", 3, 4, 1.0, 3, 3832, 0.05, 700.0);
-  const auto enc = MustCreate(ccfg.encapsulator, /*enable_lut=*/true);
+  const auto enc = MustCreate(ccfg.encapsulator, /*with_lut=*/true);
   DispatcherConfig cfg;
   cfg.discipline = QueueDiscipline::kNonPreemptive;  // all inserts land in q'
   auto created = Dispatcher::Create(cfg);
@@ -278,14 +191,15 @@ RekeyResult BenchRekeyBatch(size_t depth) {
     d.Insert(static_cast<double>(x % (1 << 20)) / (1 << 20), r);
   }
 
-  // The per-request arm is the path the batch API replaced: before the
-  // batch rework, swap-time rekey reached Characterize through
-  // std::function hook plumbing (dispatcher hook over queue callback), so
-  // the "before" arm routes through a std::function the same way.
+  // The per-request arm is the path CharacterizeBatch replaced: one full
+  // Characterize per waiting request, through the same batch hook.
   const auto rekey_scalar = [&](const DispatchContext& ctx) {
-    const std::function<CValue(const Request&)> hook =
-        [&](const Request& r) { return enc->Characterize(r, ctx); };
-    d.RekeyWaiting(hook);
+    d.RekeyWaitingBatch([&](std::span<const Request* const> batch,
+                            std::span<CValue> out) {
+      for (size_t i = 0; i < batch.size(); ++i) {
+        out[i] = enc->Characterize(*batch[i], ctx);
+      }
+    });
   };
   const auto rekey_batch = [&](const DispatchContext& ctx) {
     d.RekeyWaitingBatch([&](std::span<const Request* const> batch,
@@ -294,7 +208,7 @@ RekeyResult BenchRekeyBatch(size_t depth) {
     });
   };
 
-  // Identity check: after rekeying with either entry point under the same
+  // Identity check: after rekeying with either arm under the same
   // context, a drained copy of the queue serves the same (v_c, seq) order.
   const DispatchContext check_ctx{.now = MsToSim(10), .head = 2000};
   const auto drain_order = [](Dispatcher copy) {
@@ -327,7 +241,7 @@ RekeyResult BenchRekeyBatch(size_t depth) {
   time_rekey(rekey_scalar);  // warmup
   time_rekey(rekey_batch);
   // Best of several interleaved reps: the least-interrupted run of each
-  // entry point, measured under the same thermal/scheduling conditions.
+  // arm, measured under the same thermal/scheduling conditions.
   double scalar_rps = 0.0, batch_rps = 0.0;
   for (int rep = 0; rep < 7; ++rep) {
     scalar_rps = std::max(scalar_rps, time_rekey(rekey_scalar));
@@ -457,7 +371,6 @@ ServiceResult BenchServiceFrontend(size_t producers, bool quick) {
 }
 
 void WriteJson(const std::vector<CharacterizeResult>& chars,
-               const std::vector<SimdResult>& simds,
                const std::vector<DispatcherResult>& disps,
                const std::vector<RekeyResult>& rekeys,
                const std::vector<MetricsResult>& metrics,
@@ -476,21 +389,6 @@ void WriteJson(const std::vector<CharacterizeResult>& chars,
     json.Field("direct_rps", c.direct_rps);
     json.Field("lut_rps", c.lut_rps);
     json.Field("speedup", c.lut_rps / c.direct_rps);
-    json.EndObject();
-  }
-  json.EndArray();
-  json.Key("characterize_simd");
-  json.BeginArray();
-  for (const SimdResult& s : simds) {
-    json.BeginObject();
-    json.Field("batch", static_cast<uint64_t>(s.batch));
-    json.Field("scalar_rps", s.scalar_rps);
-    json.Field("sse2_rps", s.sse2_rps);
-    json.Field("avx2_rps", s.avx2_rps);
-    json.Field("auto_rps", s.auto_rps);
-    json.Field("speedup_sse2", s.sse2_rps / s.scalar_rps);
-    json.Field("speedup_avx2", s.avx2_rps / s.scalar_rps);
-    json.Field("auto_backend", s.auto_backend);
     json.EndObject();
   }
   json.EndArray();
@@ -590,25 +488,6 @@ void Run(const BenchOptions& opts) {
   }
   ct.Print();
 
-  std::vector<SimdResult> simds;
-  for (size_t batch : {64, 1024, 65536}) {
-    simds.push_back(BenchCharacterizeSimd(batch, opts.quick));
-  }
-  std::printf(
-      "\n== CharacterizeBatch SIMD kernel (requests/sec, fused cascade) "
-      "==\n\n");
-  TablePrinter simd_t({"batch", "scalar", "sse2", "avx2", "auto",
-                       "auto backend", "avx2/scalar"});
-  for (const SimdResult& s : simds) {
-    simd_t.AddRow({std::to_string(s.batch),
-                   FormatDouble(s.scalar_rps / 1e6, 2) + "M",
-                   FormatDouble(s.sse2_rps / 1e6, 2) + "M",
-                   FormatDouble(s.avx2_rps / 1e6, 2) + "M",
-                   FormatDouble(s.auto_rps / 1e6, 2) + "M", s.auto_backend,
-                   FormatDouble(s.avx2_rps / s.scalar_rps, 2) + "x"});
-  }
-  simd_t.Print();
-
   std::vector<DispatcherResult> disps;
   for (size_t depth : opts.depths) {
     disps.push_back(BenchDispatcher(depth, opts.quick));
@@ -669,7 +548,7 @@ void Run(const BenchOptions& opts) {
   st.Print();
   std::printf("\n");
 
-  WriteJson(chars, simds, disps, rekeys, metrics, services);
+  WriteJson(chars, disps, rekeys, metrics, services);
 }
 
 bool ParseDepths(const std::string& csv, std::vector<size_t>* out) {

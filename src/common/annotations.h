@@ -23,8 +23,9 @@
 // function of its inputs and recorded seeds: the simulator run loop,
 // ServiceServer::RunVirtual, the characterization kernels, every
 // Dispatch method, the SFC encode/decode maps, and the RunParallel
-// result merge. Every bit-identity pin in this repo (SIMD vs scalar,
-// calendar vs flat, RunVirtual vs offline sim, twice-run sweeps, the
+// result merge. Every bit-identity pin in this repo (batch vs
+// per-request characterization, calendar vs the std::map reference,
+// RunVirtual vs offline sim, twice-run sweeps, the
 // csfc_golden cross-build ledger) rides on these functions, so
 // csfc_analyze's determinism-taint family verifies their bodies touch
 // no wall clock outside the common/clock seam, no std::random_device /

@@ -71,9 +71,6 @@ class SmallVector {
   T& back() { return (*this)[size_ - 1u]; }
   const T& back() const { return (*this)[size_ - 1u]; }
 
-  /// The size() elements, contiguous.
-  const T* data() const { return data_; }
-
   T* begin() { return data_; }
   T* end() { return data_ + size_; }
   const T* begin() const { return data_; }

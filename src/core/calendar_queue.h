@@ -13,7 +13,7 @@
 // lower v_c first, exact v_c ties broken FIFO by the insertion sequence
 // number.
 //
-// Callback-taking operations (Rekey, DrainBelowInto, ForEachEntrySlot) are
+// Callback-taking operations (DrainBelowInto, ForEachEntrySlot) are
 // templates over the callable type: the callable is invoked once per
 // entry, so routing it through std::function would put an indirect call
 // (and a potential allocation at the call site) inside the tightest
@@ -78,10 +78,10 @@ struct QueueKey {
 /// lowest non-empty bucket, and exact-v FIFO ties resolve inside one
 /// bucket's run.
 ///
-/// Rekey exploits the same structure: re-characterization against a new
-/// head position moves a request's v_c by little in calendar terms, so
-/// most entries stay in their bucket — an intra-bucket key rewrite plus
-/// one short re-sort — and the few that cross a range boundary go
+/// AssignKeys exploits the same structure: re-characterization against a
+/// new head position moves a request's v_c by little in calendar terms,
+/// so most entries stay in their bucket — an intra-bucket key rewrite
+/// plus one short re-sort — and the few that cross a range boundary go
 /// through a migration scratch list, preserving assignment order.
 ///
 /// Each bucket's run starts in a reserve of one slab per queue, allocated
@@ -96,7 +96,7 @@ struct QueueKey {
 /// one bucket per grid cell in one O(n) pass, once its owner sees the
 /// backlog outgrow it (the Dispatcher does at kScanInsertMax entries per
 /// bucket); nothing coarsens it again. Traversal order (ForEachEntrySlot,
-/// the order AssignKeys consumes values and Rekey calls its hook in)
+/// the order AssignKeys consumes values in)
 /// stays that of the starting geometry: its buckets ascending, entries
 /// descending in (v, seq) within each. So batch rekey callers, and the
 /// trace events they emit in that order, see the same sequence at every
@@ -419,20 +419,48 @@ class BucketedSlotHeap {
     return moved;
   }
 
-  /// Recomputes every entry's v_c from its slot (sequence numbers are
-  /// preserved); callable invoked exactly once per entry, in unspecified
-  /// order. Per-bucket sweep, not a global rebuild: see RekeyImpl.
-  template <typename ValueOfSlot>
-  CSFC_HOT void Rekey(ValueOfSlot&& value_of_slot) {
-    RekeyImpl([&](const Entry& e) { return value_of_slot(e.slot); });
-  }
-
-  /// Batch form of Rekey: values[i] becomes the v_c of the i-th entry in
-  /// ForEachEntrySlot order (sequence numbers are preserved).
+  /// Rekeys every entry: values[i] becomes the v_c of the i-th entry in
+  /// ForEachEntrySlot order (sequence numbers are preserved), and
+  /// calendar order is restored in a per-bucket sweep, not a global
+  /// rebuild. A rekey against a new head position moves most entries
+  /// within their own v_c range, so pass 1 rewrites and compacts stayers
+  /// in place and re-sorts each short run — the few boundary-crossers land
+  /// on a migration scratch list that pass 2 reseats. Entries are read
+  /// strictly in traversal order before any write lands at or below their
+  /// index, so the fused rewrite/compact pass is sound.
   CSFC_HOT void AssignKeys(std::span<const CValue> values) {
     assert(values.size() == size_);
-    size_t i = 0;
-    RekeyImpl([&](const Entry&) { return values[i++]; });
+    size_t next = 0;
+    migrate_.clear();
+    ForEachRun([&](uint32_t b) {
+      Bucket& m = buckets_[b];
+      Entry* h = m.data;
+      const uint32_t n = m.len;
+      uint32_t keep = 0;
+      for (uint32_t i = 0; i < n; ++i) {
+        Entry e = h[i];
+        e.v = values[next++];
+        const uint32_t nb = BucketOf(e.v);
+        if (nb == b) {
+          h[keep++] = e;
+        } else {
+          migrate_.push_back(Migrant{e, nb});  // csfc:alloc-ok(migration scratch reused across rekeys)
+        }
+      }
+      m.len = keep;
+      if (keep == 0) {
+        MarkDead(b);
+        return;
+      }
+      std::sort(h, h + keep,
+                [](const Entry& a, const Entry& b2) { return Less(b2, a); });
+    });
+    for (const Migrant& m : migrate_) PlaceEntry(m.entry, m.bucket);
+    if (size_ != 0) {
+      cur_ = FindNonEmptyFrom(0);
+      const Bucket& c = buckets_[cur_];
+      min_ = c.data[c.len - 1];
+    }
   }
 
   /// Visits every entry's slot in a fixed traversal order — the order
@@ -629,49 +657,6 @@ class BucketedSlotHeap {
     }
     h[lo] = e;
     ++m.len;
-  }
-
-  /// Rewrites every key (key_of_entry maps an entry, read pre-rekey and
-  /// in ForEachEntrySlot traversal order, to its new v_c) and restores
-  /// calendar order in a per-bucket sweep. A rekey against a new head
-  /// position moves most entries within their own v_c range, so pass 1
-  /// rewrites and compacts stayers in place and re-sorts each short run
-  /// — the few boundary-crossers land on a migration scratch list that
-  /// pass 2 reseats. Entries are read strictly in traversal order before
-  /// any write lands at or below their index, so the fused
-  /// rewrite/compact pass is sound.
-  template <typename KeyOfEntry>
-  CSFC_HOT void RekeyImpl(KeyOfEntry&& key_of_entry) {
-    migrate_.clear();
-    ForEachRun([&](uint32_t b) {
-      Bucket& m = buckets_[b];
-      Entry* h = m.data;
-      const uint32_t n = m.len;
-      uint32_t keep = 0;
-      for (uint32_t i = 0; i < n; ++i) {
-        Entry e = h[i];
-        e.v = key_of_entry(h[i]);
-        const uint32_t nb = BucketOf(e.v);
-        if (nb == b) {
-          h[keep++] = e;
-        } else {
-          migrate_.push_back(Migrant{e, nb});  // csfc:alloc-ok(migration scratch reused across rekeys)
-        }
-      }
-      m.len = keep;
-      if (keep == 0) {
-        MarkDead(b);
-        return;
-      }
-      std::sort(h, h + keep,
-                [](const Entry& a, const Entry& b2) { return Less(b2, a); });
-    });
-    for (const Migrant& m : migrate_) PlaceEntry(m.entry, m.bucket);
-    if (size_ != 0) {
-      cur_ = FindNonEmptyFrom(0);
-      const Bucket& c = buckets_[cur_];
-      min_ = c.data[c.len - 1];
-    }
   }
 
   /// Deep copy behind the copy constructor and assignment (cold).

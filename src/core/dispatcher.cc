@@ -212,10 +212,6 @@ std::optional<Request> Dispatcher::Pop() {
   return out;
 }
 
-void Dispatcher::RekeyWaiting(RekeyFn key) {
-  waiting_.Rekey([&](uint32_t slot) { return key(Payload(slot)); });
-}
-
 void Dispatcher::RekeyWaitingBatch(BatchRekeyFn key) {
   const size_t n = waiting_.size();
   rekey_reqs_.resize(n);  // csfc:alloc-ok(rekey scratch reused across swaps)

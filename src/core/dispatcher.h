@@ -56,16 +56,12 @@
 
 namespace csfc {
 
-/// Per-request re-characterization hook: new v_c for one waiting request.
-/// A FunctionRef, not a std::function: rekey hooks are invoked once per
-/// waiting request on every queue swap, and the owning scheduler's lambda
-/// lives on the caller's stack for the duration of the call.
-using RekeyFn = FunctionRef<CValue(const Request&)>;
-
 /// Batch re-characterization hook: called exactly once per rekey with all
 /// waiting requests; must fill out[i] with the new v_c of *reqs[i]
 /// (out.size() == reqs.size()). This is the swap-time hot path — the one
-/// call lets the encapsulator hoist its per-batch invariants.
+/// call lets the encapsulator hoist its per-batch invariants. A
+/// FunctionRef, not a std::function: the owning scheduler's lambda lives
+/// on the caller's stack for the duration of the call.
 using BatchRekeyFn =
     FunctionRef<void(std::span<const Request* const>, std::span<CValue>)>;
 
@@ -134,19 +130,14 @@ class Dispatcher {
   /// exhausted and a new one is about to form from q').
   bool NeedsSwapForPop() const { return active_.empty() && !waiting_.empty(); }
 
-  /// Recomputes the characterization value of every waiting (q') request
-  /// with `key`. Used by the Cascaded-SFC scheduler to re-characterize a
-  /// forming batch against the *current* head position and time, so the
+  /// Recomputes the characterization value of every waiting (q') request:
+  /// gathers them, invokes `key` exactly once for the whole set, and
+  /// restores calendar order in one per-bucket sweep (sequence numbers,
+  /// and so FIFO among ties, are kept). Used by the Cascaded-SFC scheduler
+  /// to re-characterize a forming batch against the *current* head
+  /// position and time through Encapsulator::CharacterizeBatch, so the
   /// SFC3 cylinder sweep of each batch is coherent (and deadline urgency
   /// is current) instead of frozen at the various enqueue instants.
-  CSFC_HOT void RekeyWaiting(RekeyFn key);
-
-  /// Batch form of RekeyWaiting: gathers every waiting request, invokes
-  /// `key` exactly once for the whole set, and restores calendar order in
-  /// the same per-bucket sweep. Semantically identical to RekeyWaiting
-  /// with the equivalent per-request hook; exists so swap-time
-  /// re-characterization goes through Encapsulator::CharacterizeBatch
-  /// instead of one full characterization dispatch per request.
   CSFC_HOT void RekeyWaitingBatch(BatchRekeyFn key);
 
   /// Current blocking window (grows under ER).

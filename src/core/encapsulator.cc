@@ -105,21 +105,8 @@ Result<std::unique_ptr<Encapsulator>> Encapsulator::Create(
     if (!c.ok()) return c.status();
     e->curve3_ = std::move(*c);
   }
-  if (config.enable_lut) e->BuildLuts(config.lut_max_cells);
-  e->simd_level_ = simd::Resolve(config.simd);
+  e->BuildLuts(config.lut_max_cells);
   return e;
-}
-
-const char* Encapsulator::simd_backend() const {
-  switch (simd_level_) {
-    case simd::Level::kAvx2:
-      return CharacterizeFusedAvx2Backend();
-    case simd::Level::kSse2:
-      return CharacterizeFusedSse2Backend();
-    case simd::Level::kScalar:
-      break;
-  }
-  return "scalar";
 }
 
 void Encapsulator::BuildLuts(uint64_t max_cells) {
@@ -347,10 +334,8 @@ void Encapsulator::Stage1Batch(std::span<const Request* const> reqs,
     }
     return;
   }
-  // Direct curve evaluation, in blocks through IndexBatch: Z-order and
-  // Gray run their encode in SIMD lanes (bit-identical to per-point
-  // Index(); the other curves take the base per-point loop). Stack
-  // buffers keep this allocation-free (dims <= 16).
+  // Direct curve evaluation, in blocks through IndexBatch. Stack buffers
+  // keep this allocation-free (dims <= 16).
   const SpaceFillingCurve& curve = *curve1_;
   const uint64_t num_cells = curve.num_cells();
   constexpr size_t kBlock = 64;
@@ -535,29 +520,7 @@ void Encapsulator::FusedFormulaPartitionedBatch(
   // stage3_bits <= 16). p_s is a per-batch invariant, so this hoists the
   // per-request hardware divide into one multiply per request.
   in.magic = ((uint64_t{1} << 32) + in.p_s - 1) / in.p_s;
-  in.max_x_d = static_cast<double>(in.max_x);
-  in.p_s_d = static_cast<double>(in.p_s);
-  in.max_y_d = static_cast<double>(in.cylinders);
 
-  // Vector eligibility, beyond the fused-gate conditions: the SIMD
-  // kernels redo Stage 3 in f64/i32 lanes, which is exact only while
-  // every intermediate stays a small integer (< 2^47 needs cylinders
-  // <= 2^30; head < cylinders keeps the C-SCAN wrap inside i32 range —
-  // see characterize_kernel.h). An oversized LUT would overflow the i32
-  // gather indices; anything ineligible runs the scalar kernel, which
-  // has no such bounds.
-  const bool simd_ok = simd_level_ != simd::Level::kScalar &&
-                       config_.cylinders <= (uint32_t{1} << 30) &&
-                       ctx.head < config_.cylinders &&
-                       (!kLut1 || lut1_.size() <= (size_t{1} << 30));
-  if (simd_ok) {
-    if (simd_level_ == simd::Level::kAvx2) {
-      CharacterizeFusedAvx2(in, reqs, v, kLut1);
-    } else {
-      CharacterizeFusedSse2(in, reqs, v, kLut1);
-    }
-    return;
-  }
   const size_t n = reqs.size();
   for (size_t i = 0; i < n; ++i) {
     // The gathered pointers scatter across the dispatcher's slot pool,

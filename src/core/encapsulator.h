@@ -46,7 +46,6 @@
 #include <vector>
 
 #include "common/annotations.h"
-#include "common/simd.h"
 #include "common/status.h"
 #include "core/cvalue.h"
 #include "sched/scheduler.h"
@@ -88,21 +87,13 @@ struct EncapsulatorConfig {
   uint32_t cylinders = 3832;        ///< disk size for the distance axis
 
   // --- Hot path ---
-  /// Precompute flat cell -> v lookup tables for the stage curves at
-  /// Create(), turning per-request curve evaluation into quantize + one
-  /// array load. Purely an optimization: characterization values are
-  /// identical with or without it (asserted by tests); off exists for
-  /// before/after microbenchmarks.
-  bool enable_lut = true;
-  /// Largest grid (in cells) a LUT is built for; larger grids fall back
-  /// to direct curve evaluation. 2^20 cells = 8 MB of CValues.
+  /// Largest grid (in cells) for which Create() precomputes a flat
+  /// cell -> v lookup table, turning per-request curve evaluation into
+  /// quantize + one array load; larger grids evaluate the curve directly.
+  /// Purely an optimization: characterization values are identical either
+  /// way (asserted by tests), and 0 builds no table at all (the
+  /// before/after microbenchmarks). 2^20 cells = 8 MB of CValues.
   uint64_t lut_max_cells = uint64_t{1} << 20;
-  /// Lane width of the fused batch kernel, resolved at Create() against
-  /// the CPUID probe and the CSFC_SIMD process override (which wins; see
-  /// simd::Resolve). Purely an optimization: CharacterizeBatch output is
-  /// bit-identical at every level (property-tested); kAuto picks the best
-  /// the machine has.
-  simd::Mode simd = simd::Mode::kAuto;
 
   Status Validate() const;
 
@@ -169,14 +160,6 @@ class Encapsulator {
   bool stage2_uses_lut() const { return !lut2_.empty(); }
   bool stage3_uses_lut() const { return !lut3_.empty(); }
 
-  /// Dispatch level the fused batch kernel resolved to at Create().
-  simd::Level simd_level() const { return simd_level_; }
-  /// Backend actually compiled into the dispatched kernel TU ("avx2",
-  /// "sse2" or "scalar") — differs from LevelName(simd_level()) only when
-  /// the toolchain couldn't target the ISA (exposed for the bench, which
-  /// records honest per-arm numbers).
-  const char* simd_backend() const;
-
  private:
   explicit Encapsulator(const EncapsulatorConfig& config);
 
@@ -205,9 +188,7 @@ class Encapsulator {
   /// the value array. Per-request operations are exactly the three stage
   /// bodies in order — stages never mix values across requests — so the
   /// result is bit-identical to the three-pass pipeline. Hoists the batch
-  /// invariants (core/characterize_kernel.h) then dispatches on
-  /// simd_level_: the AVX2/SSE2 vector kernels when eligible, otherwise a
-  /// scalar loop over FusedScalarOne.
+  /// invariants (core/characterize_kernel.h), then loops FusedScalarOne.
   template <bool kLut1>
   CSFC_HOT void FusedFormulaPartitionedBatch(
       std::span<const Request* const> reqs, const DispatchContext& ctx,
@@ -218,7 +199,6 @@ class Encapsulator {
   void BuildLuts(uint64_t max_cells);
 
   EncapsulatorConfig config_;
-  simd::Level simd_level_ = simd::Level::kScalar;  // resolved at Create()
   CurvePtr curve1_;  // null when stage 1 is disabled or D == 0
   CurvePtr curve2_;  // null unless stage2_mode == kCurve
   CurvePtr curve3_;  // null unless stage3_mode == kCurve

@@ -233,7 +233,13 @@ Result<JsonScalar> ParseScalar(std::string_view s, size_t* i) {
     v.type = JsonScalar::Type::kNull;
     return v;
   }
-  // Number.
+  // Number. JSON starts one with a digit or '-' then a digit; from_chars
+  // alone would also take "nan", "inf" and ".5", which no JSON writer
+  // emits (JsonWriter writes non-finite doubles as null).
+  const size_t lead = *i + (c == '-' ? 1 : 0);
+  if (lead >= s.size() || s[lead] < '0' || s[lead] > '9') {
+    return Malformed("expected value", *i);
+  }
   const char* begin = s.data() + *i;
   double num = 0.0;
   const auto res = std::from_chars(begin, s.data() + s.size(), num);

@@ -17,14 +17,6 @@ uint64_t InterleaveBits(std::span<const uint32_t> point, uint32_t dims,
 void DeinterleaveBits(uint64_t index, uint32_t dims, uint32_t bits,
                       std::span<uint32_t> out);
 
-/// Batch InterleaveBits: out[j] = InterleaveBits of the j-th of
-/// out.size() row-major points held back to back in `flat`
-/// (flat.size() == out.size() * dims). Runs the interleave in SIMD
-/// u64 lanes when the resolved CSFC_SIMD level allows; bit-identical to
-/// the per-point form either way (pure integer ops).
-void InterleaveBitsBatch(std::span<const uint32_t> flat, uint32_t dims,
-                         uint32_t bits, std::span<uint64_t> out);
-
 /// Binary-reflected Gray code of x.
 constexpr uint64_t GrayCode(uint64_t x) { return x ^ (x >> 1); }
 

@@ -78,11 +78,11 @@ class SpaceFillingCurve {
 
   /// Batch encode: out[j] = Index of the j-th point of `flat`, which holds
   /// out.size() row-major points back to back (flat.size() == out.size()
-  /// * dims()). The base implementation loops over Index(); curves whose
-  /// encode is pure bit arithmetic (Z-order, Gray) override it with a
-  /// lane-parallel sweep behind common/simd.h, honoring the CSFC_SIMD
-  /// override. Bit-identical to per-point Index() on every backend — the
-  /// ops are integer — and property-tested as such.
+  /// * dims()). The base implementation loops over the virtual Index().
+  /// Z-order and Gray, whose table builds sweep every cell through here,
+  /// override it with the same loop bound to their own Index(): through
+  /// the virtual call their table builds ran 2-20% slower
+  /// (bench_micro_sfc, BM_BuildIndexTable).
   CSFC_DETERMINISTIC
   virtual void IndexBatch(std::span<const uint32_t> flat,
                           std::span<uint64_t> out) const;
@@ -126,8 +126,8 @@ class SpaceFillingCurve {
   /// BuildIndexTable by sweeping cells in row-major order through
   /// IndexBatch (table[cell] = Index(point-of-cell)) instead of walking
   /// the curve through Point(). Produces the identical table (the curve
-  /// is a bijection); curves with a vectorized IndexBatch override
-  /// BuildIndexTable to this so LUT construction rides the SIMD encode.
+  /// is a bijection); curves whose encode is cheaper than their decode
+  /// (Z-order, Gray) override BuildIndexTable to this.
   std::vector<uint64_t> BuildIndexTableByEncode() const;
 
   GridSpec spec_;

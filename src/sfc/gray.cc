@@ -9,34 +9,11 @@
 
 #include <cassert>
 
-#include "common/simd.h"
 #include "sfc/bits.h"
 
 namespace csfc {
 
 namespace {
-
-// In-place batch GrayDecode: the xor-shift-cascade prefix scan, run in
-// SIMD u64 lanes when the resolved CSFC_SIMD level allows. Pure integer
-// ops — identical results on every backend.
-void GrayDecodeBatch(std::span<uint64_t> inout) {
-  const size_t n = inout.size();
-  size_t j = 0;
-#if CSFC_SIMD_X86
-  if (simd::Resolve(simd::Mode::kAuto) != simd::Level::kScalar) {
-    using B = simd::Sse2Backend;
-    constexpr size_t kW = static_cast<size_t>(B::kWidth);
-    for (; j + kW <= n; j += kW) {
-      B::I64 g = B::LoadI64(reinterpret_cast<const int64_t*>(&inout[j]));
-      for (uint32_t shift = 1; shift < 64; shift <<= 1) {
-        g = B::XorI64(g, B::ShrI64(g, shift));
-      }
-      B::StoreI64(reinterpret_cast<int64_t*>(&inout[j]), g);
-    }
-  }
-#endif
-  for (; j < n; ++j) inout[j] = GrayDecode(inout[j]);
-}
 
 class GrayCurve final : public SpaceFillingCurve {
  public:
@@ -60,8 +37,9 @@ class GrayCurve final : public SpaceFillingCurve {
   void IndexBatch(std::span<const uint32_t> flat,
                   std::span<uint64_t> out) const override {
     assert(flat.size() == out.size() * dims());
-    InterleaveBitsBatch(flat, dims(), bits(), out);
-    GrayDecodeBatch(out);
+    for (size_t j = 0; j < out.size(); ++j) {
+      out[j] = Index(flat.subspan(j * dims(), dims()));
+    }
   }
 
   std::vector<uint64_t> BuildIndexTable() const override {

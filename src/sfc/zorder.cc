@@ -11,7 +11,6 @@
 
 #include <cassert>
 
-#include "common/simd.h"
 #include "sfc/bits.h"
 
 namespace csfc {
@@ -40,49 +39,6 @@ void DeinterleaveBits(uint64_t index, uint32_t dims, uint32_t bits,
   }
 }
 
-void InterleaveBitsBatch(std::span<const uint32_t> flat, uint32_t dims,
-                         uint32_t bits, std::span<uint64_t> out) {
-  const size_t n = out.size();
-  assert(flat.size() == n * dims);
-  size_t j = 0;
-#if CSFC_SIMD_X86
-  // The interleave is shift/and/or with per-(b,i) constant shift counts,
-  // so lanes share the whole instruction stream: one coordinate load per
-  // dimension, then bits*dims four-op rounds produce kWidth indices at
-  // once. SSE2 lanes only — this TU compiles at baseline flags; the
-  // encode is bandwidth-light enough that 2 lanes already about halve
-  // the per-point work. Integer ops are exact, so any level (including
-  // the CSFC_SIMD=scalar fallback below) produces identical indices.
-  if (simd::Resolve(simd::Mode::kAuto) != simd::Level::kScalar) {
-    using B = simd::Sse2Backend;
-    constexpr size_t kW = static_cast<size_t>(B::kWidth);
-    const B::I64 one = B::Set1I64(1);
-    for (; j + kW <= n; j += kW) {
-      B::I64 acc = B::Set1I64(0);
-      for (uint32_t i = 0; i < dims; ++i) {
-        int64_t coords[kW];
-        for (size_t l = 0; l < kW; ++l) {
-          coords[l] = static_cast<int64_t>(flat[(j + l) * dims + i]);
-        }
-        const B::I64 x = B::LoadI64(coords);
-        for (uint32_t b = 0; b < bits; ++b) {
-          const uint32_t pos = b * dims + (dims - 1 - i);
-          acc = B::OrI64(acc, B::ShlI64(B::AndI64(B::ShrI64(x, b), one), pos));
-        }
-      }
-      int64_t res[kW];
-      B::StoreI64(res, acc);
-      for (size_t l = 0; l < kW; ++l) {
-        out[j + l] = static_cast<uint64_t>(res[l]);
-      }
-    }
-  }
-#endif
-  for (; j < n; ++j) {
-    out[j] = InterleaveBits(flat.subspan(j * dims, dims), dims, bits);
-  }
-}
-
 namespace {
 
 class ZOrderCurve final : public SpaceFillingCurve {
@@ -107,7 +63,9 @@ class ZOrderCurve final : public SpaceFillingCurve {
   void IndexBatch(std::span<const uint32_t> flat,
                   std::span<uint64_t> out) const override {
     assert(flat.size() == out.size() * dims());
-    InterleaveBitsBatch(flat, dims(), bits(), out);
+    for (size_t j = 0; j < out.size(); ++j) {
+      out[j] = Index(flat.subspan(j * dims(), dims()));
+    }
   }
 
   std::vector<uint64_t> BuildIndexTable() const override {

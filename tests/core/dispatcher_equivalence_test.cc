@@ -235,8 +235,7 @@ struct ReplayStats {
 
 // Replays a random op trace against both implementations. key_of draws
 // each arrival's v_c; rekey_of draws each waiting request's new v_c and
-// must be pure (see the key-source comment). Rekeys alternate between the
-// per-request and the batch entry point. What the trace reached is
+// must be pure (see the key-source comment). What the trace reached is
 // stored through stats when one is given.
 template <typename KeyFn, typename RekeyKeyFn>
 void Replay(const DispatcherConfig& cfg, uint64_t seed, int num_ops,
@@ -267,21 +266,15 @@ void Replay(const DispatcherConfig& cfg, uint64_t seed, int num_ops,
       ASSERT_NO_FATAL_FAILURE(PopBoth(d, ref, events));
     } else if (action < mix.insert + mix.pop + mix.rekey) {
       const uint64_t salt = rng();
-      auto key = [salt, &rekey_of](const Request& r) {
-        Rng h((r.id + 1) * 2654435761ULL ^ salt);
-        return rekey_of(h);
+      auto batch = [salt, &rekey_of](std::span<const Request* const> reqs,
+                                     std::span<CValue> out) {
+        for (size_t k = 0; k < reqs.size(); ++k) {
+          Rng h((reqs[k]->id + 1) * 2654435761ULL ^ salt);
+          out[k] = rekey_of(h);
+        }
       };
-      if (rng() % 2 == 0) {
-        d.RekeyWaiting(key);
-        ref.RekeyWaiting(key);
-      } else {
-        auto batch = [&key](std::span<const Request* const> reqs,
-                            std::span<CValue> out) {
-          for (size_t k = 0; k < reqs.size(); ++k) out[k] = key(*reqs[k]);
-        };
-        d.RekeyWaitingBatch(batch);
-        ref.RekeyWaitingBatch(batch);
-      }
+      d.RekeyWaitingBatch(batch);
+      ref.RekeyWaitingBatch(batch);
     } else {
       ASSERT_EQ(ServiceOrder(d), ServiceOrder(ref));
     }

@@ -1,7 +1,8 @@
 // The LUT fast path must be a pure optimization: for every registered
 // curve the precomputed cell -> index table equals direct IndexOf on every
-// grid cell, and an Encapsulator with enable_lut on produces bit-identical
-// characterization values to one with it off, across every stage mode.
+// grid cell, and an Encapsulator that builds its tables produces
+// bit-identical characterization values to one capped at lut_max_cells = 0
+// (no table), across every stage mode.
 
 #include <gtest/gtest.h>
 
@@ -34,11 +35,11 @@ std::vector<Request> GridRequests(const EncapsulatorConfig& cfg, size_t n) {
   return reqs;
 }
 
-void ExpectLutMatchesDirect(EncapsulatorConfig cfg) {
-  cfg.enable_lut = false;
-  auto direct = Encapsulator::Create(cfg);
+void ExpectLutMatchesDirect(const EncapsulatorConfig& cfg) {
+  EncapsulatorConfig no_lut = cfg;
+  no_lut.lut_max_cells = 0;
+  auto direct = Encapsulator::Create(no_lut);
   ASSERT_TRUE(direct.ok()) << direct.status().ToString();
-  cfg.enable_lut = true;
   auto lut = Encapsulator::Create(cfg);
   ASSERT_TRUE(lut.ok()) << lut.status().ToString();
 
@@ -152,7 +153,7 @@ TEST(EncapsulatorLutTest, OversizedGridsFallBackToDirectEval) {
 
 TEST(EncapsulatorLutTest, DisabledLutBuildsNoTables) {
   CascadedConfig cfg = PresetFull("hilbert", 3, 4, 1.0, 3, 3832, 0.05, 700.0);
-  cfg.encapsulator.enable_lut = false;
+  cfg.encapsulator.lut_max_cells = 0;
   auto e = Encapsulator::Create(cfg.encapsulator);
   ASSERT_TRUE(e.ok());
   EXPECT_FALSE((*e)->stage1_uses_lut());

@@ -70,16 +70,8 @@ class ReferenceDispatcher {
     return r;
   }
 
-  void RekeyWaiting(RekeyFn key) {
-    Queue rekeyed;
-    for (auto& [old_key, r] : waiting_) {
-      rekeyed.emplace(std::make_pair(key(r), old_key.second), std::move(r));
-    }
-    waiting_ = std::move(rekeyed);
-  }
-
-  /// One-call batch rekey; observable behavior identical to RekeyWaiting
-  /// with the equivalent per-request hook.
+  /// Rekeys q' from one call of `key` over every waiting request; ties
+  /// keep their insertion sequence.
   void RekeyWaitingBatch(BatchRekeyFn key) {
     std::vector<const Request*> reqs;
     reqs.reserve(waiting_.size());

@@ -1,8 +1,10 @@
-// Batch re-characterization: the dispatcher's RekeyWaiting hook and the
-// Cascaded-SFC scheduler's recharacterize-on-swap behavior, which keeps
+// Batch re-characterization: the dispatcher's RekeyWaitingBatch hook and
+// the Cascaded-SFC scheduler's recharacterize-on-swap behavior, which keeps
 // each batch's SFC3 cylinder sweep coherent with the actual head position.
 
 #include <gtest/gtest.h>
+
+#include <span>
 
 #include "core/cascaded_scheduler.h"
 #include "core/dispatcher.h"
@@ -18,6 +20,15 @@ Request Req(RequestId id, Cylinder cyl = 0) {
   return r;
 }
 
+// Rekeys q' through the batch entry point with a per-request key.
+template <typename Key>
+void RekeyEach(Dispatcher& d, Key key) {
+  d.RekeyWaitingBatch(
+      [&](std::span<const Request* const> reqs, std::span<CValue> out) {
+        for (size_t i = 0; i < reqs.size(); ++i) out[i] = key(*reqs[i]);
+      });
+}
+
 TEST(RekeyWaitingTest, ReordersWaitingQueue) {
   DispatcherConfig c;
   c.discipline = QueueDiscipline::kNonPreemptive;
@@ -27,7 +38,7 @@ TEST(RekeyWaitingTest, ReordersWaitingQueue) {
   d->Insert(0.2, Req(2));
   EXPECT_TRUE(d->NeedsSwapForPop());
   // Invert the keys: id 2 now beats id 1.
-  d->RekeyWaiting([](const Request& r) { return r.id == 2 ? 0.05 : 0.5; });
+  RekeyEach(*d, [](const Request& r) { return r.id == 2 ? 0.05 : 0.5; });
   EXPECT_EQ(d->Pop()->id, 2u);
   EXPECT_EQ(d->Pop()->id, 1u);
 }
@@ -39,7 +50,7 @@ TEST(RekeyWaitingTest, PreservesFifoAmongTies) {
   ASSERT_TRUE(d.ok());
   d->Insert(0.9, Req(1));
   d->Insert(0.1, Req(2));
-  d->RekeyWaiting([](const Request&) { return 0.5; });  // all tie
+  RekeyEach(*d, [](const Request&) { return 0.5; });  // all tie
   EXPECT_EQ(d->Pop()->id, 1u);  // insertion order breaks the tie
   EXPECT_EQ(d->Pop()->id, 2u);
 }

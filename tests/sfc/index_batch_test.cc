@@ -1,12 +1,10 @@
 // IndexBatch / BuildIndexTable identity for every curve family.
 //
-// PR 8 vectorizes the Z-order and Gray encode loops (IndexBatch
-// overrides riding common/simd.h) and reroutes their BuildIndexTable
-// through the batch encoder. The contract is the same as the
-// characterization kernel's: bit-identical results to the per-point
-// Index() path at every CSFC_SIMD level, for every batch size including
-// lane remainders. The base-class IndexBatch (a plain loop) is covered
-// by the same sweep, so curves without an override stay honest too.
+// IndexBatch must agree with the per-point Index() path for every batch
+// size, and the table builds must agree with the generic curve walk:
+// Z-order and Gray build their tables by sweeping cells through
+// IndexBatch (BuildIndexTableByEncode), Hilbert by one descent over the
+// bit levels.
 
 #include <gtest/gtest.h>
 
@@ -16,21 +14,11 @@
 #include <vector>
 
 #include "common/random.h"
-#include "common/simd.h"
 #include "sfc/curve.h"
 #include "sfc/registry.h"
 
 namespace csfc {
 namespace {
-
-class OverrideGuard {
- public:
-  OverrideGuard() : saved_(simd::OverrideMode()) {}
-  ~OverrideGuard() { simd::SetOverride(saved_); }
-
- private:
-  simd::Mode saved_;
-};
 
 std::vector<uint32_t> RandomPoints(Rng& rng, const GridSpec& spec, size_t n) {
   std::vector<uint32_t> flat(n * spec.dims);
@@ -53,8 +41,7 @@ void ExpectIndexBatchMatchesIndex(const SpaceFillingCurve& curve,
                                   uint64_t seed) {
   Rng rng(seed);
   const uint32_t d = curve.dims();
-  // Sizes straddling the 2-lane and 4-lane widths and the 64-point
-  // blocks of BuildIndexTableByEncode.
+  // Sizes straddling the 64-point blocks of BuildIndexTableByEncode.
   for (const size_t n : {0u, 1u, 2u, 3u, 5u, 8u, 63u, 64u, 65u, 200u}) {
     const std::vector<uint32_t> flat = RandomPoints(rng, curve.spec(), n);
     std::vector<uint64_t> got(n, ~uint64_t{0});
@@ -81,48 +68,26 @@ TEST(IndexBatchTest, MatchesPerPointIndexForEveryCurve) {
   }
 }
 
-// The SIMD-overridden curves must agree with Index() at EVERY resolved
-// level, not just the default: force each level in turn.
-TEST(IndexBatchTest, ZOrderAndGrayAgreeAtEveryForcedLevel) {
-  OverrideGuard guard;
-  uint64_t seed = 900;
-  for (const simd::Mode mode :
-       {simd::Mode::kScalar, simd::Mode::kSse2, simd::Mode::kAvx2,
-        simd::Mode::kAuto}) {
-    simd::SetOverride(mode);
-    for (const std::string_view name : {"peano", "gray"}) {
-      const GridSpec spec{.dims = 3, .bits = 5};
-      auto curve = MakeCurve(name, spec);
-      ASSERT_TRUE(curve.ok()) << name;
-      ExpectIndexBatchMatchesIndex(**curve, ++seed);
-    }
-  }
-}
-
 // BuildIndexTableByEncode must produce the identical table the generic
 // curve walk produces — same bijection, opposite traversal.
 TEST(IndexBatchTest, EncodeBuiltTablesMatchCurveWalk) {
-  OverrideGuard guard;
-  for (const simd::Mode mode : {simd::Mode::kScalar, simd::Mode::kAuto}) {
-    simd::SetOverride(mode);
-    for (const std::string_view name : {"peano", "gray"}) {
-      const GridSpec spec{.dims = 2, .bits = 5};
-      auto curve = MakeCurve(name, spec);
-      ASSERT_TRUE(curve.ok()) << name;
-      const std::vector<uint64_t> table = (*curve)->BuildIndexTable();
-      ASSERT_EQ(table.size(), spec.num_cells());
-      // Check against Index() on every cell, and that it is a bijection.
-      std::vector<bool> seen(table.size(), false);
-      std::vector<uint32_t> p(spec.dims);
-      for (uint64_t cell = 0; cell < table.size(); ++cell) {
-        CellToPoint(spec, cell, p);
-        const uint64_t idx =
-            (*curve)->Index(std::span<const uint32_t>(p.data(), p.size()));
-        EXPECT_EQ(table[cell], idx) << name << " cell " << cell;
-        ASSERT_LT(idx, table.size());
-        EXPECT_FALSE(seen[idx]) << name << " duplicate index " << idx;
-        seen[idx] = true;
-      }
+  for (const std::string_view name : {"peano", "gray"}) {
+    const GridSpec spec{.dims = 2, .bits = 5};
+    auto curve = MakeCurve(name, spec);
+    ASSERT_TRUE(curve.ok()) << name;
+    const std::vector<uint64_t> table = (*curve)->BuildIndexTable();
+    ASSERT_EQ(table, (*curve)->SpaceFillingCurve::BuildIndexTable()) << name;
+    // Check against Index() on every cell, and that it is a bijection.
+    std::vector<bool> seen(table.size(), false);
+    std::vector<uint32_t> p(spec.dims);
+    for (uint64_t cell = 0; cell < table.size(); ++cell) {
+      CellToPoint(spec, cell, p);
+      const uint64_t idx =
+          (*curve)->Index(std::span<const uint32_t>(p.data(), p.size()));
+      EXPECT_EQ(table[cell], idx) << name << " cell " << cell;
+      ASSERT_LT(idx, table.size());
+      EXPECT_FALSE(seen[idx]) << name << " duplicate index " << idx;
+      seen[idx] = true;
     }
   }
 }

@@ -193,9 +193,6 @@ TEST(FlagSetTest, SharedWorkloadAndSchedulerTablesParse) {
   ServerConfig config;
   EXPECT_TRUE(ApplySchedulerFlags(sf, wf, &config).ok());
   EXPECT_EQ(config.scheduler, "edf");
-
-  sf.simd = "sse9";  // not a lane width
-  EXPECT_FALSE(ApplySchedulerFlags(sf, wf, &config).ok());
 }
 
 }  // namespace

@@ -38,10 +38,6 @@ struct SectionSpec {
 const std::vector<SectionSpec>& Specs() {
   static const std::vector<SectionSpec> specs = {
       {"characterize", {"direct_rps", "lut_rps", "speedup"}, {"config"}},
-      {"characterize_simd",
-       {"batch", "scalar_rps", "sse2_rps", "avx2_rps", "auto_rps",
-        "speedup_sse2", "speedup_avx2"},
-       {"auto_backend"}},
       {"dispatcher", {"depth", "ops_per_sec"}, {}},
       {"rekey_batch", {"depth", "scalar_rps", "batch_rps", "speedup"}, {}},
       {"metrics", {"dims", "levels", "depth", "requests_per_sec"}, {}},

@@ -24,7 +24,6 @@
 #include <string>
 #include <vector>
 
-#include "common/simd.h"
 #include "core/presets.h"
 #include "exp/server_config.h"
 #include "workload/edl.h"
@@ -299,7 +298,6 @@ struct SchedulerFlags {
   double f = 1.0;
   uint32_t r = 3;
   double window = 0.05;
-  std::string simd;  ///< empty = leave the CSFC_SIMD env alone
   bool transfer_only = false;
 };
 
@@ -312,30 +310,17 @@ inline void AddSchedulerFlags(FlagSet& flags, SchedulerFlags* s) {
   flags.AddUint32("r", "stage-3 partition count", &s->r);
   flags.AddDouble("window", "conditional-preemption window fraction",
                   &s->window);
-  flags.AddString("simd", "auto|scalar|sse2|avx2",
-                  "characterization kernel lane width (default: CSFC_SIMD "
-                  "env, else auto)",
-                  &s->simd);
   flags.AddBool("transfer-only", "service time = transfer only (no seek)",
                 &s->transfer_only);
 }
 
 /// Folds the scheduler and workload flags into a ServerConfig: policy
 /// name, service model, metrics shape, and the cascaded preset (shape
-/// knobs reuse the workload's dims/levels/deadline horizon).
+/// knobs reuse the workload's dims/levels/deadline horizon). Every flag
+/// value the table parses is accepted here, so this returns OK today;
+/// the Status is the callers' contract for a flag that needs checking.
 inline Status ApplySchedulerFlags(const SchedulerFlags& s,
                                   const WorkloadFlags& w, ServerConfig* out) {
-  if (!s.simd.empty()) {
-    // --simd sets the process-wide override (the same knob CSFC_SIMD
-    // binds), so it governs every encapsulator the tool creates; when
-    // the flag is absent, whatever the environment latched stands.
-    simd::Mode mode;
-    if (!simd::ParseMode(s.simd, &mode)) {
-      return Status::InvalidArgument("unknown --simd=" + s.simd +
-                                     " (auto|scalar|sse2|avx2)");
-    }
-    simd::SetOverride(mode);
-  }
   out->WithScheduler(s.sched)
       .WithServiceModel(s.transfer_only ? ServiceModel::kTransferOnly
                                         : ServiceModel::kFullDisk)

@@ -1166,8 +1166,8 @@ DET_BODY_PATTERNS: List[Tuple[re.Pattern, str]] = [
     (re.compile(r"\bstd::this_thread::get_id\b|\bpthread_self\s*\("),
      "thread-id dependence"),
     # Integer destination only: the closing `>` must follow the integer
-    # type directly, so SIMD load/store and prefetch pointer casts
-    # (reinterpret_cast<const int64_t*> etc.) stay out of scope.
+    # type directly, so pointer-to-pointer casts such as the prefetch
+    # casts (reinterpret_cast<const int64_t*> etc.) stay out of scope.
     (re.compile(
         r"\breinterpret_cast\s*<\s*(?:const\s+)?(?:std::)?"
         r"(?:u?int(?:8|16|32|64)?(?:_t)?|u?intptr_t|size_t|"

@@ -9,13 +9,13 @@
 // FNV-1a-64 HashWriter instead of a file. The resulting digests are
 // checked against the committed tools/GOLDEN.json.
 //
-// CI runs `csfc_golden --verify` on four build flavors — default
-// (RelWithDebInfo), Release, CSFC_SIMD=scalar, and UBSan — and all four
-// must reproduce the committed digests bit for bit. That turns the repo's
-// standing bit-identity claims (SIMD vs scalar kernels, RunVirtual vs the
-// offline simulator, seeded RNG streams) from per-PR test assertions into
-// a permanent cross-build gate: any codegen, libm, or ordering change
-// that perturbs one exported byte fails the job.
+// CI runs `csfc_golden --verify` on three build flavors — default
+// (RelWithDebInfo), Release, and UBSan — and all three must reproduce the
+// committed digests bit for bit. That turns the repo's standing
+// bit-identity claims (batch vs per-request characterization, RunVirtual
+// vs the offline simulator, seeded RNG streams) from per-PR test
+// assertions into a permanent cross-build gate: any codegen, libm, or
+// ordering change that perturbs one exported byte fails the job.
 //
 // Usage:
 //   csfc_golden --verify                  # default; exit 1 on any drift
@@ -28,7 +28,7 @@
 //
 // Regenerating after an intentional behavior change: run --update on the
 // default build, commit the new GOLDEN.json, and say in the PR why the
-// bytes moved. The four-flavor CI gate then re-proves the new bytes are
+// bytes moved. The three-flavor CI gate then re-proves the new bytes are
 // build-invariant.
 
 #include <cstdint>
@@ -84,9 +84,8 @@ class HashWriter : public obs::Writer {
 
 // ---------------------------------------------------------------------
 // Matrix entries. Every entry is a pure function of its pinned config:
-// no wall clocks, no environment (CSFC_SIMD is the sanctioned exception
-// — the simd-scalar CI flavor exists precisely to prove it changes
-// nothing), no entropy. Workload seeds are fixed here and nowhere else.
+// no wall clocks, no environment, no entropy. Workload seeds are fixed
+// here and nowhere else.
 
 tools::WorkloadFlags PinnedWorkloadFlags(
     const std::string& kind, uint64_t seed, uint64_t count,
@@ -202,9 +201,9 @@ Result<std::string> ServeDigest(const std::string& sched, double slo_ms,
 }
 
 /// Encapsulator characterization over a pinned request set under rolling
-/// head positions: hashes one JSONL line per request. Batch and scalar
-/// paths are cross-checked request for request, so the simd-scalar CI
-/// flavor proves the kernel bit-identity claim against the same digest.
+/// head positions: hashes one JSONL line per request. The batch kernel
+/// is cross-checked against per-request Characterize request for
+/// request, so every build flavor proves that bit-identity claim too.
 Result<std::string> CharacterizeDigest() {
   auto trace = tools::BuildWorkload(
       PinnedWorkloadFlags("synthetic", /*seed=*/1234, /*count=*/1024));
@@ -245,8 +244,8 @@ Result<std::string> CharacterizeDigest() {
 }
 
 /// Full index tables of every registered curve over small 2-D and 3-D
-/// grids, encoded through IndexBatch (the SIMD-dispatched path for
-/// Z-order/Gray) with a Point() round-trip check per cell.
+/// grids, encoded through IndexBatch with a Point() round-trip check per
+/// cell.
 Result<std::string> CurvesDigest() {
   HashWriter hash;
   for (std::string_view name : AllCurveNames()) {
