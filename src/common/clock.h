@@ -1,10 +1,10 @@
 // The time seam: every source of "now" outside the event-driven simulator
 // goes through a Clock, the way every source of randomness goes through
-// common/random. csfc_lint's determinism rule bans wall-clock types in
-// src/ outside this file (and common/random), so real time can only enter
-// the system here — code that takes a Clock& can be driven by the
-// deterministic VirtualClock in tests and benches and by MonotonicClock
-// only in the real-time service front-end (src/svc) and the CLIs.
+// common/random. csfc_analyze's determinism-taint rule bans wall-clock
+// reads in src/ outside this file, so real time can only enter the system
+// here — code that takes a Clock& can be driven by the deterministic
+// VirtualClock in tests and benches and by MonotonicClock only in the
+// real-time service front-end (src/svc) and the CLIs.
 //
 // Timestamps are SimTime microseconds (common/types.h) in both cases, so
 // the service layer's latency accounting is unit-identical whether a run

@@ -111,10 +111,9 @@ std::optional<Request> CascadedSfcScheduler::Dispatch(
       dispatcher_->RekeyWaitingBatch(
           [this, &ctx](std::span<const Request* const> reqs,
                        std::span<CValue> out) {
-            stage_scratch_.resize(reqs.size());  // csfc:alloc-ok(tracing scratch reused across swaps)
-            encapsulator_->CharacterizeStagesBatch(reqs, ctx, stage_scratch_);
             for (size_t i = 0; i < reqs.size(); ++i) {
-              const StageValues& sv = stage_scratch_[i];
+              const StageValues sv =
+                  encapsulator_->CharacterizeStages(*reqs[i], ctx);
               obs::TraceEvent e;
               e.kind = obs::TraceEventKind::kCharacterize;
               e.t = ctx.now;

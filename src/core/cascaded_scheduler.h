@@ -76,9 +76,6 @@ class CascadedSfcScheduler final : public Scheduler {
   CValue last_cvalue_ = 0.0;
   bool recharacterize_on_swap_;
   obs::Tracer* tracer_ = nullptr;  // borrowed; set by Observe
-  /// Scratch for the tracing batch-rekey path (per-stage values of each
-  /// request in the forming batch), reused across swaps.
-  std::vector<StageValues> stage_scratch_;
   /// Scratch for EnqueueBatch (payload pointers + keys), reused across
   /// drained batches.
   std::vector<const Request*> batch_ptr_scratch_;

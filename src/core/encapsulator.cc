@@ -161,25 +161,10 @@ void Encapsulator::CharacterizeBatch(std::span<const Request* const> reqs,
       return;
     }
   }
-  // The value array is the carry between stages: each batch stage reads
-  // out[i], transforms it, and writes it back, so the whole cascade is
-  // three tight passes with no per-request re-dispatch.
-  Stage1Batch(reqs, out);
-  Stage2Batch(reqs, ctx, out);
-  Stage3Batch(reqs, ctx, out);
-}
-
-void Encapsulator::CharacterizeStagesBatch(
-    std::span<const Request* const> reqs, const DispatchContext& ctx,
-    std::span<StageValues> out) const {
-  assert(reqs.size() == out.size());
-  std::vector<CValue> carry(reqs.size());
-  Stage1Batch(reqs, carry);
-  for (size_t i = 0; i < reqs.size(); ++i) out[i].v1 = carry[i];
-  Stage2Batch(reqs, ctx, carry);
-  for (size_t i = 0; i < reqs.size(); ++i) out[i].v2 = carry[i];
-  Stage3Batch(reqs, ctx, carry);
-  for (size_t i = 0; i < reqs.size(); ++i) out[i].vc = carry[i];
+  // Every other configuration runs the per-request cascade.
+  for (size_t i = 0; i < reqs.size(); ++i) {
+    out[i] = Characterize(*reqs[i], ctx);
+  }
 }
 
 CValue Encapsulator::Stage1(const Request& r) const {
@@ -293,191 +278,6 @@ CValue Encapsulator::Stage3(CValue v2, const Request& r,
   }
   const uint64_t index = curve3_->Index(std::span<const uint32_t>(point, 2));
   return NormalizeIndex(index, curve3_->num_cells());
-}
-
-// ---------------------------------------------------------------------------
-// Batch stage passes. Each mirrors its scalar stage operation-for-operation
-// (the equivalence tests assert bit-identical values); what changes is
-// where the decisions live: mode branches, LUT base pointers, grid scales
-// and context terms are resolved once per batch instead of once per
-// request, leaving a tight loop whose body is just the per-request math.
-// ---------------------------------------------------------------------------
-
-void Encapsulator::Stage1Batch(std::span<const Request* const> reqs,
-                               std::span<CValue> v) const {
-  const size_t n = reqs.size();
-  const uint32_t bits = config_.priority_bits;
-  const uint32_t levels = uint32_t{1} << bits;
-  if (curve1_ == nullptr) {
-    const double levels_d = static_cast<double>(levels);
-    for (size_t i = 0; i < n; ++i) {
-      const Request& r = *reqs[i];
-      if (r.priorities.empty()) {
-        v[i] = 0.0;
-      } else {
-        const PriorityLevel p = std::min(r.priorities[0], levels - 1);
-        v[i] = static_cast<double>(p) / levels_d;
-      }
-    }
-    return;
-  }
-  const uint32_t dims = config_.priority_dims;
-  if (!lut1_.empty()) {
-    const CValue* const lut = lut1_.data();
-    for (size_t i = 0; i < n; ++i) {
-      const Request& r = *reqs[i];
-      uint64_t cell = 0;
-      for (uint32_t k = 0; k < dims; ++k) {
-        cell = (cell << bits) | std::min<uint32_t>(r.priority(k), levels - 1);
-      }
-      v[i] = lut[cell];
-    }
-    return;
-  }
-  // Direct curve evaluation, in blocks through IndexBatch. Stack buffers
-  // keep this allocation-free (dims <= 16).
-  const SpaceFillingCurve& curve = *curve1_;
-  const uint64_t num_cells = curve.num_cells();
-  constexpr size_t kBlock = 64;
-  uint32_t flat[kBlock * 16];
-  uint64_t idx[kBlock];
-  for (size_t i = 0; i < n; i += kBlock) {
-    const size_t m = std::min(kBlock, n - i);
-    for (size_t j = 0; j < m; ++j) {
-      const Request& r = *reqs[i + j];
-      for (uint32_t k = 0; k < dims; ++k) {
-        flat[j * dims + k] = std::min<uint32_t>(r.priority(k), levels - 1);
-      }
-    }
-    curve.IndexBatch(std::span<const uint32_t>(flat, m * dims),
-                     std::span<uint64_t>(idx, m));
-    for (size_t j = 0; j < m; ++j) {
-      v[i + j] = NormalizeIndex(idx[j], num_cells);
-    }
-  }
-}
-
-void Encapsulator::Stage2Batch(std::span<const Request* const> reqs,
-                               const DispatchContext& ctx,
-                               std::span<CValue> v) const {
-  if (config_.stage2_mode == Stage2Mode::kDisabled) return;
-  const size_t n = reqs.size();
-  const SimTime horizon = MsToSim(config_.deadline_horizon_ms);
-  const SimTime now = ctx.now;
-
-  if (config_.stage2_mode == Stage2Mode::kFormula) {
-    const double f = config_.f;
-    const double denom = 1.0 + f;
-    const double cap = std::nextafter(1.0, 0.0);
-    const double horizon_d = static_cast<double>(horizon);
-    const Stage2TieBreak tie = config_.stage2_tie;
-    for (size_t i = 0; i < n; ++i) {
-      const Request& r = *reqs[i];
-      double dl;
-      if (!r.has_deadline()) {
-        dl = 1.0;
-      } else if (r.deadline <= now) {
-        dl = 0.0;
-      } else {
-        dl = std::min(1.0, static_cast<double>(r.deadline - now) / horizon_d);
-      }
-      double val = (v[i] + f * dl) / denom;
-      switch (tie) {
-        case Stage2TieBreak::kNone:
-          break;
-        case Stage2TieBreak::kEarliestDeadline:
-          val += kTieEpsilon * dl;
-          break;
-        case Stage2TieBreak::kHighestPriority:
-          val += kTieEpsilon * v[i];
-          break;
-      }
-      v[i] = std::min(val, cap);
-    }
-    return;
-  }
-
-  // kCurve
-  const uint32_t bits = config_.stage2_bits;
-  const uint32_t cells = uint32_t{1} << bits;
-  const bool dl_major = config_.stage2_deadline_major;
-  if (!lut2_.empty()) {
-    const CValue* const lut = lut2_.data();
-    for (size_t i = 0; i < n; ++i) {
-      const Request& r = *reqs[i];
-      const uint32_t pri_cell = QuantizeUnit(v[i], cells);
-      const uint32_t dl_cell = QuantizeDeadline(r.deadline, now, horizon, cells);
-      const uint32_t x0 = dl_major ? dl_cell : pri_cell;
-      const uint32_t x1 = dl_major ? pri_cell : dl_cell;
-      v[i] = lut[(uint64_t{x0} << bits) | x1];
-    }
-    return;
-  }
-  const SpaceFillingCurve& curve = *curve2_;
-  const uint64_t num_cells = curve.num_cells();
-  for (size_t i = 0; i < n; ++i) {
-    const Request& r = *reqs[i];
-    const uint32_t pri_cell = QuantizeUnit(v[i], cells);
-    const uint32_t dl_cell = QuantizeDeadline(r.deadline, now, horizon, cells);
-    uint32_t point[2];
-    point[0] = dl_major ? dl_cell : pri_cell;
-    point[1] = dl_major ? pri_cell : dl_cell;
-    v[i] = NormalizeIndex(curve.Index(std::span<const uint32_t>(point, 2)),
-                          num_cells);
-  }
-}
-
-void Encapsulator::Stage3Batch(std::span<const Request* const> reqs,
-                               const DispatchContext& ctx,
-                               std::span<CValue> v) const {
-  if (config_.stage3_mode == Stage3Mode::kDisabled) return;
-  const size_t n = reqs.size();
-  const uint32_t cylinders = config_.cylinders;
-  const Cylinder head = ctx.head;
-
-  if (config_.stage3_mode == Stage3Mode::kPartitionedCScan) {
-    const uint32_t max_x = uint32_t{1} << config_.stage3_bits;
-    const uint32_t r_parts = config_.partitions_r;
-    const uint32_t p_s = (max_x + r_parts - 1) / r_parts;  // partition width
-    const uint64_t max_y = cylinders;
-    const double raw_max =
-        static_cast<double>(static_cast<uint64_t>(r_parts) * max_y * p_s);
-    for (size_t i = 0; i < n; ++i) {
-      const uint32_t y_v = CScanDistance(reqs[i]->cylinder, head, cylinders);
-      const uint32_t x_v = QuantizeUnit(v[i], max_x);
-      const uint32_t p_n = x_v / p_s;
-      const uint64_t raw =
-          (static_cast<uint64_t>(p_n) * max_y + y_v) * p_s + (x_v % p_s);
-      v[i] = static_cast<double>(raw) / raw_max;
-    }
-    return;
-  }
-
-  // kCurve
-  const uint32_t bits = config_.stage3_bits;
-  const uint32_t cells = uint32_t{1} << bits;
-  const double cylinders_d = static_cast<double>(cylinders);
-  if (!lut3_.empty()) {
-    const CValue* const lut = lut3_.data();
-    for (size_t i = 0; i < n; ++i) {
-      const uint32_t y_v = CScanDistance(reqs[i]->cylinder, head, cylinders);
-      const uint32_t x0 = QuantizeUnit(v[i], cells);
-      const uint32_t x1 =
-          QuantizeUnit(static_cast<double>(y_v) / cylinders_d, cells);
-      v[i] = lut[(uint64_t{x0} << bits) | x1];
-    }
-    return;
-  }
-  const SpaceFillingCurve& curve = *curve3_;
-  const uint64_t num_cells = curve.num_cells();
-  for (size_t i = 0; i < n; ++i) {
-    const uint32_t y_v = CScanDistance(reqs[i]->cylinder, head, cylinders);
-    uint32_t point[2];
-    point[0] = QuantizeUnit(v[i], cells);
-    point[1] = QuantizeUnit(static_cast<double>(y_v) / cylinders_d, cells);
-    v[i] = NormalizeIndex(curve.Index(std::span<const uint32_t>(point, 2)),
-                          num_cells);
-  }
 }
 
 template <bool kLut1>

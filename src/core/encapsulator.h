@@ -135,22 +135,15 @@ class Encapsulator {
   /// Batch characterization under one shared context: out[i] receives the
   /// v_c of *reqs[i], bit-identical to Characterize(*reqs[i], ctx)
   /// (asserted by tests). This is the batch re-characterization hot path:
-  /// every queue swap rekeys the whole forming batch, so the per-call
-  /// invariants — stage-mode branches, LUT base pointers, quantization
-  /// scales, the head-position and partition terms of SFC3 — are hoisted
-  /// out of the loop once and each stage runs as a tight pass over the
-  /// value array. Requires out.size() == reqs.size().
+  /// every queue swap rekeys the whole forming batch. The full cascade
+  /// (Stage 1 LUT or pass-through, Stage-2 formula, Stage-3 partitioned
+  /// C-SCAN) runs FusedFormulaPartitionedBatch, which hoists the per-call
+  /// invariants out of the loop once; every other configuration loops
+  /// Characterize. Requires out.size() == reqs.size().
   CSFC_HOT CSFC_DETERMINISTIC
   void CharacterizeBatch(std::span<const Request* const> reqs,
                          const DispatchContext& ctx,
                          std::span<CValue> out) const;
-
-  /// Batch sibling of CharacterizeStages (same hoisting; used by the
-  /// tracing rekey path, which needs every stage's intermediate value).
-  /// out[i].vc is identical to what CharacterizeBatch produces.
-  void CharacterizeStagesBatch(std::span<const Request* const> reqs,
-                               const DispatchContext& ctx,
-                               std::span<StageValues> out) const;
 
   const EncapsulatorConfig& config() const { return config_; }
 
@@ -169,25 +162,10 @@ class Encapsulator {
   CSFC_HOT CValue Stage3(CValue v2, const Request& r,
                          const DispatchContext& ctx) const;
 
-  /// Batch stage passes: Stage1Batch fills v[i] from *reqs[i]; the later
-  /// stages transform v in place (v[i] is that stage's input and output).
-  /// Each hoists its mode/LUT/scale decisions out of the request loop.
-  CSFC_HOT void Stage1Batch(std::span<const Request* const> reqs,
-                            std::span<CValue> v) const;
-  CSFC_HOT void Stage2Batch(std::span<const Request* const> reqs,
-                            const DispatchContext& ctx,
-                            std::span<CValue> v) const;
-  CSFC_HOT void Stage3Batch(std::span<const Request* const> reqs,
-                            const DispatchContext& ctx,
-                            std::span<CValue> v) const;
-
   /// Single-pass kernel for the full-cascade common case (Stage 1 LUT or
-  /// pass-through, Stage-2 formula, Stage-3 partitioned C-SCAN): each
-  /// request's whole cascade runs back to back, so its fields and the
-  /// carry value stay in registers instead of making three trips through
-  /// the value array. Per-request operations are exactly the three stage
-  /// bodies in order — stages never mix values across requests — so the
-  /// result is bit-identical to the three-pass pipeline. Hoists the batch
+  /// pass-through, Stage-2 formula, Stage-3 partitioned C-SCAN).
+  /// Per-request operations are exactly the three stage bodies in order,
+  /// so the result is bit-identical to Characterize. Hoists the batch
   /// invariants (core/characterize_kernel.h), then loops FusedScalarOne.
   template <bool kLut1>
   CSFC_HOT void FusedFormulaPartitionedBatch(

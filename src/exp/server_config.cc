@@ -69,24 +69,22 @@ Result<ServiceHandle> MakeServer(const ServerConfig& config) {
   options.admission = config.admission;
   options.trace_sink = config.sim.trace_sink;
   options.time_scale = config.time_scale;
-  if (config.derive_admission_costs) {
-    // Calibrate the SCAN-tour oracle from the disk model: the seek-free
-    // per-request cost at the average request (expected rotational
-    // latency + the transfer of a mid-stroke default-size block) and the
-    // full-stroke sweep one tour amortizes.
-    const DiskParams& dp = config.sim.disk;
-    const Cylinder mid = dp.cylinders / 2;
-    const Request probe;  // default bytes
-    double fixed = handle.disk->TransferTimeMs(mid, probe.bytes);
-    if (config.sim.service_model == ServiceModel::kFullDisk) {
-      fixed += handle.disk->AvgRotationalLatencyMs();
-    }
-    options.admission.fixed_cost_ms = fixed;
-    options.admission.sweep_cost_ms =
-        config.sim.service_model == ServiceModel::kFullDisk
-            ? handle.disk->SeekTimeMs(0, dp.cylinders - 1)
-            : 0.0;
+  // Calibrate the SCAN-tour oracle from the disk model: the seek-free
+  // per-request cost at the average request (expected rotational latency
+  // + the transfer of a mid-stroke default-size block) and the full-stroke
+  // sweep one tour amortizes.
+  const DiskParams& dp = config.sim.disk;
+  const Cylinder mid = dp.cylinders / 2;
+  const Request probe;  // default bytes
+  double fixed = handle.disk->TransferTimeMs(mid, probe.bytes);
+  if (config.sim.service_model == ServiceModel::kFullDisk) {
+    fixed += handle.disk->AvgRotationalLatencyMs();
   }
+  options.admission.fixed_cost_ms = fixed;
+  options.admission.sweep_cost_ms =
+      config.sim.service_model == ServiceModel::kFullDisk
+          ? handle.disk->SeekTimeMs(0, dp.cylinders - 1)
+          : 0.0;
 
   Result<SchedulerFactory> factory = config.MakeFactory(*handle.disk);
   if (!factory.ok()) return factory.status();

@@ -51,10 +51,6 @@ struct ServerConfig {
   svc::AdmissionConfig admission;
   /// Service-mode pacing (svc::ServiceServer::Options::time_scale).
   double time_scale = 0.0;
-  /// When true (default), MakeServer derives the admission oracle's
-  /// fixed/sweep costs from the disk model instead of taking the numbers
-  /// in `admission` at face value.
-  bool derive_admission_costs = true;
 
   Status Validate() const;
 
@@ -124,8 +120,9 @@ struct ServiceHandle {
 };
 
 /// Builds the full service stack from one config: disk model, scheduler
-/// via the registry, admission costs derived from the disk (unless
-/// disabled), ServiceServer wired to `config.sim.trace_sink`.
+/// via the registry, admission costs derived from the disk (replacing
+/// `admission.fixed_cost_ms` and `sweep_cost_ms`), ServiceServer wired to
+/// `config.sim.trace_sink`.
 Result<ServiceHandle> MakeServer(const ServerConfig& config);
 
 }  // namespace csfc

@@ -233,20 +233,38 @@ Result<JsonScalar> ParseScalar(std::string_view s, size_t* i) {
     v.type = JsonScalar::Type::kNull;
     return v;
   }
-  // Number. JSON starts one with a digit or '-' then a digit; from_chars
-  // alone would also take "nan", "inf" and ".5", which no JSON writer
-  // emits (JsonWriter writes non-finite doubles as null).
-  const size_t lead = *i + (c == '-' ? 1 : 0);
-  if (lead >= s.size() || s[lead] < '0' || s[lead] > '9') {
-    return Malformed("expected value", *i);
+  // Number: -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)? is matched
+  // first, and from_chars then converts exactly that span. from_chars
+  // alone would also take "nan", "inf", ".5", "01" and "1.", which no
+  // JSON writer emits (JsonWriter writes non-finite doubles as null).
+  const auto digit = [&s](size_t k) {
+    return k < s.size() && s[k] >= '0' && s[k] <= '9';
+  };
+  const auto digits = [&](size_t k) {
+    while (digit(k)) ++k;
+    return k;
+  };
+  size_t end = *i + (c == '-' ? 1 : 0);
+  if (!digit(end)) return Malformed("expected value", *i);
+  end = s[end] == '0' ? end + 1 : digits(end);
+  if (end < s.size() && s[end] == '.') {
+    if (!digit(end + 1)) return Malformed("expected fraction digits", end);
+    end = digits(end + 1);
+  }
+  if (end < s.size() && (s[end] == 'e' || s[end] == 'E')) {
+    size_t k = end + 1;
+    if (k < s.size() && (s[k] == '+' || s[k] == '-')) ++k;
+    if (!digit(k)) return Malformed("expected exponent digits", end);
+    end = digits(k);
   }
   const char* begin = s.data() + *i;
+  const char* stop = s.data() + end;
   double num = 0.0;
-  const auto res = std::from_chars(begin, s.data() + s.size(), num);
-  if (res.ec != std::errc{} || res.ptr == begin) {
+  const auto res = std::from_chars(begin, stop, num);
+  if (res.ec != std::errc{} || res.ptr != stop) {
     return Malformed("expected number", *i);
   }
-  *i += static_cast<size_t>(res.ptr - begin);
+  *i = end;
   v.type = JsonScalar::Type::kNumber;
   v.num = num;
   return v;

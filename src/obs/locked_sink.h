@@ -1,6 +1,6 @@
 // LockedSink: a thread-safe EventSink adapter for parallel sweeps.
 //
-// Every other sink (TraceRecorder, WindowedMetrics, JsonlSink) is
+// An unlocked sink (SloMetrics, or a test's event vector) is
 // single-threaded by contract — one sink per simulator run. When a
 // parallel sweep (exp::RunParallel) wants one merged event stream instead
 // of one sink per point, LockedSink serializes OnEvent calls from all

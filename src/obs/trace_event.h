@@ -129,8 +129,8 @@ struct TraceEvent {
 /// Receives every emitted event. Implementations must tolerate events
 /// arriving in simulation order from a single thread (one sink per
 /// simulator run; parallel sweeps use one sink per point). The in-memory
-/// sinks (TraceRecorder, WindowedMetrics) are thread-compatible, not
-/// thread-safe: to share one sink across RunParallel points, wrap it in
+/// sink SloMetrics is thread-compatible, not thread-safe: to share one
+/// sink across RunParallel points, wrap it in
 /// obs::LockedSink (obs/locked_sink.h) or use the internally locked
 /// JsonlSink. The thread-safety annotations on those adapters make any
 /// unlocked sharing a -Wthread-safety compile error.

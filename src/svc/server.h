@@ -32,8 +32,8 @@
 // admit or reject from the producer thread; the pump emits enqueue on
 // ring drain, dispatch + drain (wait_ms = offer-to-dispatch latency) at
 // hand-off, completion when the modeled service ends. All emissions are
-// serialized through an internal LockedSink, so any single-threaded sink
-// (TraceRecorder, SloMetrics) can sit behind the server unchanged.
+// serialized through an internal LockedSink, so a single-threaded sink
+// such as SloMetrics can sit behind the server unchanged.
 //
 // Threading contract (DESIGN.md section 12): Offer is safe from any
 // thread, including concurrently with Stop/Cancel; everything the pump

@@ -7,8 +7,9 @@ namespace csfc {
 
 Status WorkloadConfig::Validate() const {
   if (count == 0) return Status::InvalidArgument("count must be > 0");
-  if (mean_interarrival_ms <= 0.0) {
-    return Status::InvalidArgument("mean_interarrival_ms must be > 0");
+  if (!std::isfinite(mean_interarrival_ms) || mean_interarrival_ms <= 0.0) {
+    return Status::InvalidArgument(
+        "mean_interarrival_ms must be finite and > 0");
   }
   if (burst_size == 0) return Status::InvalidArgument("burst_size must be > 0");
   if (priority_dims > kMaxPriorityDims) {

@@ -1,10 +1,11 @@
 #include "workload/trace.h"
 
 #include <algorithm>
-#include <charconv>
 #include <fstream>
 #include <sstream>
 #include <string_view>
+
+#include "common/parse.h"
 
 namespace csfc {
 
@@ -18,16 +19,6 @@ std::string FormatTraceLine(const Request& r) {
 }
 
 namespace {
-
-/// Parses one whole whitespace-delimited token as an integer. from_chars
-/// takes no sign for unsigned types and reports overflow, so "-1" in an
-/// unsigned field is an error instead of wrapping to 2^32 - 1.
-template <typename T>
-bool ParseToken(std::string_view token, T* out) {
-  const char* end = token.data() + token.size();
-  const auto [ptr, ec] = std::from_chars(token.data(), end, *out);
-  return ec == std::errc() && ptr == end;
-}
 
 /// Splits off the next whitespace-delimited token; empty at end of line.
 std::string_view NextToken(std::string_view& rest) {
@@ -50,7 +41,7 @@ Result<Request> ParseTraceLine(const std::string& line) {
   std::string_view rest(line);
   Request r;
   int64_t deadline = 0;
-  int is_write = 0;
+  uint32_t is_write = 0;
   if (!ParseToken(NextToken(rest), &r.id) ||
       !ParseToken(NextToken(rest), &r.arrival) ||
       !ParseToken(NextToken(rest), &deadline) ||
@@ -60,11 +51,18 @@ Result<Request> ParseTraceLine(const std::string& line) {
       !ParseToken(NextToken(rest), &r.stream)) {
     return Status::InvalidArgument("malformed trace line: " + line);
   }
+  if (r.arrival < 0) {
+    return Status::InvalidArgument("negative arrival in trace line: " + line);
+  }
   if (deadline < -1) {
     return Status::InvalidArgument("negative deadline in trace line: " + line);
   }
+  if (is_write > 1) {
+    return Status::InvalidArgument("is_write must be 0 or 1 in trace line: " +
+                                   line);
+  }
   r.deadline = deadline == -1 ? kNoDeadline : deadline;
-  r.is_write = is_write != 0;
+  r.is_write = is_write == 1;
   for (std::string_view token = NextToken(rest); !token.empty();
        token = NextToken(rest)) {
     PriorityLevel p = 0;

@@ -23,7 +23,7 @@
 #include "exp/runner.h"
 #include "obs/export.h"
 #include "obs/locked_sink.h"
-#include "obs/recorder.h"
+#include "obs/vector_sink.h"
 #include "sched/edf.h"
 #include "sched/fcfs.h"
 #include "sched/registry.h"
@@ -98,9 +98,9 @@ TEST(ParallelStressTest, PerPointTracingSinksSeeEveryEventRaceFree) {
   const TracePtr trace = ShareTrace(StressTrace(101));
   std::vector<RunPoint> points = StressPoints(trace, 8);  // 24 points
 
-  // Serial reference with its own recorders.
+  // Serial reference with its own sinks.
   std::vector<RunPoint> serial_points = points;
-  std::vector<obs::TraceRecorder> serial_recs(serial_points.size());
+  std::vector<obs::VectorSink> serial_recs(serial_points.size());
   for (size_t i = 0; i < serial_points.size(); ++i) {
     serial_points[i].sim_config.trace_sink = &serial_recs[i];
   }
@@ -108,7 +108,7 @@ TEST(ParallelStressTest, PerPointTracingSinksSeeEveryEventRaceFree) {
   ASSERT_TRUE(serial.ok()) << serial.status().ToString();
 
   // Oversubscribed parallel run: more workers than cores is the point.
-  std::vector<obs::TraceRecorder> recs(points.size());
+  std::vector<obs::VectorSink> recs(points.size());
   for (size_t i = 0; i < points.size(); ++i) {
     points[i].sim_config.trace_sink = &recs[i];
   }
@@ -118,8 +118,9 @@ TEST(ParallelStressTest, PerPointTracingSinksSeeEveryEventRaceFree) {
   ASSERT_EQ(parallel->size(), serial->size());
   for (size_t i = 0; i < serial->size(); ++i) {
     ExpectBitIdentical((*serial)[i], (*parallel)[i]);
-    EXPECT_EQ(recs[i].total(), serial_recs[i].total()) << "point " << i;
-    EXPECT_GT(recs[i].total(), 0u) << "point " << i;
+    EXPECT_EQ(recs[i].events.size(), serial_recs[i].events.size())
+        << "point " << i;
+    EXPECT_FALSE(recs[i].events.empty()) << "point " << i;
   }
 }
 
@@ -131,23 +132,23 @@ TEST(ParallelStressTest, SharedLockedSinkLosesNoEvents) {
 
   // Per-point totals from a serial reference run.
   std::vector<RunPoint> serial_points = points;
-  std::vector<obs::TraceRecorder> serial_recs(serial_points.size());
+  std::vector<obs::VectorSink> serial_recs(serial_points.size());
   for (size_t i = 0; i < serial_points.size(); ++i) {
     serial_points[i].sim_config.trace_sink = &serial_recs[i];
   }
   ASSERT_TRUE(RunParallel(serial_points, 1).ok());
   uint64_t expected = 0;
-  for (const auto& r : serial_recs) expected += r.total();
+  for (const auto& r : serial_recs) expected += r.events.size();
 
-  // One ring buffer, every point writing through the locked adapter.
-  obs::TraceRecorder merged(size_t{1} << 20);
+  // One event vector, every point writing through the locked adapter.
+  obs::VectorSink merged;
   obs::LockedSink shared(merged);
   for (RunPoint& p : points) p.sim_config.trace_sink = &shared;
   auto parallel = RunParallel(points, 8);
   ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
 
   EXPECT_EQ(shared.forwarded(), expected);
-  EXPECT_EQ(merged.total(), expected);
+  EXPECT_EQ(merged.events.size(), expected);
 }
 
 TEST(ParallelStressTest, SharedJsonlSinkKeepsLinesWhole) {

@@ -1,7 +1,8 @@
 // Bit-identity of Encapsulator::CharacterizeBatch with the per-request
-// scalar path. The batch path hoists every per-call invariant (stage-mode
-// branches, LUT base pointers, quantization scales, the head-position and
-// partition terms of SFC3) out of a tight loop — but it must perform the
+// scalar path. The fused kernel hoists every per-call invariant (stage-mode
+// branches, LUT base pointer, quantization scales, the head-position and
+// partition terms of SFC3) out of a tight loop, and every other
+// configuration loops Characterize — but the batch path must perform the
 // exact same floating-point operation sequence per request, so
 // batch-rekeyed queue keys match per-request Characterize to the last bit
 // and a batch rekey schedules exactly as a per-request one. EXPECT_EQ on
@@ -80,17 +81,14 @@ void ExpectBatchMatchesScalar(const EncapsulatorConfig& cfg,
 
   std::vector<CValue> batch(reqs.size());
   enc.CharacterizeBatch(ptrs, ctx, batch);
-  std::vector<StageValues> stages(reqs.size());
-  enc.CharacterizeStagesBatch(ptrs, ctx, stages);
 
   for (size_t i = 0; i < reqs.size(); ++i) {
     const CValue scalar = enc.Characterize(reqs[i], ctx);
-    const StageValues sv = enc.CharacterizeStages(reqs[i], ctx);
     EXPECT_EQ(batch[i], scalar) << "request " << i;
-    EXPECT_EQ(stages[i].v1, sv.v1) << "request " << i;
-    EXPECT_EQ(stages[i].v2, sv.v2) << "request " << i;
-    EXPECT_EQ(stages[i].vc, sv.vc) << "request " << i;
-    EXPECT_EQ(stages[i].vc, batch[i]) << "request " << i;
+    // The traced paths emit CharacterizeStages' values; its vc must be
+    // the key the untraced paths insert.
+    EXPECT_EQ(enc.CharacterizeStages(reqs[i], ctx).vc, scalar)
+        << "request " << i;
   }
 }
 
@@ -255,7 +253,6 @@ TEST(BatchCharacterizeTest, EmptyAndSingletonBatches) {
   const DispatchContext ctx{.now = MsToSim(1.0), .head = 7};
 
   enc.CharacterizeBatch({}, ctx, {});
-  enc.CharacterizeStagesBatch({}, ctx, {});
 
   Request r;
   r.id = 42;

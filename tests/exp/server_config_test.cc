@@ -9,7 +9,7 @@
 
 #include "core/presets.h"
 #include "exp/server_config.h"
-#include "obs/recorder.h"
+#include "obs/vector_sink.h"
 
 namespace csfc {
 namespace {
@@ -55,7 +55,7 @@ TEST(ServerConfigTest, ValidateDelegatesToEveryLayer) {
 }
 
 TEST(ServerConfigTest, BuilderChainSetsEveryLayer) {
-  obs::TraceRecorder rec;
+  obs::VectorSink rec;
   ServerConfig config;
   config.WithScheduler("csfc")
       .WithMetricsShape(3, 16)
@@ -102,7 +102,6 @@ TEST(ServerConfigTest, MakeServerDerivesAdmissionCostsFromDisk) {
   config.WithMetricsShape(3, 16)
       .WithCascaded(Preset(config.sim.disk.cylinders))
       .WithSlo(50.0);
-  ASSERT_TRUE(config.derive_admission_costs);  // the default
   auto handle = MakeServer(config);
   ASSERT_TRUE(handle.ok()) << handle.status().ToString();
   // The oracle's costs came from the disk model, not the zero defaults:
@@ -111,21 +110,6 @@ TEST(ServerConfigTest, MakeServerDerivesAdmissionCostsFromDisk) {
       handle->server->admission().config();
   EXPECT_GT(derived.fixed_cost_ms, 0.0);
   EXPECT_GT(derived.sweep_cost_ms, 0.0);
-}
-
-TEST(ServerConfigTest, MakeServerHonorsExplicitCostsWhenDerivationIsOff) {
-  ServerConfig config;
-  config.WithMetricsShape(3, 16)
-      .WithCascaded(Preset(config.sim.disk.cylinders))
-      .WithSlo(50.0);
-  config.derive_admission_costs = false;
-  config.admission.fixed_cost_ms = 1.25;
-  config.admission.sweep_cost_ms = 7.5;
-  auto handle = MakeServer(config);
-  ASSERT_TRUE(handle.ok()) << handle.status().ToString();
-  const svc::AdmissionConfig& kept = handle->server->admission().config();
-  EXPECT_DOUBLE_EQ(kept.fixed_cost_ms, 1.25);
-  EXPECT_DOUBLE_EQ(kept.sweep_cost_ms, 7.5);
 }
 
 TEST(ServerConfigTest, MakeServerRejectsInvalidConfig) {

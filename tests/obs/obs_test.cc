@@ -1,6 +1,6 @@
-// Observability-layer tests: ring-buffer recorder semantics, the JSON
-// writer/parser pair, JSONL export round trips, windowed counters, and —
-// against a real simulator run — the per-request lifecycle ordering
+// Observability-layer tests: the JSON writer/parser pair, JSONL export
+// round trips, SLO windows, and — against a real simulator run — the
+// per-request lifecycle ordering
 // invariant (arrival <= characterize <= enqueue <= dispatch <= completion)
 // plus agreement between trace aggregates and RunMetrics.
 
@@ -16,9 +16,8 @@
 #include "exp/table.h"
 #include "obs/export.h"
 #include "obs/json.h"
-#include "obs/recorder.h"
 #include "obs/slo.h"
-#include "obs/windowed.h"
+#include "obs/vector_sink.h"
 #include "sched/fcfs.h"
 #include "sched/registry.h"
 #include "workload/generator.h"
@@ -33,50 +32,6 @@ TraceEvent MakeEvent(TraceEventKind kind, double t_ms, RequestId id) {
   e.t = MsToSim(t_ms);
   e.id = id;
   return e;
-}
-
-// ---------------------------------------------------------------- recorder
-
-TEST(TraceRecorderTest, HoldsEverythingBelowCapacity) {
-  TraceRecorder rec(8);
-  for (RequestId i = 0; i < 5; ++i) {
-    rec.OnEvent(MakeEvent(TraceEventKind::kArrival, static_cast<double>(i), i));
-  }
-  EXPECT_EQ(rec.size(), 5u);
-  EXPECT_EQ(rec.total(), 5u);
-  EXPECT_EQ(rec.dropped(), 0u);
-  const auto events = rec.Events();
-  ASSERT_EQ(events.size(), 5u);
-  for (RequestId i = 0; i < 5; ++i) EXPECT_EQ(events[i].id, i);
-}
-
-TEST(TraceRecorderTest, WrapsAroundOverwritingOldest) {
-  TraceRecorder rec(4);
-  for (RequestId i = 0; i < 11; ++i) {
-    rec.OnEvent(MakeEvent(TraceEventKind::kArrival, static_cast<double>(i), i));
-  }
-  EXPECT_EQ(rec.size(), 4u);
-  EXPECT_EQ(rec.capacity(), 4u);
-  EXPECT_EQ(rec.total(), 11u);
-  EXPECT_EQ(rec.dropped(), 7u);
-  // Survivors are the newest four, oldest first.
-  const auto events = rec.Events();
-  ASSERT_EQ(events.size(), 4u);
-  for (size_t i = 0; i < 4; ++i) EXPECT_EQ(events[i].id, 7u + i);
-}
-
-TEST(TraceRecorderTest, ClearKeepsCapacity) {
-  TraceRecorder rec(4);
-  for (RequestId i = 0; i < 6; ++i) {
-    rec.OnEvent(MakeEvent(TraceEventKind::kArrival, static_cast<double>(i), i));
-  }
-  rec.Clear();
-  EXPECT_EQ(rec.size(), 0u);
-  EXPECT_EQ(rec.total(), 0u);
-  EXPECT_EQ(rec.capacity(), 4u);
-  rec.OnEvent(MakeEvent(TraceEventKind::kArrival, 0.0, 42));
-  ASSERT_EQ(rec.Events().size(), 1u);
-  EXPECT_EQ(rec.Events()[0].id, 42u);
 }
 
 // -------------------------------------------------------------- JSON layer
@@ -213,9 +168,9 @@ TEST(ExportTest, TraceEventJsonRoundTripsEveryKind) {
   }
 
   StringWriter out;
-  ASSERT_TRUE(Export(std::span<const TraceEvent>(events), out,
-                     ExportFormat::kJsonl)
-                  .ok());
+  JsonlSink sink(out);
+  for (const TraceEvent& e : events) sink.OnEvent(e);
+  ASSERT_TRUE(sink.status().ok()) << sink.status().ToString();
 
   std::istringstream lines(out.str());
   std::string line;
@@ -297,67 +252,6 @@ TEST(ExportTest, RunMetricsCsvIsRejected) {
   RunMetrics m;
   StringWriter out;
   EXPECT_FALSE(Export(m, out, ExportFormat::kCsv).ok());
-}
-
-// ------------------------------------------------------- windowed counters
-
-TEST(WindowedMetricsTest, BucketsCountsAndMaterializesGaps) {
-  WindowedMetrics wm(/*window_ms=*/10.0);
-  auto feed = [&wm](TraceEvent e) { wm.OnEvent(e); };
-
-  feed(MakeEvent(TraceEventKind::kArrival, 1.0, 0));
-  {
-    TraceEvent e = MakeEvent(TraceEventKind::kEnqueue, 1.0, 0);
-    e.queue_depth = 1;
-    feed(e);
-  }
-  feed(MakeEvent(TraceEventKind::kArrival, 2.0, 1));
-  {
-    TraceEvent e = MakeEvent(TraceEventKind::kEnqueue, 2.0, 1);
-    e.queue_depth = 2;
-    feed(e);
-  }
-  feed(MakeEvent(TraceEventKind::kDispatch, 12.0, 0));
-  {
-    TraceEvent e = MakeEvent(TraceEventKind::kCompletion, 15.0, 0);
-    e.seek_ms = 2.0;
-    feed(e);
-  }
-  feed(MakeEvent(TraceEventKind::kDispatch, 31.0, 1));
-  {
-    TraceEvent e = MakeEvent(TraceEventKind::kCompletion, 35.0, 1);
-    e.seek_ms = 4.0;
-    e.missed = true;
-    feed(e);
-    feed(MakeEvent(TraceEventKind::kDeadlineMiss, 35.0, 1));
-  }
-
-  const auto rows = wm.Rows();
-  ASSERT_EQ(rows.size(), 4u);  // [0,10) [10,20) [20,30) gap [30,40)
-  EXPECT_DOUBLE_EQ(rows[0].start_ms, 0.0);
-  EXPECT_EQ(rows[0].arrivals, 2u);
-  EXPECT_EQ(rows[0].end_queue_depth, 2u);
-
-  EXPECT_EQ(rows[1].completions, 1u);
-  EXPECT_EQ(rows[1].misses, 0u);
-  EXPECT_EQ(rows[1].end_queue_depth, 1u);
-  EXPECT_DOUBLE_EQ(rows[1].total_seek_ms, 2.0);
-
-  // The empty window carries the depth through with zero counts.
-  EXPECT_DOUBLE_EQ(rows[2].start_ms, 20.0);
-  EXPECT_EQ(rows[2].arrivals, 0u);
-  EXPECT_EQ(rows[2].completions, 0u);
-  EXPECT_EQ(rows[2].end_queue_depth, 1u);
-
-  EXPECT_EQ(rows[3].completions, 1u);
-  EXPECT_EQ(rows[3].misses, 1u);
-  EXPECT_DOUBLE_EQ(rows[3].miss_rate(), 1.0);
-  EXPECT_EQ(rows[3].end_queue_depth, 0u);
-
-  StringWriter out;
-  ASSERT_TRUE(Export(wm, out, ExportFormat::kCsv).ok());
-  // Header + one line per window.
-  EXPECT_EQ(std::count(out.str().begin(), out.str().end(), '\n'), 5);
 }
 
 // ------------------------------------------------------------ SLO windows
@@ -505,20 +399,19 @@ struct Timeline {
 
 TEST(ObservabilitySimTest, LifecycleOrderingAndAggregateAgreement) {
   const auto trace = TestTrace(7, 1500);
-  TraceRecorder recorder;  // default 64k capacity: no wraparound here
+  VectorSink sink;
   SimulatorConfig sc;
-  sc.trace_sink = &recorder;
+  sc.trace_sink = &sink;
 
   auto metrics = RunSchedulerOnTrace(sc, trace, CascadedFactory());
   ASSERT_TRUE(metrics.ok()) << metrics.status().ToString();
   const RunMetrics& m = *metrics;
   ASSERT_EQ(m.completions, 1500u);
-  EXPECT_EQ(recorder.dropped(), 0u);
 
   std::map<RequestId, Timeline> timelines;
   uint64_t completions = 0, misses = 0;
   double response_sum_ms = 0.0;
-  for (const TraceEvent& e : recorder.Events()) {
+  for (const TraceEvent& e : sink.events) {
     if (!e.has_request()) continue;
     Timeline& tl = timelines[e.id];
     switch (e.kind) {
@@ -584,9 +477,9 @@ TEST(ObservabilitySimTest, NullSinkLeavesMetricsIdentical) {
   auto without = RunSchedulerOnTrace(plain, trace, CascadedFactory());
   ASSERT_TRUE(without.ok());
 
-  TraceRecorder recorder;
+  VectorSink sink;
   SimulatorConfig traced;
-  traced.trace_sink = &recorder;
+  traced.trace_sink = &sink;
   auto with = RunSchedulerOnTrace(traced, trace, CascadedFactory());
   ASSERT_TRUE(with.ok());
 
@@ -596,7 +489,7 @@ TEST(ObservabilitySimTest, NullSinkLeavesMetricsIdentical) {
   EXPECT_EQ(without->makespan, with->makespan);
   EXPECT_DOUBLE_EQ(without->total_seek_ms, with->total_seek_ms);
   EXPECT_DOUBLE_EQ(without->response_ms.mean(), with->response_ms.mean());
-  EXPECT_GT(recorder.total(), 0u);
+  EXPECT_FALSE(sink.events.empty());
 }
 
 TEST(ObservabilitySimTest, BaselineSchedulersTraceCoreLifecycle) {
@@ -604,15 +497,15 @@ TEST(ObservabilitySimTest, BaselineSchedulersTraceCoreLifecycle) {
   // but the simulator/metrics instrumentation still yields the full
   // arrival/enqueue/dispatch/completion skeleton.
   const auto trace = TestTrace(13, 400);
-  TraceRecorder recorder;
+  VectorSink sink;
   SimulatorConfig sc;
-  sc.trace_sink = &recorder;
+  sc.trace_sink = &sink;
   auto m = RunSchedulerOnTrace(
       sc, trace, [] { return std::make_unique<FcfsScheduler>(); });
   ASSERT_TRUE(m.ok());
 
   std::map<TraceEventKind, uint64_t> counts;
-  for (const TraceEvent& e : recorder.Events()) ++counts[e.kind];
+  for (const TraceEvent& e : sink.events) ++counts[e.kind];
   EXPECT_EQ(counts[TraceEventKind::kArrival], 400u);
   EXPECT_EQ(counts[TraceEventKind::kEnqueue], 400u);
   EXPECT_EQ(counts[TraceEventKind::kDispatch], 400u);

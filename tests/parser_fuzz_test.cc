@@ -122,11 +122,20 @@ std::vector<std::string> TraceCorpus() {
     r.priorities.push_back(std::numeric_limits<PriorityLevel>::max());
   }
   corpus.push_back(FormatTraceLine(r));
-  corpus.push_back("0\t-5 0 0 0 0 0 1\t2");
+  corpus.push_back("0\t5 -1 0 0 0 0 1\t2");
   return corpus;
 }
 
 TEST(ParserFuzzTest, TraceLinesRoundTripOrFail) {
+  // A negative arrival and an is_write other than 0 or 1 are errors at
+  // the line that holds them, not a later arrival-order failure.
+  for (const char* line : {"0 -5000 -1 0 0 7 0", "0 -5000 -1 0 0 0 0",
+                           "0 0 -1 0 0 7 0", "0 0 -1 0 0 2 0"}) {
+    const Result<Request> r = ParseTraceLine(line);
+    ASSERT_FALSE(r.ok()) << line;
+    EXPECT_NE(r.status().message().find(line), std::string::npos)
+        << r.status().ToString();
+  }
   const std::vector<std::string> corpus = TraceCorpus();
   Rng rng(20261019);
   int accepted = 0;
@@ -209,6 +218,17 @@ TEST(ParserFuzzTest, FlatJsonObjectsRoundTripOrFail) {
   for (const char* line : {"{\"a\" : nan ,\"#a\" : -2.5e+3}", "{\"k\": -inf}",
                            "{\"k\": infinity}", "{\"k\": .5}", "{\"k\": -}"}) {
     EXPECT_FALSE(obs::ParseFlatJsonObject(line).ok()) << line;
+  }
+  // Numbers follow JSON's grammar, not from_chars': no leading zeros, and
+  // a fraction or an exponent needs digits.
+  for (const char* line :
+       {"{\"k\": 01}", "{\"k\": -01}", "{\"k\": 00}", "{\"k\": 1.}",
+        "{\"k\": 1.e5}", "{\"k\": 1e}", "{\"k\": 1e+}", "{\"k\": -.5}"}) {
+    EXPECT_FALSE(obs::ParseFlatJsonObject(line).ok()) << line;
+  }
+  for (const char* line : {"{\"k\": 0}", "{\"k\": -0}", "{\"k\": 0.5}",
+                           "{\"k\": 1e5}", "{\"k\": 1E-5}"}) {
+    EXPECT_TRUE(obs::ParseFlatJsonObject(line).ok()) << line;
   }
   const std::vector<std::string> corpus = JsonCorpus();
   Rng rng(20261019);

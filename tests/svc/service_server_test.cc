@@ -20,8 +20,8 @@
 #include "core/presets.h"
 #include "exp/runner.h"
 #include "exp/server_config.h"
-#include "obs/recorder.h"
 #include "obs/trace_event.h"
+#include "obs/vector_sink.h"
 #include "workload/generator.h"
 #include "workload/trace.h"
 
@@ -31,7 +31,7 @@ namespace {
 
 using obs::TraceEvent;
 using obs::TraceEventKind;
-using obs::TraceRecorder;
+using obs::VectorSink;
 
 std::vector<Request> SyntheticTrace(uint64_t seed, uint64_t count,
                                     double interarrival_ms) {
@@ -58,19 +58,19 @@ ServerConfig BaseConfig() {
   return config;
 }
 
-/// Projects the (id, t) sequence of one event kind out of a recorder.
+/// Projects the (id, t) sequence of one event kind out of a sink.
 std::vector<std::pair<RequestId, SimTime>> EventsOfKind(
-    const TraceRecorder& rec, TraceEventKind kind) {
+    const VectorSink& rec, TraceEventKind kind) {
   std::vector<std::pair<RequestId, SimTime>> out;
-  for (const TraceEvent& e : rec.Events()) {
+  for (const TraceEvent& e : rec.events) {
     if (e.kind == kind) out.emplace_back(e.id, e.t);
   }
   return out;
 }
 
-void ExpectSameEventStream(const TraceRecorder& a, const TraceRecorder& b) {
-  const std::vector<TraceEvent> ea = a.Events();
-  const std::vector<TraceEvent> eb = b.Events();
+void ExpectSameEventStream(const VectorSink& a, const VectorSink& b) {
+  const std::vector<TraceEvent>& ea = a.events;
+  const std::vector<TraceEvent>& eb = b.events;
   ASSERT_EQ(ea.size(), eb.size());
   for (size_t i = 0; i < ea.size(); ++i) {
     EXPECT_EQ(ea[i].kind, eb[i].kind) << "event " << i;
@@ -87,7 +87,7 @@ void ExpectDispatchOrderMatchesOffline(std::optional<uint64_t> latency_seed) {
 
   ServerConfig config = BaseConfig();
   config.sim.latency_seed = latency_seed;
-  TraceRecorder service_rec(size_t{1} << 17);
+  VectorSink service_rec;
   config.WithTraceSink(&service_rec);
   auto handle = MakeServer(config);
   ASSERT_TRUE(handle.ok()) << handle.status().ToString();
@@ -100,7 +100,7 @@ void ExpectDispatchOrderMatchesOffline(std::optional<uint64_t> latency_seed) {
   // Offline replay of the same (here: complete) admitted set, same
   // simulator config, scheduler built through the same registry path.
   SimulatorConfig sim = config.sim;
-  TraceRecorder offline_rec(size_t{1} << 17);
+  VectorSink offline_rec;
   sim.trace_sink = &offline_rec;
   auto disk = DiskModel::Create(sim.disk);
   ASSERT_TRUE(disk.ok());
@@ -158,7 +158,7 @@ TEST(ServiceServerTest, HugeRequestsSaturateCompletionTimes) {
 TEST(ServiceServerTest, RunVirtualTwiceIsBitIdentical) {
   const std::vector<Request> trace = SyntheticTrace(31, 1500, 0.4);
 
-  auto run = [&trace](TraceRecorder* rec) {
+  auto run = [&trace](VectorSink* rec) {
     ServerConfig config = BaseConfig();
     config.WithSlo(80.0).WithStreamRate(400.0, 32.0).WithTraceSink(rec);
     auto handle = MakeServer(config);
@@ -166,7 +166,7 @@ TEST(ServiceServerTest, RunVirtualTwiceIsBitIdentical) {
     return handle->server->RunVirtual(trace);
   };
 
-  TraceRecorder rec_a(size_t{1} << 17), rec_b(size_t{1} << 17);
+  VectorSink rec_a, rec_b;
   const ServiceStats a = run(&rec_a);
   const ServiceStats b = run(&rec_b);
 
@@ -191,7 +191,7 @@ TEST(ServiceServerTest, AdmissionHoldsSloUnderSeededOverload) {
 
   ServerConfig config = BaseConfig();
   const double kSloMs = 60.0;
-  config.WithSlo(kSloMs);  // derive_admission_costs fills the oracle
+  config.WithSlo(kSloMs);  // MakeServer derives the oracle's costs
   auto handle = MakeServer(config);
   ASSERT_TRUE(handle.ok()) << handle.status().ToString();
   const ServiceStats stats = handle->server->RunVirtual(trace);

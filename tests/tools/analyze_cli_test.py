@@ -78,7 +78,13 @@ def main(argv: list) -> int:
             # Determinism families (rules 8-10, determinism.toml).
             ("determinism-taint", "_seeded_det.h"),
             ("fp-contract", "_seeded_fp.h"),
-            ("rng-seed-flow", "_seeded_rng.h")):
+            ("rng-seed-flow", "_seeded_rng.h"),
+            # Repo contracts (rules 11-13). The trace-contract seed adds
+            # an enumerator to the real trace_event.h, so its findings
+            # name the kind rather than a seeded file.
+            ("registry", "_seeded_rogue.h"),
+            ("trace-contract", "kSeededGhost"),
+            ("no-std-function", "_seeded_function.h")):
         check(f"seed-{rule}",
               run_cli(*base, f"--seed-violation={rule}"), 1, fragment)
 

@@ -109,14 +109,34 @@ TEST(FlagSetTest, ValuedFlagRequiresValue) {
 TEST(FlagSetTest, BadValuesFail) {
   double d = 0.0;
   uint32_t u = 0;
+  uint64_t big = 0;
   double lo = 0.0, hi = 0.0;
+  uint64_t blo = 0, bhi = 0;
   FlagSet flags("t");
   flags.AddDouble("ratio", "a double", &d);
   flags.AddUint32("n", "a u32", &u);
+  flags.AddUint64("big", "a u64", &big);
   flags.AddRange("window", "a range", &lo, &hi);
+  flags.AddRange("bytes", "a u64 range", &blo, &bhi);
   EXPECT_EQ(ParseArgs(flags, {"--ratio=fast"}), 2);
   EXPECT_EQ(ParseArgs(flags, {"--n=7seven"}), 2);
   EXPECT_EQ(ParseArgs(flags, {"--window=5"}), 2);  // missing LO:HI colon
+  // Whole-token numbers: no sign on an unsigned flag, no wrap past the
+  // type's range, no non-finite double, and both halves of LO:HI checked.
+  for (const char* bad :
+       {"--big=-1", "--n=-1", "--n=4294967297", "--big=18446744073709551616",
+        "--ratio=nan", "--ratio=inf", "--ratio=-inf", "--ratio=1e999",
+        "--ratio=", "--n= 7", "--bytes=5x:9y", "--bytes=5:9y", "--bytes=-5:9",
+        "--window=abc:xyz", "--window=1:nan", "--window=:2"}) {
+    EXPECT_EQ(ParseArgs(flags, {bad}), 2) << bad;
+  }
+  EXPECT_EQ(u, 0u);
+  EXPECT_EQ(big, 0u);
+  EXPECT_EQ(d, 0.0);
+  EXPECT_EQ(blo, 0u);
+  EXPECT_EQ(bhi, 0u);
+  EXPECT_EQ(lo, 0.0);
+  EXPECT_EQ(hi, 0.0);
 }
 
 TEST(FlagSetTest, LastOccurrenceWins) {
@@ -181,7 +201,9 @@ TEST(FlagSetTest, SharedWorkloadAndSchedulerTablesParse) {
   AddWorkloadFlags(flags, &wf);
   AddSchedulerFlags(flags, &sf);
   EXPECT_EQ(ParseArgs(flags, {"--workload=mpeg", "--users=12", "--seed=99",
-                              "--sched=edf", "--deadline=40:90"}),
+                              "--sched=edf", "--deadline=40:90",
+                              "--count=1000000", "--interarrival=25",
+                              "--bytes=4096:65536"}),
             0);
   EXPECT_EQ(wf.kind, "mpeg");
   EXPECT_EQ(wf.users, 12u);
@@ -189,6 +211,10 @@ TEST(FlagSetTest, SharedWorkloadAndSchedulerTablesParse) {
   EXPECT_EQ(sf.sched, "edf");
   EXPECT_DOUBLE_EQ(wf.cfg.deadline_lo_ms, 40.0);
   EXPECT_DOUBLE_EQ(wf.cfg.deadline_hi_ms, 90.0);
+  EXPECT_EQ(wf.cfg.count, 1000000u);
+  EXPECT_DOUBLE_EQ(wf.cfg.mean_interarrival_ms, 25.0);
+  EXPECT_EQ(wf.cfg.bytes_lo, 4096u);
+  EXPECT_EQ(wf.cfg.bytes_hi, 65536u);
 
   ServerConfig config;
   EXPECT_TRUE(ApplySchedulerFlags(sf, wf, &config).ok());

@@ -9,8 +9,9 @@
 // AddWorkloadFlags/AddSchedulerFlags below.
 //
 // Syntax accepted: --name=VALUE for valued flags, bare --name for
-// booleans, --help/-h for the generated help. Unknown flags and
-// malformed values print usage and fail.
+// booleans, --help/-h for the generated help. A number is one whole token
+// (common/parse.h's ParseToken). Unknown flags and malformed values print
+// usage and fail.
 
 #ifndef CSFC_TOOLS_CLI_FLAGS_H_
 #define CSFC_TOOLS_CLI_FLAGS_H_
@@ -22,8 +23,10 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "common/parse.h"
 #include "core/presets.h"
 #include "exp/server_config.h"
 #include "workload/edl.h"
@@ -64,49 +67,38 @@ class FlagSet {
   }
 
   void AddDouble(std::string name, std::string help, double* out) {
-    Add(std::move(name), "X", std::move(help), [out](const std::string& v) {
-      char* end = nullptr;
-      *out = std::strtod(v.c_str(), &end);
-      return end != nullptr && *end == '\0' && end != v.c_str();
-    });
+    AddNumber(std::move(name), "X", std::move(help), out);
   }
 
   void AddUint32(std::string name, std::string help, uint32_t* out) {
-    Add(std::move(name), "N", std::move(help), [out](const std::string& v) {
-      char* end = nullptr;
-      const unsigned long long x = std::strtoull(v.c_str(), &end, 10);
-      if (end == v.c_str() || *end != '\0') return false;
-      *out = static_cast<uint32_t>(x);
-      return true;
-    });
+    AddNumber(std::move(name), "N", std::move(help), out);
   }
 
   void AddUint64(std::string name, std::string help, uint64_t* out) {
-    Add(std::move(name), "N", std::move(help), [out](const std::string& v) {
-      char* end = nullptr;
-      *out = std::strtoull(v.c_str(), &end, 10);
-      return end != v.c_str() && *end == '\0';
-    });
+    AddNumber(std::move(name), "N", std::move(help), out);
   }
 
   void AddSize(std::string name, std::string help, size_t* out) {
-    Add(std::move(name), "N", std::move(help), [out](const std::string& v) {
-      char* end = nullptr;
-      const unsigned long long x = std::strtoull(v.c_str(), &end, 10);
-      if (end == v.c_str() || *end != '\0') return false;
-      *out = static_cast<size_t>(x);
-      return true;
-    });
+    AddNumber(std::move(name), "N", std::move(help), out);
   }
 
-  /// "LO:HI" pair.
-  void AddRange(std::string name, std::string help, double* lo, double* hi) {
+  /// "LO:HI" pair of numbers, each half parsed like AddNumber's value.
+  /// Neither output changes unless both halves parse.
+  template <typename T>
+  void AddRange(std::string name, std::string help, T* lo, T* hi) {
     Add(std::move(name), "LO:HI", std::move(help),
         [lo, hi](const std::string& v) {
           const size_t colon = v.find(':');
           if (colon == std::string::npos) return false;
-          *lo = std::atof(v.substr(0, colon).c_str());
-          *hi = std::atof(v.substr(colon + 1).c_str());
+          const std::string_view text(v);
+          T a{};
+          T b{};
+          if (!ParseToken(text.substr(0, colon), &a) ||
+              !ParseToken(text.substr(colon + 1), &b)) {
+            return false;
+          }
+          *lo = a;
+          *hi = b;
           return true;
         });
   }
@@ -199,6 +191,15 @@ class FlagSet {
     std::function<bool(const std::string&)> parse;
   };
 
+  /// One whole-token number (common/parse.h): no sign on an unsigned
+  /// type, no value outside T's range, and a finite double.
+  template <typename T>
+  void AddNumber(std::string name, std::string metavar, std::string help,
+                 T* out) {
+    Add(std::move(name), std::move(metavar), std::move(help),
+        [out](const std::string& v) { return ParseToken(v, out); });
+  }
+
   const Flag* FindFlag(const std::string& name) const {
     for (const Flag& f : flags_) {
       if (f.name == name) return &f;
@@ -238,15 +239,8 @@ inline void AddWorkloadFlags(FlagSet& flags, WorkloadFlags* w) {
                   &w->cfg.priority_levels);
   flags.AddRange("deadline", "relative deadline range in ms",
                  &w->cfg.deadline_lo_ms, &w->cfg.deadline_hi_ms);
-  flags.Add("bytes", "LO:HI", "request size range in bytes",
-            [w](const std::string& v) {
-              const size_t colon = v.find(':');
-              if (colon == std::string::npos) return false;
-              w->cfg.bytes_lo = std::strtoull(v.c_str(), nullptr, 10);
-              w->cfg.bytes_hi =
-                  std::strtoull(v.c_str() + colon + 1, nullptr, 10);
-              return true;
-            });
+  flags.AddRange("bytes", "request size range in bytes", &w->cfg.bytes_lo,
+                 &w->cfg.bytes_hi);
   flags.AddUint64("seed", "workload RNG seed", &w->cfg.seed);
   flags.AddBool("relaxed", "relaxed (far-future) deadlines",
                 &w->cfg.relaxed_deadlines);

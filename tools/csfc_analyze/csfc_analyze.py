@@ -1,14 +1,14 @@
 #!/usr/bin/env python3
 """csfc_analyze: AST-backed contract analyzer for the csfc codebase.
 
-Ten rule families, three checked-in manifests
+Thirteen rule families. Ten read the three checked-in manifests
 (tools/csfc_analyze/layers.toml, tools/csfc_analyze/concurrency.toml and
-tools/csfc_analyze/determinism.toml):
+tools/csfc_analyze/determinism.toml); the last three check repo contracts
+no manifest needs to spell out:
 
   layering       src/ include edges must follow the layer DAG declared in
                  layers.toml, plus the tracer seam and per-file exceptions
-                 declared there. Subsumes csfc_lint's former
-                 include-hygiene rule.
+                 declared there.
   hot-alloc      Functions annotated CSFC_HOT (common/annotations.h) and
                  functions that hold a lock (REQUIRES(...)) must not
                  allocate: no operator new / malloc family /
@@ -53,7 +53,7 @@ tools/csfc_analyze/determinism.toml):
                  needs a `// csfc:unordered-ok(<reason>)` marker. Tree-wide,
                  wall clocks live only behind the clock seam
                  (common/clock.h) and every getenv needs an [[envread]]
-                 row. Subsumes csfc_lint's former `determinism` rule.
+                 row.
   fp-contract    Every TU under [fp].contract_scope must compile with
                  -ffp-contract=off and without fast-math flags (verified
                  from compile_commands.json — contracted FMA and licensed
@@ -66,6 +66,18 @@ tools/csfc_analyze/determinism.toml):
                  appear in the declaring file or its sibling. Raw std
                  engines, std::random_device, rand()/srand(), and
                  default-constructed Rng are all errors.
+  registry       Every Scheduler subclass in src/ must be constructible
+                 through sched/registry.cc (make_unique<X> or X::Create),
+                 so CLI tools and sweeps can reach every policy.
+  trace-contract Every TraceEventKind must have (a) an emission site in
+                 src/ outside src/obs, (b) a schema entry in
+                 tools/trace_inspect.cc, and (c) its wire name mentioned
+                 in DESIGN.md section 10.
+  no-std-function
+                 src/core and src/sched must not use std::function
+                 (FunctionRef or templates instead; the one sanctioned
+                 use is the SchedulerFactory alias in sched/scheduler.h,
+                 a cold-path factory seam).
 
 Engines:
 
@@ -92,6 +104,7 @@ are all lexical facts — and the libclang engine additionally walks the
 call graph so functions *reachable* from a CSFC_DETERMINISTIC root are
 taint-scanned too (traversal stops at virtual and external calls, and at
 the clock/rng seam files).
+The three repo-contract families are textual in both engines as well.
 
 `--self-test` seeds one violation per rule against synthetic trees and
 verifies each is caught. `--seed-violation=RULE` injects a violation into
@@ -112,13 +125,6 @@ try:
     import tomllib
 except ImportError:  # pragma: no cover - python < 3.11
     tomllib = None
-
-# The hardened comment stripper lives in csfc_lint; one implementation,
-# two tools.
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "csfc_lint"))
-import csfc_lint  # noqa: E402
-
-strip_comments = csfc_lint.strip_comments
 
 CXX_SUFFIXES = (".h", ".cc")
 ALLOC_OK_MARKER = "csfc:alloc-ok("
@@ -142,6 +148,10 @@ class Finding(NamedTuple):
 
 Tree = Dict[str, str]
 
+# The files outside src/ that the trace-contract rule reads: the JSONL
+# schema validator and the design document's event table (section 10).
+CONTRACT_FILES = ("tools/trace_inspect.cc", "DESIGN.md")
+
 
 def load_tree(repo: Path) -> Tree:
     tree: Tree = {}
@@ -150,6 +160,10 @@ def load_tree(repo: Path) -> Tree:
         if path.suffix in CXX_SUFFIXES and path.is_file():
             tree[path.relative_to(repo).as_posix()] = path.read_text(
                 encoding="utf-8")
+    for rel in CONTRACT_FILES:
+        path = repo / rel
+        if path.is_file():
+            tree[rel] = path.read_text(encoding="utf-8")
     return tree
 
 
@@ -205,6 +219,80 @@ DEFAULT_CONTRACTS = Contracts(
 
 
 # --- text utilities ---------------------------------------------------------
+
+
+RAW_STRING_RE = re.compile(r'(?:u8|[uUL])?R"([^()\\ \t\n]{0,16})\(')
+
+
+def strip_comments(text: str) -> str:
+    """Blanks // and /* */ comments, preserving line numbers.
+
+    String-literal aware: comment markers inside "...", '...' and raw
+    string literals R"tag(...)tag" do not start comments (an over-strip
+    there would hide real code from the contract greps). A backslash-
+    newline at the end of a // comment continues it onto the next line,
+    matching the preprocessor's line splicing. Literal contents are kept
+    verbatim — only comments are blanked.
+    """
+    out: List[str] = []
+    i, n = 0, len(text)
+    while i < n:
+        c = text[i]
+        if text.startswith("//", i):
+            # Line comment; an odd run of trailing backslashes before the
+            # newline splices the next line into the comment.
+            j = i
+            while j < n:
+                nl = text.find("\n", j)
+                if nl < 0:
+                    j = n
+                    break
+                k = nl - 1
+                backslashes = 0
+                while k >= i and text[k] == "\\":
+                    backslashes += 1
+                    k -= 1
+                if backslashes % 2 == 1:
+                    j = nl + 1
+                    continue
+                j = nl
+                break
+            out.append(re.sub(r"[^\n]", " ", text[i:j]))
+            i = j
+        elif text.startswith("/*", i):
+            end = text.find("*/", i + 2)
+            stop = n if end < 0 else end + 2
+            out.append(re.sub(r"[^\n]", " ", text[i:stop]))
+            i = stop
+        elif c == '"' or (c in "uULR" and RAW_STRING_RE.match(text, i)):
+            m = RAW_STRING_RE.match(text, i)
+            if m:
+                # Raw string: closes only at )tag" — quotes, // and */
+                # inside are all literal.
+                end = text.find(")" + m.group(1) + '"', m.end())
+                stop = n if end < 0 else end + len(m.group(1)) + 2
+                out.append(text[i:stop])
+                i = stop
+            else:
+                j = i + 1
+                while j < n and text[j] not in '"\n':
+                    j += 2 if text[j] == "\\" else 1
+                j = min(j + 1, n)
+                out.append(text[i:j])
+                i = j
+        elif c == "'":
+            # Char literal (or a digit separator pair, which is harmless
+            # to copy verbatim the same way).
+            j = i + 1
+            while j < n and text[j] not in "'\n":
+                j += 2 if text[j] == "\\" else 1
+            j = min(j + 1, n)
+            out.append(text[i:j])
+            i = j
+        else:
+            out.append(c)
+            i += 1
+    return "".join(out)
 
 
 def blank_strings(code: str) -> str:
@@ -1247,8 +1335,7 @@ def check_det_taint(tree: Tree, dman: DeterminismManifest) -> List[Finding]:
             f"`{label}`", seen, findings)
 
     # Tree-wide: wall clocks live only behind the clock seam, and every
-    # environment read needs an [[envread]] row. (Subsumes csfc_lint's
-    # former `determinism` rule.)
+    # environment read needs an [[envread]] row.
     for path, code in sorted(scrubbed.items()):
         orig_lines = tree[path].splitlines()
         if path not in dman.clock_seam:
@@ -1440,6 +1527,125 @@ def run_determinism_checks(tree: Tree, dman: DeterminismManifest,
             + check_rng_seed_flow(tree, dman))
 
 
+# --- rules 11-13: repo contracts --------------------------------------------
+
+SCHEDULER_CLASS_RE = re.compile(
+    r"class\s+(\w+)\s+(?:final\s+)?:\s*public\s+Scheduler\b")
+
+
+def check_registry(tree: Tree) -> List[Finding]:
+    registry = tree.get("src/sched/registry.cc", "")
+    registry_code = strip_comments(registry)
+    findings: List[Finding] = []
+    for path, text in tree.items():
+        if not path.startswith("src/"):
+            continue
+        code = strip_comments(text)
+        for m in SCHEDULER_CLASS_RE.finditer(code):
+            name = m.group(1)
+            if (f"make_unique<{name}>" in registry_code
+                    or f"{name}::Create" in registry_code):
+                continue
+            findings.append(Finding(
+                "registry", path, line_of(code, m.start()),
+                f"scheduler {name} is not constructible via "
+                f"sched/registry.cc — register it in MakeSchedulerFactory "
+                f"(and AllSchedulerNames) so tools and sweeps can reach it"))
+    return findings
+
+
+ENUM_RE = re.compile(
+    r"enum\s+class\s+TraceEventKind[^{]*\{(.*?)\}", re.DOTALL)
+ENUMERATOR_RE = re.compile(r"\b(k[A-Z]\w*)\b")
+# Matches both the {kind, "name"} table form and a case/return switch.
+WIRE_NAME_RE = re.compile(
+    r"TraceEventKind::(k\w+)[,:]\s*(?:return\s+)?\"(\w+)\"")
+
+
+def design_section(tree: Tree, number: int) -> str:
+    design = tree.get("DESIGN.md", "")
+    m = re.search(rf"^## {number}\..*?(?=^## \d|\Z)", design,
+                  re.DOTALL | re.MULTILINE)
+    return m.group(0) if m else ""
+
+
+def check_trace_contract(tree: Tree) -> List[Finding]:
+    header = tree.get("src/obs/trace_event.h", "")
+    enum_m = ENUM_RE.search(strip_comments(header))
+    if enum_m is None:
+        return [Finding("trace-contract", "src/obs/trace_event.h", 0,
+                        "enum class TraceEventKind not found")]
+    kinds = ENUMERATOR_RE.findall(enum_m.group(1))
+
+    wire_names = dict(WIRE_NAME_RE.findall(
+        strip_comments(tree.get("src/obs/trace_event.cc", ""))))
+
+    emitters = "\n".join(
+        strip_comments(text) for path, text in sorted(tree.items())
+        if path.startswith("src/") and not path.startswith("src/obs/"))
+    inspector = strip_comments(tree.get("tools/trace_inspect.cc", ""))
+    section10 = design_section(tree, 10)
+
+    findings: List[Finding] = []
+    for kind in kinds:
+        if f"TraceEventKind::{kind}" not in emitters:
+            findings.append(Finding(
+                "trace-contract", "src/obs/trace_event.h", 0,
+                f"TraceEventKind::{kind} has no emission site in src/ — "
+                f"dead event kinds rot the schema; emit it or remove it"))
+        if not re.search(rf"\b{kind}\b", inspector):
+            findings.append(Finding(
+                "trace-contract", "tools/trace_inspect.cc", 0,
+                f"TraceEventKind::{kind} has no schema entry in "
+                f"trace_inspect — the validator would pass unknown "
+                f"payloads for it"))
+        name = wire_names.get(kind)
+        if name is None:
+            findings.append(Finding(
+                "trace-contract", "src/obs/trace_event.cc", 0,
+                f"TraceEventKind::{kind} has no wire name in "
+                f"TraceEventKindName"))
+        elif name not in section10:
+            findings.append(Finding(
+                "trace-contract", "DESIGN.md", 0,
+                f"trace event \"{name}\" is not documented in DESIGN.md "
+                f"section 10"))
+    return findings
+
+
+# The one sanctioned std::function in the scheduler layer: the factory
+# alias. Factories run once per sweep point, never per request.
+STD_FUNCTION_ALLOWED = {
+    ("src/sched/scheduler.h", "SchedulerFactory"),
+}
+
+
+def check_no_std_function(tree: Tree) -> List[Finding]:
+    findings: List[Finding] = []
+    for path, text in sorted(tree.items()):
+        if not (path.startswith("src/core/") or path.startswith("src/sched/")):
+            continue
+        code = strip_comments(text)
+        for m in re.finditer(r"std::function\b", code):
+            ln = line_of(code, m.start())
+            line_text = code.splitlines()[ln - 1]
+            if any(path == p and marker in line_text
+                   for p, marker in STD_FUNCTION_ALLOWED):
+                continue
+            findings.append(Finding(
+                "no-std-function", path, ln,
+                "std::function in a scheduler hot path — use FunctionRef "
+                "(common/function_ref.h) or a template parameter"))
+    return findings
+
+
+def run_contract_checks(tree: Tree) -> List[Finding]:
+    """Rules 11-13. Textual in both engines: registrations, enumerators,
+    wire names and documentation are lexical facts."""
+    return (check_registry(tree) + check_trace_contract(tree)
+            + check_no_std_function(tree))
+
+
 def run_regex_engine(tree: Tree, manifest: Manifest, contracts: Contracts,
                      cman: ConcurrencyManifest, dman: DeterminismManifest,
                      compdb_entries: Optional[List[Tuple[str, str]]] = None
@@ -1449,7 +1655,8 @@ def run_regex_engine(tree: Tree, manifest: Manifest, contracts: Contracts,
             + check_hot_coverage(tree, manifest)
             + check_exc_safety(tree, contracts)
             + run_concurrency_checks(tree, cman)
-            + run_determinism_checks(tree, dman, compdb_entries))
+            + run_determinism_checks(tree, dman, compdb_entries)
+            + run_contract_checks(tree))
 
 
 # --- libclang engine --------------------------------------------------------
@@ -1890,6 +2097,7 @@ class LibclangEngine:
         # makes the required engine agreement structural.
         findings += run_concurrency_checks(tree, cman)
         findings += run_determinism_checks(tree, dman, compdb_entries)
+        findings += run_contract_checks(tree)
         # What the AST adds: the call-graph walk from deterministic roots.
         findings += self.det_taint_findings(dman, tree)
         return findings, warnings
@@ -2103,6 +2311,28 @@ def _clean_tree() -> Tree:
         "src/sched/sched.cc":
             "#include \"sched/sched.h\"\n"
             "int FooSched::Dispatch(long now) { return head_; }\n",
+        # Repo contracts (rules 11-13): one registered scheduler, the
+        # sanctioned factory alias, and two trace kinds that are emitted,
+        # validated by trace_inspect and documented in DESIGN.md.
+        "src/sched/scheduler.h":
+            "class Scheduler {};\n"
+            "using SchedulerFactory = std::function<SchedulerPtr()>;\n",
+        "src/sched/fancy.h":
+            "class FancyScheduler final : public Scheduler {};\n",
+        "src/sched/registry.cc":
+            "factory = std::make_unique<FancyScheduler>();\n",
+        "src/obs/trace_event.h":
+            "enum class TraceEventKind : uint8_t { kArrival, kDispatch };\n",
+        "src/obs/trace_event.cc":
+            "case TraceEventKind::kArrival: return \"arrival\";\n"
+            "case TraceEventKind::kDispatch: return \"dispatch\";\n",
+        "src/core/emit.h":
+            "e.kind = obs::TraceEventKind::kArrival;\n"
+            "e.kind = obs::TraceEventKind::kDispatch;\n",
+        "tools/trace_inspect.cc":
+            "case K::kArrival: break;\ncase K::kDispatch: break;\n",
+        "DESIGN.md":
+            "## 10. Observability\narrival dispatch\n## 11. Next\n",
     }
 
 
@@ -2141,8 +2371,8 @@ def self_test() -> int:
 
     # 1b. Seam: core may see obs/tracer.h but nothing else in obs.
     t = _clean_tree()
-    t["src/core/hot.h"] += "#include \"obs/recorder.h\"\n"
-    expect("seam", run(t), "layering", "obs/recorder.h")
+    t["src/core/hot.h"] += "#include \"obs/export.h\"\n"
+    expect("seam", run(t), "layering", "obs/export.h")
 
     # 2. Hot-alloc, inline body: unmarked growth call.
     t = _clean_tree()
@@ -2428,6 +2658,71 @@ def self_test() -> int:
         "    return v + rng_.Uniform() + rd();\n")
     expect("rng-entropy", run(t), "rng-seed-flow", "random_device")
 
+    # 11. Unregistered scheduler subclass.
+    t = _clean_tree()
+    t["src/sched/rogue.h"] = (
+        "class RogueScheduler final : public Scheduler {};\n")
+    expect("unregistered-scheduler", run(t), "registry", "RogueScheduler")
+
+    # 12. TraceEventKind missing from the trace_inspect schema.
+    t = _clean_tree()
+    t["src/obs/trace_event.h"] = (
+        "enum class TraceEventKind : uint8_t { kArrival, kDispatch, "
+        "kRetry };\n")
+    t["src/obs/trace_event.cc"] += (
+        "case TraceEventKind::kRetry: return \"retry\";\n")
+    t["src/core/emit.h"] += "e.kind = obs::TraceEventKind::kRetry;\n"
+    t["DESIGN.md"] = "## 10. Observability\narrival dispatch retry\n## 11. N\n"
+    expect("missing-schema-entry", run(t), "trace-contract",
+           "no schema entry")
+
+    # 12b. A kind that is never emitted, and one missing from DESIGN §10.
+    t = _clean_tree()
+    t["src/obs/trace_event.h"] = (
+        "enum class TraceEventKind : uint8_t { kArrival, kDispatch, "
+        "kGhost };\n")
+    t["src/obs/trace_event.cc"] += (
+        "case TraceEventKind::kGhost: return \"ghost\";\n")
+    t["tools/trace_inspect.cc"] += "case K::kGhost: break;\n"
+    found = run(t)
+    expect("unemitted-kind", found, "trace-contract", "no emission site")
+    expect("undocumented-kind", found, "trace-contract", "not documented")
+
+    # 13. std::function in the scheduler core.
+    t = _clean_tree()
+    t["src/core/x.h"] += "std::function<void()> hook_;\n"
+    expect("std-function-in-core", run(t), "no-std-function",
+           "std::function")
+
+    # 13b. Stripper hardening: a // inside a string literal must not blank
+    # the rest of the line (over-stripping hides real violations).
+    t = _clean_tree()
+    t["src/core/x.h"] += (
+        "const char* url = \"http://x\"; std::function<void()> f;\n")
+    expect("slash-slash-in-string", run(t), "no-std-function",
+           "std::function")
+
+    # 13c. Raw strings: unbalanced quotes and comment markers inside
+    # R"(...)" must not derail parsing of the code that follows.
+    t = _clean_tree()
+    t["src/core/x.h"] += (
+        "const char* raw = R\"(quote \" and // and /* inside)\";\n"
+        "std::function<void()> g;\n")
+    expect("raw-string", run(t), "no-std-function", "std::function")
+
+    # 13d. Commented-out violations, including a backslash-continued //
+    # comment that splices the next line into it, are not live code.
+    t = _clean_tree()
+    t["src/core/x.h"] += (
+        "// std::function and rand()\n"
+        "/* std::function too */\n"
+        "// disabled hook: \\\n"
+        "std::function<void()> h;\n")
+    residue = [f for f in run(t) if f.path == "src/core/x.h"]
+    if residue:
+        failures.append("commented-out code was flagged as live: "
+                        + "; ".join(f.render() for f in residue))
+
     # Controls: alloc-ok marker, NDEBUG block, comment tokens, iterator
     # typedefs, the seam clock read, the sanctioned getenv, the marked
     # libm call and the manifested seeded Rng must all stay silent
@@ -2445,7 +2740,7 @@ def self_test() -> int:
         for f in failures:
             print(f"  {f}", file=sys.stderr)
         return 1
-    print("csfc_analyze self-test OK (10 rule families, "
+    print("csfc_analyze self-test OK (13 rule families, "
           "seeded violations all caught)")
     return 0
 
@@ -2545,6 +2840,20 @@ SEEDS: Dict[str, Dict[str, str]] = {
             "  Rng rng_;\n"
             "};\n",
     },
+    "registry": {
+        # A Scheduler subclass sched/registry.cc never constructs.
+        "src/sched/_seeded_rogue.h":
+            "class SeededRogueScheduler final : public Scheduler {};\n",
+    },
+    # apply_seed adds the enumerator kSeededGhost to the real
+    # src/obs/trace_event.h: no emission site, schema entry, wire name or
+    # DESIGN.md row names it.
+    "trace-contract": {},
+    "no-std-function": {
+        "src/core/_seeded_function.h":
+            "#include <functional>\n"
+            "inline std::function<int()> SeededHook() { return {}; }\n",
+    },
 }
 
 
@@ -2553,7 +2862,11 @@ def apply_seed(
         cman: ConcurrencyManifest
 ) -> Tuple[Contracts, Manifest, ConcurrencyManifest]:
     tree.update(SEEDS[rule])
-    if rule == "exc-safety":
+    if rule == "trace-contract":
+        header = "src/obs/trace_event.h"
+        tree[header] = re.sub(r"(enum\s+class\s+TraceEventKind[^{]*\{)",
+                              r"\1 kSeededGhost,", tree[header], count=1)
+    elif rule == "exc-safety":
         contracts = Contracts(
             nothrow_move=contracts.nothrow_move
             + [("src/workload/_seeded_mover.h", "SeededMover")],
@@ -2751,7 +3064,7 @@ def main(argv: List[str]) -> int:
               f"{len(tree)} files", file=sys.stderr)
         return 1
     print(f"csfc_analyze[{label}]: OK ({len(tree)} files, "
-          f"10 rule families)")
+          f"13 rule families)")
     return 0
 
 
