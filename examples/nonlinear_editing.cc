@@ -8,8 +8,8 @@
 //   $ ./nonlinear_editing [num_users]
 
 #include <cstdio>
-#include <cstdlib>
 
+#include "common/parse.h"
 #include "core/presets.h"
 #include "exp/runner.h"
 #include "exp/table.h"
@@ -20,8 +20,11 @@
 using namespace csfc;
 
 int main(int argc, char** argv) {
-  const uint32_t users =
-      argc > 1 ? static_cast<uint32_t>(std::atoi(argv[1])) : 85;
+  uint32_t users = 85;
+  if (argc > 2 || (argc == 2 && !ParseToken(argv[1], &users))) {
+    std::fprintf(stderr, "usage: nonlinear_editing [num_users]\n");
+    return 2;
+  }
 
   MpegWorkloadConfig mc;
   mc.seed = 11;

@@ -8,9 +8,9 @@
 //   $ ./video_server [num_users]
 
 #include <cstdio>
-#include <cstdlib>
 #include <vector>
 
+#include "common/parse.h"
 #include "core/presets.h"
 #include "disk/raid.h"
 #include "exp/runner.h"
@@ -20,8 +20,11 @@
 using namespace csfc;
 
 int main(int argc, char** argv) {
-  const uint32_t users =
-      argc > 1 ? static_cast<uint32_t>(std::atoi(argv[1])) : 40;
+  uint32_t users = 40;
+  if (argc > 2 || (argc == 2 && !ParseToken(argv[1], &users))) {
+    std::fprintf(stderr, "usage: video_server [num_users]\n");
+    return 2;
+  }
 
   // The array: 5 disks, 64 KB blocks, 10 blocks per cylinder per disk.
   const DiskParams disk = DiskParams::PanaVissDisk();

@@ -15,8 +15,12 @@
 //   otherwise           another lap owns the cell (full / not yet filled)
 //
 // Memory ordering (the contract DESIGN.md section 12 documents):
-//   * producers CAS the tail ticket relaxed — the ticket only partitions
-//     cells between producers, it publishes nothing;
+//   * producers CAS the tail ticket seq_cst — the ticket only partitions
+//     cells between producers and publishes no payload, but the claim is
+//     the producer's half of a store-buffering handshake: size() loads
+//     the tail seq_cst, so a consumer that raises a seq_cst "waiting"
+//     flag and then sees size() == 0 is ordered before any claim whose
+//     producer then reads that flag false (svc/server.cc's idle wake);
 //   * the payload is published by the producer's seq.store(release) and
 //     acquired by the consumer's seq.load(acquire) — this pair is the
 //     only producer->consumer edge and is what makes the element's
@@ -76,9 +80,10 @@ class MpscIngestRing {
   size_t capacity() const { return mask_ + 1; }
 
   /// Approximate occupancy (exact only when producers and the consumer
-  /// are quiescent).
+  /// are quiescent). The tail load is seq_cst to pair with TryPush's claim
+  /// (see the header comment); on x86 it is a plain load either way.
   size_t size() const {
-    const size_t tail = tail_.load(std::memory_order_relaxed);
+    const size_t tail = tail_.load(std::memory_order_seq_cst);
     const size_t head = head_.load(std::memory_order_relaxed);
     return tail >= head ? tail - head : 0;
   }
@@ -97,10 +102,11 @@ class MpscIngestRing {
       const intptr_t dif =
           static_cast<intptr_t>(seq) - static_cast<intptr_t>(pos);
       if (dif == 0) {
-        // Cell is free for this ticket; claim it. Relaxed: the ticket
-        // partitions producers, the release below publishes the payload.
+        // Cell is free for this ticket; claim it. The release below
+        // publishes the payload; seq_cst orders the claim for size()'s
+        // readers (a locked cmpxchg on x86 whatever the order).
         if (tail_.compare_exchange_weak(pos, pos + 1,
-                                        std::memory_order_relaxed)) {
+                                        std::memory_order_seq_cst)) {
           cell.value = std::move(value);
           cell.seq.store(pos + 1, std::memory_order_release);
           return true;

@@ -1,7 +1,6 @@
 #include "svc/server.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <span>
 #include <utility>
@@ -68,6 +67,7 @@ ServiceServer::ServiceServer(SchedulerPtr scheduler,
   }
   drain_buf_.reserve(options_.ingest.drain_batch);
   drain_ids_.reserve(options_.ingest.drain_batch);
+  pass_.waits.reserve(ring_.capacity());
 }
 
 ServiceServer::~ServiceServer() { Cancel(); }
@@ -126,9 +126,11 @@ size_t ServiceServer::DrainRing(const DispatchContext& ctx) {
   size_t total = 0;
   tracer_.set_now(ctx.now);
   const bool tracing = tracer_.enabled();
-  for (;;) {
+  const size_t limit = ring_.capacity();
+  while (total < limit) {
+    const size_t span = std::min(options_.ingest.drain_batch, limit - total);
     drain_buf_.clear();
-    const size_t n = ring_.DrainInto(drain_buf_, options_.ingest.drain_batch);
+    const size_t n = ring_.DrainInto(drain_buf_, span);
     if (n == 0) break;
     if (tracing) {
       // EnqueueBatch may move from the buffer; keep the ids for the events.
@@ -147,6 +149,9 @@ size_t ServiceServer::DrainRing(const DispatchContext& ctx) {
       }
     }
     total += n;
+    // A short span saw the ring empty: probing again would only touch the
+    // cells producers are writing.
+    if (n < span) break;
   }
   pass_.enqueued += total;
   return total;
@@ -158,9 +163,8 @@ bool ServiceServer::TryDispatch(DiskState& disk, double scale) {
   std::optional<Request> r = sched_->Dispatch(ctx);
   if (!r) return false;
   const SimTime wait = std::max<SimTime>(disk.now - r->arrival, 0);
-  assert(pass_.dispatched == 0 && "one dispatch per published pass");
-  ++pass_.dispatched;
-  pass_.wait = wait;
+  if (pass_.waits.size() == pass_.waits.capacity()) Publish();
+  pass_.waits.push_back(wait);
   if (tracer_.enabled()) {
     obs::TraceEvent e;
     e.kind = obs::TraceEventKind::kDispatch;
@@ -208,12 +212,14 @@ void ServiceServer::Publish() {
   {
     MutexLock lock(stats_mu_);
     enqueued_ += pass_.enqueued;
-    dispatched_ += pass_.dispatched;
+    dispatched_ += pass_.waits.size();
     completions_ += pass_.completions;
-    if (pass_.dispatched != 0) wait_hist_.Add(pass_.wait);
+    for (SimTime wait : pass_.waits) wait_hist_.Add(wait);
     queue_depth_.store(depth, std::memory_order_relaxed);
   }
-  pass_ = PassTally{};
+  pass_.enqueued = 0;
+  pass_.completions = 0;
+  pass_.waits.clear();
 }
 
 ServiceStats ServiceServer::RunVirtual(std::vector<Request> offered) {
@@ -270,10 +276,30 @@ bool ServiceServer::Offer(Request r) {
   const SimTime now = clock_.NowUs();
   r.arrival = now;
   const bool admitted = Ingest(std::move(r), now);
-  // Plain notify (no lock): the pump's timed wait bounds any lost-wakeup
-  // window to one idle tick.
-  if (admitted) wake_cv_.NotifyOne();
+  // Store-buffering handshake with WaitForWork: the push's seq_cst claim,
+  // then this seq_cst flag load. Either the load sees the pump's flag, or
+  // the pump's seq_cst ring re-check sees the claim; the lock is taken
+  // only when the pump may be asleep.
+  if (admitted && pump_waiting_.load(std::memory_order_seq_cst)) {
+    MutexLock lock(wake_mu_);
+    wake_cv_.NotifyOne();
+  }
   return admitted;
+}
+
+void ServiceServer::WaitForWork(bool disk_busy, SimTime timeout_us) {
+  MutexLock lock(wake_mu_);
+  pump_waiting_.store(true, std::memory_order_seq_cst);
+  // Re-checked after the flag is up: ring_.size() loads the tail seq_cst,
+  // so a push that missed the flag is seen here. Stop/Cancel notify under
+  // wake_mu_, so their flags are either seen here or their notify reaches
+  // the wait. A busy disk still sleeps until its completion whatever
+  // stop_ says.
+  const bool work = ring_.size() != 0 ||
+                    cancel_.load(std::memory_order_acquire) ||
+                    (!disk_busy && stop_.load(std::memory_order_acquire));
+  if (!work) wake_cv_.WaitFor(wake_mu_, timeout_us);
+  pump_waiting_.store(false, std::memory_order_seq_cst);
 }
 
 void ServiceServer::PumpLoop() {
@@ -283,14 +309,16 @@ void ServiceServer::PumpLoop() {
     if (cancel_.load(std::memory_order_acquire)) break;
     disk.now = clock_.NowUs();
     bool progress = DrainRing(DispatchContext{disk.now, disk.head}) > 0;
-    if (disk.busy && disk.now >= disk.completion_time) {
-      Complete(disk);
+    // Serve while the modeled disk finishes by `now`: unpaced, that is
+    // everything just drained; paced, one dispatch per completion.
+    for (;;) {
+      if (disk.busy) {
+        if (disk.completion_time > disk.now) break;
+        Complete(disk);
+        progress = true;
+      }
+      if (!TryDispatch(disk, options_.time_scale)) break;
       progress = true;
-    }
-    if (!disk.busy && TryDispatch(disk, options_.time_scale)) {
-      progress = true;
-      // Unpaced (time_scale 0) service completes within the iteration.
-      if (disk.completion_time <= disk.now) Complete(disk);
     }
     if (progress) {
       Publish();  // one stats_mu_ acquisition per pass
@@ -307,14 +335,16 @@ void ServiceServer::PumpLoop() {
       timeout_us = std::clamp<SimTime>(disk.completion_time - disk.now, 1,
                                        kMillisecond);
     }
-    MutexLock lock(wake_mu_);
-    wake_cv_.WaitFor(wake_mu_, timeout_us);
+    WaitForWork(disk.busy, timeout_us);
   }
 }
 
 void ServiceServer::Stop() {
   stop_.store(true, std::memory_order_release);
-  wake_cv_.NotifyAll();
+  {
+    MutexLock lock(wake_mu_);
+    wake_cv_.NotifyAll();
+  }
   // The exchange elects exactly one joiner when Stop and Cancel race.
   if (running_.exchange(false, std::memory_order_acq_rel) &&
       pump_.joinable()) {
@@ -325,7 +355,10 @@ void ServiceServer::Stop() {
 void ServiceServer::Cancel() {
   cancel_.store(true, std::memory_order_release);
   stop_.store(true, std::memory_order_release);
-  wake_cv_.NotifyAll();
+  {
+    MutexLock lock(wake_mu_);
+    wake_cv_.NotifyAll();
+  }
   if (running_.exchange(false, std::memory_order_acq_rel) &&
       pump_.joinable()) {
     pump_.join();

@@ -24,9 +24,15 @@
 //    same logic against a MonotonicClock (the common/clock seam);
 //    `time_scale` maps modeled service milliseconds to wall-clock pacing
 //    (0 = no pacing, the closed-loop soak configuration that measures
-//    pure front-end overhead). Stop() drains everything already admitted;
-//    Cancel() abandons pending work immediately (the mid-drain
-//    cancellation path the TSan stress exercises).
+//    pure front-end overhead). One pump pass drains at most one ring's
+//    worth, then serves while the modeled disk finishes by the pass's
+//    clock reading: an unpaced pass serves everything it drained (what
+//    DiskServerSimulator::Run does when service takes no time), a paced
+//    pass dispatches once per completion. The backlog therefore waits in
+//    the bounded ring, where ring-full sheds push back on producers.
+//    Stop() drains everything already admitted; Cancel() abandons pending
+//    work immediately (the mid-drain cancellation path the TSan stress
+//    exercises).
 //
 // Event stream (obs/trace_event.h lifecycle): Offer emits ingest then
 // admit or reject from the producer thread; the pump emits enqueue on
@@ -76,8 +82,7 @@ using ServiceTimeFn = std::function<double(Cylinder head, const Request& r)>;
 struct IngestConfig {
   /// Ring capacity in requests (rounded up to a power of two).
   size_t ring_capacity = 1024;
-  /// Max requests drained from the ring per pump iteration; also the
-  /// batch span handed to Scheduler::EnqueueBatch.
+  /// Requests per EnqueueBatch span; a pass drains at most one ring.
   size_t drain_batch = 64;
 
   Status Validate() const;
@@ -174,17 +179,18 @@ class ServiceServer {
   /// events. Returns true iff the request entered the ring.
   bool Ingest(Request&& r, SimTime now);
 
-  /// Counts of one pump pass that Stats() readers have not seen yet.
-  /// A pass dispatches at most once, so it holds at most one wait sample.
+  /// Counts of one pump pass that Stats() readers have not seen yet. One
+  /// wait sample per dispatch; `waits` is reserved to one ring's worth in
+  /// the ctor and published early when full, so it never grows.
   struct PassTally {
     uint64_t enqueued = 0;
-    uint64_t dispatched = 0;
     uint64_t completions = 0;
-    SimTime wait = 0;  ///< the dispatch's wait sample, if dispatched != 0
+    std::vector<SimTime> waits;
   };
 
-  /// Drains the ring into the scheduler in batches of drain_batch,
-  /// emitting enqueue events. Pump thread only.
+  /// Drains at most one ring's worth into the scheduler in spans of
+  /// drain_batch, stopping at the first short span (the ring was seen
+  /// empty), and emits enqueue events. Pump thread only.
   size_t DrainRing(const DispatchContext& ctx);
 
   /// Pops the next request if one is pending: emits dispatch + drain,
@@ -192,6 +198,11 @@ class ServiceServer {
   /// service_ms (scaled by `scale`). Pump thread only. Returns whether a
   /// request was dispatched.
   bool TryDispatch(DiskState& disk, double scale);
+
+  /// Wall-clock idle wait: raises pump_waiting_, re-checks for work under
+  /// wake_mu_, then sleeps until an Offer/Stop/Cancel notify or
+  /// `timeout_us`. Pump thread only.
+  void WaitForWork(bool disk_busy, SimTime timeout_us) EXCLUDES(wake_mu_);
 
   /// Completes the in-service request: advances the head, emits the
   /// completion event. Pump thread only.
@@ -230,15 +241,21 @@ class ServiceServer {
   PassTally pass_;
 
   std::thread pump_;
-  /// Lifecycle flags. Memory-order contracts (allowed orders per op,
-  /// with rationale) live in tools/csfc_analyze/concurrency.toml;
-  /// csfc_analyze enforces call sites against them.
-  std::atomic<bool> running_{false};
+  /// Lifecycle flags, read by every Offer; aligned off the pump-written
+  /// pass_ above. Memory-order contracts (allowed orders per op, with
+  /// rationale) live in tools/csfc_analyze/concurrency.toml; csfc_analyze
+  /// enforces call sites against them.
+  alignas(kCacheLine) std::atomic<bool> running_{false};
   std::atomic<bool> stop_{false};
   std::atomic<bool> cancel_{false};
   /// Scheduler queue size mirror for producers' admission checks (the
-  /// scheduler itself is pump-owned), refreshed by each Publish().
-  std::atomic<size_t> queue_depth_{0};
+  /// scheduler itself is pump-owned), refreshed by each Publish(). On its
+  /// own line: the pump stores it every pass, producers read the flags
+  /// above on every offer.
+  alignas(kCacheLine) std::atomic<size_t> queue_depth_{0};
+  /// Set (under wake_mu_) while the pump is about to sleep or sleeping;
+  /// an admitted Offer takes wake_mu_ to notify only when it reads true.
+  alignas(kCacheLine) std::atomic<bool> pump_waiting_{false};
 
   /// Wakes the pump when work arrives or shutdown is requested.
   Mutex wake_mu_;

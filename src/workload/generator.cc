@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <string>
 
 namespace csfc {
 
@@ -17,6 +19,17 @@ Status WorkloadConfig::Validate() const {
   }
   if (priority_dims > 0 && priority_levels < 2) {
     return Status::InvalidArgument("priority_levels must be >= 2");
+  }
+  if (!relaxed_deadlines &&
+      !(std::isfinite(deadline_hi_ms) && deadline_lo_ms >= 0.0)) {
+    // A negative relative deadline is a request born past its deadline.
+    char range[64];
+    std::snprintf(range, sizeof range, "%g:%g", deadline_lo_ms,
+                  deadline_hi_ms);
+    return Status::InvalidArgument(
+        std::string("deadline range ") + range +
+        " ms must be finite and >= 0 (--deadline=LO:HI, relative to "
+        "arrival)");
   }
   if (!relaxed_deadlines && deadline_hi_ms < deadline_lo_ms) {
     return Status::InvalidArgument("deadline range is inverted");

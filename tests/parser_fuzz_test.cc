@@ -1,6 +1,7 @@
-// Seeded mutation fuzzing of the two text parsers that read outside input:
-// ParseTraceLine (--trace-in files) and obs::ParseFlatJsonObject (JSONL
-// traces, BENCH_hotpath.json rows, the golden ledger).
+// Seeded mutation fuzzing of the text parsers that read outside input:
+// ParseTraceLine (--trace-in files), obs::ParseFlatJsonObject (JSONL
+// traces, BENCH_hotpath.json rows, the golden ledger) and the CLIs'
+// FlagSet (argv, over csfc_sim's table).
 //
 // Each case starts from valid lines, applies 1-4 random edits (byte flips,
 // truncations, duplicated fields, signs, digit runs past 2^64, stray
@@ -12,12 +13,17 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <charconv>
+#include <cstdio>
 #include <iterator>
 #include <limits>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "cli_flags.h"
 #include "common/random.h"
 #include "obs/json.h"
 #include "workload/trace.h"
@@ -243,6 +249,163 @@ TEST(ParserFuzzTest, FlatJsonObjectsRoundTripOrFail) {
     ASSERT_TRUE(back.ok()) << "input: " << line << "\nwritten: " << again;
     ASSERT_TRUE(SameObject(*obj, *back))
         << "input: " << line << "\nwritten: " << again;
+  }
+  EXPECT_GT(accepted, kInputs / 20);
+  EXPECT_LT(accepted, kInputs - kInputs / 20);
+}
+
+// Discards what the code under test writes to stderr (FlagSet prints the
+// usage on every rejected argv) and restores it on scope exit.
+class SilencedStderr {
+ public:
+  SilencedStderr() : saved_(dup(STDERR_FILENO)) {
+    std::fflush(stderr);
+    std::FILE* null = std::fopen("/dev/null", "w");
+    if (null != nullptr) {
+      dup2(fileno(null), STDERR_FILENO);
+      std::fclose(null);
+    }
+  }
+  ~SilencedStderr() {
+    std::fflush(stderr);
+    dup2(saved_, STDERR_FILENO);
+    close(saved_);
+  }
+  SilencedStderr(const SilencedStderr&) = delete;
+  SilencedStderr& operator=(const SilencedStderr&) = delete;
+
+ private:
+  int saved_;
+};
+
+// Parses `args` (argv[0] supplied) over a fresh csfc_sim table.
+int ParseSimArgs(std::vector<std::string> args, tools::SimFlags* out) {
+  std::vector<char*> argv;
+  std::string prog = "csfc_sim";
+  argv.push_back(prog.data());
+  for (std::string& a : args) argv.push_back(a.data());
+  tools::FlagSet flags("csfc_sim");
+  tools::AddSimFlags(flags, out);
+  return flags.Parse(static_cast<int>(argv.size()), argv.data());
+}
+
+template <typename T>
+std::string Num(T v) {
+  char buf[64];
+  const auto [end, ec] = std::to_chars(buf, buf + sizeof buf, v);
+  EXPECT_EQ(ec, std::errc());
+  return std::string(buf, end);
+}
+
+// Whether an accepted --name=VALUE spells numbers the way the table's
+// grammar allows: only digits for an unsigned flag, no letters (so no
+// nan, inf or trailing junk) for a double, each half of a LO:HI range
+// alike. Flags that take no number pass.
+bool SpellsAcceptedNumber(std::string_view arg) {
+  const size_t eq = arg.find('=');
+  if (eq == std::string_view::npos) return true;
+  const std::string_view name = arg.substr(2, eq - 2);
+  std::string_view value = arg.substr(eq + 1);
+  const auto digits = [](std::string_view t) {
+    return !t.empty() &&
+           t.find_first_not_of("0123456789") == std::string_view::npos;
+  };
+  const auto decimal = [](std::string_view t) {
+    return !t.empty() &&
+           t.find_first_not_of("0123456789.eE+-") == std::string_view::npos;
+  };
+  for (std::string_view n : {"users", "count", "burst", "dims", "levels",
+                             "seed", "r"}) {
+    if (name == n) return digits(value);
+  }
+  for (std::string_view n : {"duration", "interarrival", "f", "window"}) {
+    if (name == n) return decimal(value);
+  }
+  const size_t colon = value.find(':');
+  if (name == "bytes") {
+    return digits(value.substr(0, colon)) && digits(value.substr(colon + 1));
+  }
+  if (name == "deadline") {
+    return decimal(value.substr(0, colon)) &&
+           decimal(value.substr(colon + 1));
+  }
+  return true;
+}
+
+std::string Join(const std::vector<std::string>& args) {
+  std::string out;
+  for (const std::string& a : args) out += (out.empty() ? "" : " ") + a;
+  return out;
+}
+
+// Every valued flag of the table, spelled from what was parsed; the
+// booleans only when set.
+std::vector<std::string> FormatSimArgs(const tools::SimFlags& f) {
+  const WorkloadConfig& c = f.workload.cfg;
+  std::vector<std::string> args = {
+      "--trace-in=" + f.trace_in,
+      "--trace-out=" + f.trace_out,
+      "--trace-jsonl=" + f.trace_jsonl,
+      "--sched=" + f.sched.sched,
+      "--sfc1=" + f.sched.sfc1,
+      "--f=" + Num(f.sched.f),
+      "--r=" + Num(f.sched.r),
+      "--window=" + Num(f.sched.window),
+      "--workload=" + f.workload.kind,
+      "--users=" + Num(f.workload.users),
+      "--duration=" + Num(f.workload.duration_ms),
+      "--count=" + Num(c.count),
+      "--interarrival=" + Num(c.mean_interarrival_ms),
+      "--burst=" + Num(c.burst_size),
+      "--dims=" + Num(c.priority_dims),
+      "--levels=" + Num(c.priority_levels),
+      "--deadline=" + Num(c.deadline_lo_ms) + ":" + Num(c.deadline_hi_ms),
+      "--bytes=" + Num(c.bytes_lo) + ":" + Num(c.bytes_hi),
+      "--seed=" + Num(c.seed)};
+  if (f.json) args.push_back("--json");
+  if (f.list) args.push_back("--list");
+  if (f.sched.transfer_only) args.push_back("--transfer-only");
+  if (c.relaxed_deadlines) args.push_back("--relaxed");
+  return args;
+}
+
+TEST(ParserFuzzTest, FlagSetArgvRoundTripsOrFails) {
+  const std::vector<std::vector<std::string>> corpus = {
+      {"--sched=csfc", "--count=1000000", "--interarrival=25", "--seed=1",
+       "--json"},
+      {"--sched=edf", "--count=5000", "--interarrival=0.5", "--burst=4",
+       "--dims=3", "--levels=16", "--deadline=500:700",
+       "--bytes=4096:131072", "--trace-jsonl=run.jsonl"},
+      {"--sfc1=diagonal", "--f=1e-3", "--r=12", "--window=0.05",
+       "--transfer-only", "--relaxed", "--trace-out=w.trace"},
+      {"--workload=mpeg", "--users=40", "--duration=20000.5",
+       "--seed=18446744073709551615", "--trace-in=load.trace", "--list"}};
+  Rng rng(20261019);
+  int accepted = 0;
+  SilencedStderr quiet;
+  for (int i = 0; i < kInputs; ++i) {
+    std::vector<std::string> args = corpus[rng.Uniform(corpus.size())];
+    const uint64_t edits = 1 + rng.Uniform(4);
+    for (uint64_t e = 0; e < edits; ++e) {
+      std::string& arg = args[rng.Uniform(args.size())];
+      Mutate(rng, arg, arg.find(':') != std::string::npos ? ':' : '=');
+    }
+    bool help = false;  // --help/-h print the help and exit the process
+    for (const std::string& a : args) help |= a == "--help" || a == "-h";
+    if (help) continue;
+    tools::SimFlags parsed;
+    const int rc = ParseSimArgs(args, &parsed);
+    ASSERT_TRUE(rc == 0 || rc == 2) << "rc " << rc << " on " << Join(args);
+    if (rc != 0) continue;
+    ++accepted;
+    for (const std::string& a : args) {
+      ASSERT_TRUE(SpellsAcceptedNumber(a)) << "accepted " << Join(args);
+    }
+    const std::vector<std::string> again = FormatSimArgs(parsed);
+    tools::SimFlags back;
+    ASSERT_EQ(ParseSimArgs(again, &back), 0)
+        << "input: " << Join(args) << "\nformatted: " << Join(again);
+    ASSERT_EQ(FormatSimArgs(back), again) << "input: " << Join(args);
   }
   EXPECT_GT(accepted, kInputs / 20);
   EXPECT_LT(accepted, kInputs - kInputs / 20);

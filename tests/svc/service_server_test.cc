@@ -11,7 +11,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <string>
 #include <thread>
@@ -22,6 +24,7 @@
 #include "exp/server_config.h"
 #include "obs/trace_event.h"
 #include "obs/vector_sink.h"
+#include "svc/pump_passes.h"
 #include "workload/generator.h"
 #include "workload/trace.h"
 
@@ -324,6 +327,54 @@ TEST(ServiceServerTest, StatsSnapshotsStayOrderedDuringTwoProducerSoak) {
   EXPECT_EQ(stats.enqueued, a.admitted);
   EXPECT_EQ(stats.dispatched, a.admitted);
   EXPECT_EQ(stats.completions, a.admitted);
+}
+
+// The unpaced pump serves what it drains: each pass drains at most one
+// ring's worth, then dispatches until the scheduler queue is empty, so the
+// backlog waits in the bounded ring instead of the scheduler. A pump that
+// drains until the ring is empty and dispatches once per pass breaks both
+// assertions once producers keep the ring busy, which a 25 us service-time
+// call makes sure of.
+TEST(ServiceServerTest, UnpacedPassServesEverythingItDrains) {
+  constexpr size_t kRing = 256;
+  ServerConfig config = BaseConfig();
+  VectorSink rec;
+  config.WithIngest(kRing, 32).WithTimeScale(0.0).WithTraceSink(&rec);
+  auto handle = MakeSlowPumpServer(config, std::chrono::microseconds(25));
+  ASSERT_TRUE(handle.ok()) << handle.status().ToString();
+  ServiceServer& server = *handle->server;
+  const std::vector<Request> reqs = SyntheticTrace(13, 5000, 1.0);
+
+  ASSERT_TRUE(server.Start().ok());
+  {
+    std::vector<std::jthread> producers;
+    for (size_t p = 0; p < 2; ++p) {
+      producers.emplace_back([&, p] {
+        for (size_t i = p; i < reqs.size(); i += 2) {
+          while (!server.Offer(reqs[i])) std::this_thread::yield();
+        }
+      });
+    }
+  }  // jthread joins
+  server.Stop();
+
+  const ServiceStats stats = server.Stats();
+  EXPECT_EQ(stats.admission.admitted, reqs.size());
+  EXPECT_EQ(stats.completions, reqs.size());
+  const std::vector<PumpPass> passes = PumpPasses(rec.events);
+  ASSERT_FALSE(passes.empty());
+  uint64_t enqueued = 0, backlogged = 0, oversized = 0, max_drain = 0;
+  for (const PumpPass& pass : passes) {
+    enqueued += pass.enqueued;
+    max_drain = std::max(max_drain, pass.enqueued);
+    if (pass.last_dispatch_depth != 0) ++backlogged;
+    if (pass.enqueued > kRing) ++oversized;
+  }
+  EXPECT_EQ(enqueued, reqs.size());
+  EXPECT_EQ(backlogged, 0u) << "of " << passes.size()
+                            << " passes left a backlog in the scheduler";
+  EXPECT_EQ(oversized, 0u) << "passes drained more than one ring (largest "
+                           << max_drain << ")";
 }
 
 }  // namespace

@@ -8,7 +8,9 @@
 //    boundaries is where an MPSC ring breaks first);
 //  * Cancel() racing producers mid-drain;
 //  * Stop() racing Cancel() (joiner election);
-//  * a shared single-threaded sink behind the server's internal lock.
+//  * a shared single-threaded sink behind the server's internal lock;
+//  * bursts separated by idle gaps, so Offer wakes a sleeping pump
+//    through the waiting-flag handshake hundreds of times.
 //
 // Run under -fsanitize=thread these pin the ring's memory ordering and
 // the server's threading contract (DESIGN.md section 12).
@@ -16,6 +18,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <barrier>
+#include <chrono>
 #include <cstdint>
 #include <thread>
 #include <vector>
@@ -23,6 +27,8 @@
 #include "core/presets.h"
 #include "exp/server_config.h"
 #include "obs/slo.h"
+#include "obs/vector_sink.h"
+#include "svc/pump_passes.h"
 #include "workload/request.h"
 
 namespace csfc {
@@ -191,6 +197,71 @@ TEST(ServiceStressTest, AdmissionGatesUnderConcurrentOffers) {
   EXPECT_EQ(k.offered, k.admitted + k.rejected_rate + k.rejected_load +
                            k.rejected_ring_full);
   EXPECT_EQ(server.Stats().completions, admitted.load());
+}
+
+TEST(ServiceStressTest, BurstsWakeASleepingPump) {
+  // Each gap outlasts the pump's 1 ms idle tick, so every burst lands on a
+  // pump that has gone to sleep and must be woken by an Offer. Producers
+  // sleep between offers, leaving the CPU to the pump, and a 100 us
+  // service-time call still keeps each burst arriving faster than it is
+  // served (16 requests take 1.6 ms of the 3 ms gap).
+  constexpr size_t kRing = 64;
+  constexpr size_t kProducers = 2;
+  constexpr uint64_t kBursts = 200;
+  constexpr uint64_t kPerBurst = 8;  // per producer
+  constexpr auto kGap = std::chrono::milliseconds(3);
+  constexpr auto kOfferGap = std::chrono::microseconds(10);
+  ServerConfig config = StressConfig(kRing, /*batch=*/8);
+  obs::VectorSink rec;
+  config.WithTraceSink(&rec);
+  auto handle = MakeSlowPumpServer(config, std::chrono::microseconds(100));
+  ASSERT_TRUE(handle.ok()) << handle.status().ToString();
+  ServiceServer& server = *handle->server;
+
+  ASSERT_TRUE(server.Start().ok());
+  std::barrier burst_start(kProducers + 1);
+  std::vector<std::thread> threads;
+  for (size_t p = 0; p < kProducers; ++p) {
+    threads.emplace_back([&server, &burst_start, p, kOfferGap] {
+      for (uint64_t b = 0; b < kBursts; ++b) {
+        burst_start.arrive_and_wait();
+        for (uint64_t i = 0; i < kPerBurst; ++i) {
+          const uint64_t id = (b * kProducers + p) * kPerBurst + i;
+          while (!server.Offer(MakeRequest(id, static_cast<uint32_t>(p)))) {
+            std::this_thread::yield();
+          }
+          std::this_thread::sleep_for(kOfferGap);
+        }
+      }
+    });
+  }
+  for (uint64_t b = 0; b < kBursts; ++b) {
+    burst_start.arrive_and_wait();
+    std::this_thread::sleep_for(kGap);
+  }
+  for (std::thread& t : threads) t.join();
+  std::this_thread::sleep_for(kGap);  // let the pump go idle again
+  server.Stop();  // must return from an idle pump
+  EXPECT_FALSE(server.running());
+
+  const ServiceStats stats = server.Stats();
+  const uint64_t offered = kBursts * kProducers * kPerBurst;
+  const AdmissionController::Counters& k = stats.admission;
+  EXPECT_EQ(k.admitted, offered);
+  EXPECT_EQ(k.offered, k.admitted + k.rejected_rate + k.rejected_load +
+                           k.rejected_ring_full);
+  EXPECT_EQ(stats.enqueued, offered);
+  EXPECT_EQ(stats.dispatched, offered);
+  EXPECT_EQ(stats.completions, offered);
+  // Waking does not change the pass: each drains at most one ring and
+  // serves all of it.
+  uint64_t backlogged = 0, oversized = 0;
+  for (const PumpPass& pass : PumpPasses(rec.events)) {
+    if (pass.last_dispatch_depth != 0) ++backlogged;
+    if (pass.enqueued > kRing) ++oversized;
+  }
+  EXPECT_EQ(backlogged, 0u);
+  EXPECT_EQ(oversized, 0u);
 }
 
 }  // namespace

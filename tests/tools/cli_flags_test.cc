@@ -137,6 +137,21 @@ TEST(FlagSetTest, BadValuesFail) {
   EXPECT_EQ(bhi, 0u);
   EXPECT_EQ(lo, 0.0);
   EXPECT_EQ(hi, 0.0);
+
+  // A negative relative deadline parses as a number but is rejected when
+  // the workload is built, naming the flag; --relaxed drops deadlines.
+  for (const char* bad : {"--deadline=-50:100", "--deadline=-50:-10"}) {
+    WorkloadFlags w;
+    FlagSet workload("t");
+    AddWorkloadFlags(workload, &w);
+    ASSERT_EQ(ParseArgs(workload, {bad}), 0) << bad;
+    const auto gen = MakeWorkloadGenerator(w);
+    ASSERT_FALSE(gen.ok()) << bad;
+    EXPECT_NE(gen.status().message().find("--deadline"), std::string::npos)
+        << gen.status().ToString();
+    w.cfg.relaxed_deadlines = true;
+    EXPECT_TRUE(MakeWorkloadGenerator(w).ok()) << bad;
+  }
 }
 
 TEST(FlagSetTest, LastOccurrenceWins) {

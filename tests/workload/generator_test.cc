@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+#include <utility>
+
 #include "workload/trace.h"
 
 namespace csfc {
@@ -42,6 +46,10 @@ TEST(WorkloadConfigTest, ValidationCatchesBadValues) {
   c = BaseConfig();
   c.deadline_lo_ms = 700;
   c.deadline_hi_ms = 500;
+  EXPECT_FALSE(c.Validate().ok());
+  c = BaseConfig();
+  c.deadline_lo_ms = std::numeric_limits<double>::infinity();
+  c.deadline_hi_ms = std::numeric_limits<double>::infinity();
   EXPECT_FALSE(c.Validate().ok());
   c = BaseConfig();
   c.bytes_lo = 100;
@@ -137,6 +145,31 @@ TEST(SyntheticGeneratorTest, DeadlinesInRange) {
     EXPECT_GE(rel, 500.0);
     EXPECT_LE(rel, 700.0);
   }
+}
+
+// A negative relative deadline would make requests that are born past
+// their deadlines: rejected with a message that names the range, unless
+// relaxed deadlines make the range moot.
+TEST(WorkloadConfigTest, NegativeDeadlinesAreRejected) {
+  for (const auto& [lo, hi] : {std::pair{-50.0, 100.0}, {-50.0, -10.0},
+                               {-0.001, 0.0}}) {
+    WorkloadConfig c = BaseConfig();
+    c.deadline_lo_ms = lo;
+    c.deadline_hi_ms = hi;
+    const Status s = c.Validate();
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << lo << ":" << hi;
+    EXPECT_NE(s.message().find("deadline range"), std::string::npos)
+        << s.ToString();
+    EXPECT_NE(s.message().find("--deadline"), std::string::npos)
+        << s.ToString();
+    EXPECT_FALSE(SyntheticGenerator::Create(c).ok());
+    c.relaxed_deadlines = true;
+    EXPECT_TRUE(c.Validate().ok()) << lo << ":" << hi;
+  }
+  WorkloadConfig zero = BaseConfig();
+  zero.deadline_lo_ms = 0.0;
+  zero.deadline_hi_ms = 0.0;
+  EXPECT_TRUE(zero.Validate().ok());
 }
 
 TEST(SyntheticGeneratorTest, RelaxedDeadlines) {

@@ -308,6 +308,35 @@ inline void AddSchedulerFlags(FlagSet& flags, SchedulerFlags* s) {
                 &s->transfer_only);
 }
 
+/// csfc_sim's whole flag table: its own trace and output flags, then the
+/// shared scheduler and workload blocks.
+struct SimFlags {
+  std::string trace_in;
+  std::string trace_out;
+  std::string trace_jsonl;
+  bool json = false;
+  bool list = false;
+  SchedulerFlags sched;
+  WorkloadFlags workload;
+};
+
+inline void AddSimFlags(FlagSet& flags, SimFlags* s) {
+  flags.AddString("trace-in", "FILE",
+                  "replay a text trace file instead of generating",
+                  &s->trace_in);
+  flags.AddString("trace-out", "FILE",
+                  "save the generated workload as a text trace file",
+                  &s->trace_out);
+  flags.AddString("trace-jsonl", "FILE",
+                  "stream lifecycle events as JSONL (DESIGN.md section 10)",
+                  &s->trace_jsonl);
+  flags.AddBool("json", "print RunMetrics as JSON instead of the summary",
+                &s->json);
+  flags.AddBool("list", "list registered schedulers and exit", &s->list);
+  AddSchedulerFlags(flags, &s->sched);
+  AddWorkloadFlags(flags, &s->workload);
+}
+
 /// Folds the scheduler and workload flags into a ServerConfig: policy
 /// name, service model, metrics shape, and the cascaded preset (shape
 /// knobs reuse the workload's dims/levels/deadline horizon). Every flag

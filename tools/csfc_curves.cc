@@ -8,11 +8,11 @@
 //   csfc_curves list
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
 
+#include "common/parse.h"
 #include "sfc/locality.h"
 #include "sfc/registry.h"
 
@@ -91,13 +91,17 @@ int main(int argc, char** argv) {
     std::printf("\n");
     return 0;
   }
-  if (std::strcmp(argv[1], "draw") == 0 && argc >= 3) {
-    const uint32_t bits = argc >= 4 ? static_cast<uint32_t>(std::atoi(argv[3])) : 3;
+  if (std::strcmp(argv[1], "draw") == 0 && (argc == 3 || argc == 4)) {
+    uint32_t bits = 3;
+    if (argc == 4 && !ParseToken(argv[3], &bits)) return Usage();
     return Draw(argv[2], bits);
   }
   if (std::strcmp(argv[1], "analyze") == 0 && argc == 5) {
-    return Analyze(argv[2], static_cast<uint32_t>(std::atoi(argv[3])),
-                   static_cast<uint32_t>(std::atoi(argv[4])));
+    uint32_t dims = 0, bits = 0;
+    if (!ParseToken(argv[3], &dims) || !ParseToken(argv[4], &bits)) {
+      return Usage();
+    }
+    return Analyze(argv[2], dims, bits);
   }
   return Usage();
 }

@@ -96,7 +96,9 @@ void AddServeFlags(tools::FlagSet& flags, ServeArgs* a) {
   flags.AddUint32("max-streams", "token bucket count", &a->max_streams);
   flags.AddSize("ring", "ingest ring capacity (rounded to power of two)",
                 &a->ring);
-  flags.AddSize("drain-batch", "max requests drained per pump iteration",
+  flags.AddSize("drain-batch",
+                "requests per EnqueueBatch span; a pass drains at most one "
+                "ring",
                 &a->drain_batch);
   flags.AddDouble("windows", "SLO window width in ms (0 = off)",
                   &a->windows_ms);

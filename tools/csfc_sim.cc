@@ -40,30 +40,19 @@
 using namespace csfc;
 
 int main(int argc, char** argv) {
-  tools::WorkloadFlags wf;
-  wf.cfg.count = 5000;
-  tools::SchedulerFlags sf;
-  std::string trace_in, trace_out, trace_jsonl;
-  bool json = false;
-  bool list = false;
-
+  tools::SimFlags args;
+  args.workload.cfg.count = 5000;
   tools::FlagSet flags("csfc_sim");
-  flags.AddString("trace-in", "FILE",
-                  "replay a text trace file instead of generating", &trace_in);
-  flags.AddString("trace-out", "FILE",
-                  "save the generated workload as a text trace file",
-                  &trace_out);
-  flags.AddString("trace-jsonl", "FILE",
-                  "stream lifecycle events as JSONL (DESIGN.md section 10)",
-                  &trace_jsonl);
-  flags.AddBool("json", "print RunMetrics as JSON instead of the summary",
-                &json);
-  flags.AddBool("list", "list registered schedulers and exit", &list);
-  tools::AddSchedulerFlags(flags, &sf);
-  tools::AddWorkloadFlags(flags, &wf);
+  tools::AddSimFlags(flags, &args);
   if (int rc = flags.Parse(argc, argv); rc != 0) return rc;
+  const tools::WorkloadFlags& wf = args.workload;
+  const tools::SchedulerFlags& sf = args.sched;
+  const std::string& trace_in = args.trace_in;
+  const std::string& trace_out = args.trace_out;
+  const std::string& trace_jsonl = args.trace_jsonl;
+  const bool json = args.json;
 
-  if (list) {
+  if (args.list) {
     std::printf("schedulers:");
     for (auto n : AllSchedulerNames()) std::printf(" %s", std::string(n).c_str());
     std::printf("\n");

@@ -12,8 +12,9 @@
 //     counting dimension-0 priority inversions at each dispatch against
 //     the then-waiting set, plus per-window deadline misses.
 //
-// Exit code 0 when the trace is schema-clean, 1 on any violation — the CI
-// smoke job pipes a traced bench run through this binary.
+// Exit code 0 when the trace is schema-clean, 1 on any violation, 2 on a
+// usage error (an unknown flag, or a count that is not a whole number in
+// range) — the CI smoke job pipes a traced bench run through this binary.
 //
 // Usage: trace_inspect [--windows=N] [--errors=N] FILE|-
 
@@ -27,6 +28,7 @@
 #include <string>
 #include <vector>
 
+#include "common/parse.h"
 #include "exp/table.h"
 #include "obs/json.h"
 #include "obs/trace_event.h"
@@ -241,9 +243,14 @@ double Percentile(std::vector<double>& sorted_values, double q) {
   return sorted_values[lo] * (1.0 - frac) + sorted_values[hi] * frac;
 }
 
+/// The timeline keeps three counters per window.
+constexpr size_t kMaxWindows = 1'000'000;
+
 int Usage() {
   std::fprintf(stderr,
-               "usage: trace_inspect [--windows=N] [--errors=N] FILE|-\n");
+               "usage: trace_inspect [--windows=N (1..%zu)] [--errors=N] "
+               "FILE|-\n",
+               kMaxWindows);
   return 2;
 }
 
@@ -255,10 +262,12 @@ int main(int argc, char** argv) {
   size_t max_errors_shown = 10;
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--windows=", 10) == 0) {
-      timeline_windows = static_cast<size_t>(std::atoi(argv[i] + 10));
-      if (timeline_windows == 0) return Usage();
+      if (!ParseToken(argv[i] + 10, &timeline_windows) ||
+          timeline_windows == 0 || timeline_windows > kMaxWindows) {
+        return Usage();
+      }
     } else if (std::strncmp(argv[i], "--errors=", 9) == 0) {
-      max_errors_shown = static_cast<size_t>(std::atoi(argv[i] + 9));
+      if (!ParseToken(argv[i] + 9, &max_errors_shown)) return Usage();
     } else if (argv[i][0] == '-' && std::strcmp(argv[i], "-") != 0) {
       return Usage();
     } else if (path.empty()) {
