@@ -35,25 +35,11 @@ Result<SchedulerFactory> ServerConfig::MakeFactory(
 svc::ServiceTimeFn MakeServiceTimeFn(const DiskModel& disk,
                                      ServiceModel model,
                                      std::optional<uint64_t> latency_seed) {
-  if (model == ServiceModel::kTransferOnly) {
-    return [&disk](Cylinder, const Request& r) {
-      return disk.TransferTimeMs(r.cylinder, r.bytes);
-    };
-  }
-  if (latency_seed) {
-    // Mutable capture: the sampling sequence advances per dispatch in
-    // dispatch order — the same stream the simulator would draw.
-    return [&disk, rng = Rng(*latency_seed)](Cylinder head,
-                                             const Request& r) mutable {
-      return disk.SeekTimeMs(head, r.cylinder) +
-             disk.SampleRotationalLatencyMs(rng) +
-             disk.TransferTimeMs(r.cylinder, r.bytes);
-    };
-  }
-  return [&disk](Cylinder head, const Request& r) {
-    return disk.SeekTimeMs(head, r.cylinder) +
-           disk.AvgRotationalLatencyMs() +
-           disk.TransferTimeMs(r.cylinder, r.bytes);
+  // Mutable capture: a seeded charger's latency stream advances per
+  // dispatch in dispatch order, the same stream the simulator draws.
+  return [charge = ServiceCharger(disk, model, latency_seed)](
+             Cylinder head, const Request& r) mutable {
+    return charge(head, r).service_ms;
   };
 }
 
@@ -69,22 +55,17 @@ Result<ServiceHandle> MakeServer(const ServerConfig& config) {
   options.admission = config.admission;
   options.trace_sink = config.sim.trace_sink;
   options.time_scale = config.time_scale;
-  // Calibrate the SCAN-tour oracle from the disk model: the seek-free
-  // per-request cost at the average request (expected rotational latency
-  // + the transfer of a mid-stroke default-size block) and the full-stroke
-  // sweep one tour amortizes.
-  const DiskParams& dp = config.sim.disk;
-  const Cylinder mid = dp.cylinders / 2;
-  const Request probe;  // default bytes
-  double fixed = handle.disk->TransferTimeMs(mid, probe.bytes);
-  if (config.sim.service_model == ServiceModel::kFullDisk) {
-    fixed += handle.disk->AvgRotationalLatencyMs();
-  }
-  options.admission.fixed_cost_ms = fixed;
-  options.admission.sweep_cost_ms =
-      config.sim.service_model == ServiceModel::kFullDisk
-          ? handle.disk->SeekTimeMs(0, dp.cylinders - 1)
-          : 0.0;
+  // Calibrate the SCAN-tour oracle with the run's own service model: the
+  // seek-free cost of the average request (a default-size block served
+  // in place at mid-stroke, expected rotational latency) and the seek of
+  // the full-stroke sweep one tour amortizes.
+  ServiceCharger charge(*handle.disk, config.sim.service_model,
+                        std::nullopt);
+  Request probe;  // default bytes
+  probe.cylinder = config.sim.disk.cylinders / 2;
+  options.admission.fixed_cost_ms = charge(probe.cylinder, probe).service_ms;
+  probe.cylinder = config.sim.disk.cylinders - 1;
+  options.admission.sweep_cost_ms = charge(0, probe).seek_ms;
 
   Result<SchedulerFactory> factory = config.MakeFactory(*handle.disk);
   if (!factory.ok()) return factory.status();

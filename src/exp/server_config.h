@@ -104,9 +104,9 @@ struct ServerConfig {
 };
 
 /// Wraps a DiskModel into the service layer's modeled-service-time
-/// callback, mirroring the simulator's two service models (and its
-/// seeded-vs-expected rotational latency choice). `disk` is borrowed and
-/// must outlive the returned callable.
+/// callback, which charges through the simulator's ServiceCharger: the
+/// same service model and the same seeded-vs-expected rotational latency.
+/// `disk` is borrowed and must outlive the returned callable.
 svc::ServiceTimeFn MakeServiceTimeFn(const DiskModel& disk,
                                      ServiceModel model,
                                      std::optional<uint64_t> latency_seed);

@@ -15,9 +15,7 @@ bool DdsScheduler::PlanFeasible(const DispatchContext& ctx) const {
   Cylinder head = ctx.head;
   for (const Planned& p : plan_) {
     const Request& r = p.req;
-    const double ms = disk_->SeekTimeMs(head, r.cylinder) +
-                      disk_->AvgRotationalLatencyMs() +
-                      disk_->TransferTimeMs(r.cylinder, r.bytes);
+    const double ms = disk_->ServiceTimeMs(head, r.cylinder, r.bytes);
     clock = AddSaturating(clock, MsToSim(ms));
     if (r.has_deadline() && clock > r.deadline) return false;
     head = r.cylinder;

@@ -13,9 +13,7 @@ void FdScanScheduler::Enqueue(Request r, const DispatchContext&) {
 
 SimTime FdScanScheduler::EstimateFinish(const Request& r,
                                         const DispatchContext& ctx) const {
-  const double ms = disk_->SeekTimeMs(ctx.head, r.cylinder) +
-                    disk_->AvgRotationalLatencyMs() +
-                    disk_->TransferTimeMs(r.cylinder, r.bytes);
+  const double ms = disk_->ServiceTimeMs(ctx.head, r.cylinder, r.bytes);
   return AddSaturating(ctx.now, MsToSim(ms));
 }
 

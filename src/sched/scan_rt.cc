@@ -14,9 +14,7 @@ bool ScanRtScheduler::PlanFeasible(const DispatchContext& ctx) const {
   SimTime clock = ctx.now;
   Cylinder head = ctx.head;
   for (const Request& r : plan_) {
-    const double ms = disk_->SeekTimeMs(head, r.cylinder) +
-                      disk_->AvgRotationalLatencyMs() +
-                      disk_->TransferTimeMs(r.cylinder, r.bytes);
+    const double ms = disk_->ServiceTimeMs(head, r.cylinder, r.bytes);
     clock = AddSaturating(clock, MsToSim(ms));
     if (r.has_deadline() && clock > r.deadline) return false;
     head = r.cylinder;

@@ -1,12 +1,11 @@
 // The event-driven disk-server simulator — the reproduction's stand-in for
 // the PanaViss video-server simulator the paper evaluates on.
 //
-// One disk serves one request at a time. Two event kinds interleave:
-// request arrivals (pulled lazily from a RequestGenerator) and service
-// completions. Whenever the disk is idle the scheduler's Dispatch() picks
-// the next request; its service time comes from the DiskModel (or, in
-// transfer-dominated mode, from the transfer term alone, matching the
-// Section 5.1/5.2 assumption that block transfers dwarf seeks).
+// It runs the event loop of sim/event_loop.h: whenever the disk is idle
+// the scheduler's Dispatch() picks the next request, and a
+// ServiceCharger prices it from the DiskModel (or, in transfer-dominated
+// mode, from the transfer term alone, matching the Section 5.1/5.2
+// assumption that block transfers dwarf seeks).
 //
 // The simulation is fully deterministic for a given workload and
 // configuration: rotational latency uses its expectation unless a latency
@@ -50,8 +49,6 @@ struct SimulatorConfig {
   /// Shape of the QoS metric space (dimensions / levels) tracked by the
   /// metrics layer. Replaces the former metric_dims / metric_levels pair.
   MetricsConfig metrics;
-  /// Stop after this many completions (0 = run the generator dry).
-  uint64_t max_completions = 0;
   /// When non-null, every Run() emits request-lifecycle trace events into
   /// this sink (not owned; must outlive the simulator). Null — the
   /// default — disables tracing at the cost of one branch per would-be
@@ -59,6 +56,44 @@ struct SimulatorConfig {
   obs::EventSink* trace_sink = nullptr;
 
   Status Validate() const;
+};
+
+/// Prices each dispatch under one ServiceModel: the one place the model
+/// switch and the seeded rotational-latency stream live. The simulator
+/// and MakeServiceTimeFn (exp/server_config.h) both charge through it.
+class ServiceCharger {
+ public:
+  struct Charge {
+    double seek_ms = 0.0;     ///< the seek share (0 in transfer-only mode)
+    double service_ms = 0.0;  ///< the whole service time
+  };
+
+  /// `disk` is borrowed and must outlive the charger. With a
+  /// `latency_seed`, each full-disk charge samples its rotational latency
+  /// from a stream seeded with it; without one, the expectation is
+  /// charged.
+  ServiceCharger(const DiskModel& disk, ServiceModel model,
+                 std::optional<uint64_t> latency_seed)
+      : disk_(&disk), model_(model) {
+    if (latency_seed) latency_rng_.emplace(*latency_seed);
+  }
+
+  /// The service of `r` with the head at `head`.
+  Charge operator()(Cylinder head, const Request& r) {
+    if (model_ == ServiceModel::kTransferOnly) {
+      return {.seek_ms = 0.0,
+              .service_ms = disk_->TransferTimeMs(r.cylinder, r.bytes)};
+    }
+    return {.seek_ms = disk_->SeekTimeMs(head, r.cylinder),
+            .service_ms = disk_->ServiceTimeMs(
+                head, r.cylinder, r.bytes,
+                latency_rng_ ? &*latency_rng_ : nullptr)};
+  }
+
+ private:
+  const DiskModel* disk_;
+  ServiceModel model_;
+  std::optional<Rng> latency_rng_;
 };
 
 /// Single-disk event-driven simulation.

@@ -182,24 +182,18 @@ bool ServiceServer::TryDispatch(DiskState& disk, double scale) {
     tracer_.Emit(d);
   }
   const double service_ms = service_time_(disk.head, *r);
-  disk.in_service = std::move(*r);
-  disk.in_service_ms = service_ms;
-  disk.completion_time =
-      AddSaturating(disk.now, MsToSim(service_ms * scale));
-  disk.busy = true;
+  disk.Start(std::move(*r), service_ms, scale);
   return true;
 }
 
 void ServiceServer::Complete(DiskState& disk) {
-  disk.head = disk.in_service.cylinder;
-  disk.busy = false;
   ++pass_.completions;
   if (tracer_.enabled()) {
     obs::TraceEvent e;
     e.kind = obs::TraceEventKind::kCompletion;
     e.t = disk.now;
     e.id = disk.in_service.id;
-    e.service_ms = disk.in_service_ms;
+    e.service_ms = disk.service_ms;
     e.response_ms = SimToMs(disk.now - disk.in_service.arrival);
     e.missed = disk.in_service.has_deadline() &&
                disk.now > disk.in_service.deadline;
@@ -222,38 +216,25 @@ void ServiceServer::Publish() {
   pass_.waits.clear();
 }
 
-ServiceStats ServiceServer::RunVirtual(std::vector<Request> offered) {
+ServiceStats ServiceServer::RunVirtual(RequestGenerator& arrivals) {
   if (running_.load(std::memory_order_acquire)) return Stats();
   sched_->Observe(tracer_);
   DiskState disk;
-  size_t next = 0;
-  // The DiskServerSimulator::Run event loop, with the arrival branch
-  // replaced by ingest -> ring -> immediate drain (the ring is a
-  // pass-through at each arrival instant, so enqueue order and times —
-  // and therefore dispatch order — match the offline simulator run on
-  // the same admitted set). Publishing after every dispatch and every
-  // drain keeps the load gate's depth exact.
-  while (true) {
-    if (!disk.busy && TryDispatch(disk, /*scale=*/1.0)) Publish();
-    const bool has_arrival = next < offered.size();
-    const bool take_completion =
-        disk.busy &&
-        (!has_arrival || disk.completion_time <= offered[next].arrival);
-    if (take_completion) {
-      disk.now = disk.completion_time;
-      Complete(disk);
-    } else if (has_arrival) {
-      Request r = std::move(offered[next]);
-      ++next;
-      disk.now = r.arrival;
-      if (Ingest(std::move(r), disk.now)) {
-        DrainRing(DispatchContext{.now = disk.now, .head = disk.head});
-        Publish();
-      }
-    } else if (!disk.busy) {
-      break;
-    }
-  }
+  // Publishing after every dispatch and every drain keeps the load gate's
+  // depth exact.
+  RunEventLoop(
+      arrivals, disk,
+      [&] {
+        if (TryDispatch(disk, /*scale=*/1.0)) Publish();
+      },
+      [&] { Complete(disk); },
+      [&](Request&& r) {
+        // The ring is a pass-through: drained at the arrival instant.
+        if (Ingest(std::move(r), disk.now)) {
+          DrainRing(DispatchContext{.now = disk.now, .head = disk.head});
+          Publish();
+        }
+      });
   Publish();  // the completions since the last dispatch
   return Stats();
 }
@@ -314,6 +295,7 @@ void ServiceServer::PumpLoop() {
     for (;;) {
       if (disk.busy) {
         if (disk.completion_time > disk.now) break;
+        disk.Finish();
         Complete(disk);
         progress = true;
       }

@@ -12,16 +12,16 @@
 //
 // Two ways to run, one pump:
 //
-//  * RunVirtual(offered): deterministic virtual time on the calling
-//    thread. The loop mirrors DiskServerSimulator::Run event for event —
-//    dispatch when idle; take the completion iff it precedes the next
-//    arrival; head moves to the served cylinder — and the ring is a
-//    pass-through (each arrival is drained at its own arrival instant),
-//    so the dispatch order over the admitted set is bit-identical to the
-//    offline simulator fed that same set. Runs twice -> identical traces.
+//  * RunVirtual(arrivals): deterministic virtual time on the calling
+//    thread. It runs the simulator's own event loop (sim/event_loop.h)
+//    with the arrival path replaced by admit -> ring -> drain, and the
+//    ring is a pass-through (each arrival is drained at its own arrival
+//    instant), so the dispatch order over the admitted set is
+//    bit-identical to the offline simulator fed that same set. Arrivals
+//    stream from a RequestGenerator. Runs twice -> identical traces.
 //
-//  * Start()/Offer()/Stop(): wall-clock mode. The pump thread runs the
-//    same logic against a MonotonicClock (the common/clock seam);
+//  * Start()/Offer()/Stop(): wall-clock mode. The pump thread drives the
+//    same DiskState against a MonotonicClock (the common/clock seam);
 //    `time_scale` maps modeled service milliseconds to wall-clock pacing
 //    (0 = no pacing, the closed-loop soak configuration that measures
 //    pure front-end overhead). One pump pass drains at most one ring's
@@ -69,6 +69,7 @@
 #include "obs/locked_sink.h"
 #include "obs/tracer.h"
 #include "sched/scheduler.h"
+#include "sim/event_loop.h"
 #include "svc/admission.h"
 #include "svc/ingest_ring.h"
 
@@ -127,12 +128,13 @@ class ServiceServer {
 
   // --- deterministic virtual-time mode ---------------------------------
 
-  /// Runs the offered arrival stream (sorted by Request::arrival) to
-  /// completion in virtual time on the calling thread and returns the
-  /// run's stats. Must not be mixed with Start(). Bit-identical to the
-  /// offline simulator over the admitted set (and to itself, run twice);
-  /// csfc_analyze's determinism-taint family audits the path.
-  CSFC_DETERMINISTIC ServiceStats RunVirtual(std::vector<Request> offered);
+  /// Offers every request of `arrivals` (in Request::arrival order) at
+  /// its arrival time and serves the run to completion in virtual time on
+  /// the calling thread; returns the run's stats. Must not be mixed with
+  /// Start(). Bit-identical to the offline simulator over the admitted
+  /// set (and to itself, run twice); csfc_analyze's determinism-taint
+  /// family audits the path.
+  CSFC_DETERMINISTIC ServiceStats RunVirtual(RequestGenerator& arrivals);
 
   // --- wall-clock mode --------------------------------------------------
 
@@ -159,21 +161,10 @@ class ServiceServer {
   ServiceStats Stats() const EXCLUDES(stats_mu_);
 
   const AdmissionController& admission() const { return admission_; }
-  const Scheduler& scheduler() const { return *sched_; }
 
  private:
   ServiceServer(SchedulerPtr scheduler, ServiceTimeFn service_time,
                 const Options& options);
-
-  /// In-flight request state shared by both pump flavors.
-  struct DiskState {
-    SimTime now = 0;
-    Cylinder head = 0;
-    bool busy = false;
-    SimTime completion_time = 0;
-    Request in_service;
-    double in_service_ms = 0.0;
-  };
 
   /// Producer-side ingest: admission + ring push + ingest/admit/reject
   /// events. Returns true iff the request entered the ring.
@@ -194,9 +185,9 @@ class ServiceServer {
   size_t DrainRing(const DispatchContext& ctx);
 
   /// Pops the next request if one is pending: emits dispatch + drain,
-  /// tallies the wait sample, and marks the disk busy until now +
-  /// service_ms (scaled by `scale`). Pump thread only. Returns whether a
-  /// request was dispatched.
+  /// tallies the wait sample, and starts it on the disk for service_ms
+  /// (held busy for service_ms * `scale`). Pump thread only. Returns
+  /// whether a request was dispatched.
   bool TryDispatch(DiskState& disk, double scale);
 
   /// Wall-clock idle wait: raises pump_waiting_, re-checks for work under
@@ -204,8 +195,8 @@ class ServiceServer {
   /// `timeout_us`. Pump thread only.
   void WaitForWork(bool disk_busy, SimTime timeout_us) EXCLUDES(wake_mu_);
 
-  /// Completes the in-service request: advances the head, emits the
-  /// completion event. Pump thread only.
+  /// Tallies the request the disk just finished and emits its completion
+  /// event. Pump thread only.
   void Complete(DiskState& disk);
 
   /// Publishes the pass tally and the scheduler's queue depth to Stats()

@@ -196,19 +196,6 @@ TEST(SimulatorTest, PriorityInversionPositiveCase) {
   EXPECT_EQ(m.inversions_per_dim[0], 1u);
 }
 
-TEST(SimulatorTest, MaxCompletionsStopsEarly) {
-  SimulatorConfig c;
-  c.service_model = ServiceModel::kTransferOnly;
-  c.max_completions = 3;
-  DiskServerSimulator sim = MakeSim(c);
-  std::vector<Request> reqs;
-  for (RequestId i = 0; i < 10; ++i) reqs.push_back(Req(i, 0, 0));
-  TraceReplayGenerator gen(reqs);
-  FcfsScheduler sched;
-  const RunMetrics m = sim.Run(gen, sched);
-  EXPECT_EQ(m.completions, 3u);
-}
-
 TEST(SimulatorTest, DeterministicWithoutLatencySeed) {
   SimulatorConfig c;
   DiskServerSimulator sim1 = MakeSim(c);

@@ -16,7 +16,9 @@
 #include <chrono>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "core/presets.h"
@@ -85,16 +87,29 @@ void ExpectSameEventStream(const VectorSink& a, const VectorSink& b) {
   }
 }
 
-void ExpectDispatchOrderMatchesOffline(std::optional<uint64_t> latency_seed) {
+/// RunVirtual over a replay of `trace`.
+ServiceStats RunVirtualOn(ServiceServer& server,
+                          const std::vector<Request>& trace) {
+  TraceReplayGenerator arrivals(trace);
+  return server.RunVirtual(arrivals);
+}
+
+/// `sched` under `model` through the service front-end in virtual time
+/// and through the offline simulator: the same dispatches at the same
+/// times, and the same completions.
+void ExpectDispatchOrderMatchesOffline(const std::string& sched,
+                                       ServiceModel model,
+                                       std::optional<uint64_t> latency_seed) {
   const std::vector<Request> trace = SyntheticTrace(1207, 2000, 0.5);
 
   ServerConfig config = BaseConfig();
+  config.WithScheduler(sched).WithServiceModel(model);
   config.sim.latency_seed = latency_seed;
   VectorSink service_rec;
   config.WithTraceSink(&service_rec);
   auto handle = MakeServer(config);
   ASSERT_TRUE(handle.ok()) << handle.status().ToString();
-  const ServiceStats stats = handle->server->RunVirtual(trace);
+  const ServiceStats stats = RunVirtualOn(*handle->server, trace);
   EXPECT_EQ(stats.admission.offered, trace.size());
   EXPECT_EQ(stats.admission.admitted, trace.size());  // gates off
   EXPECT_EQ(stats.dispatched, trace.size());
@@ -130,12 +145,49 @@ void ExpectDispatchOrderMatchesOffline(std::optional<uint64_t> latency_seed) {
 }
 
 TEST(ServiceServerTest, VirtualDispatchOrderMatchesOfflineSimulator) {
-  ExpectDispatchOrderMatchesOffline(std::nullopt);
+  ExpectDispatchOrderMatchesOffline("csfc", ServiceModel::kFullDisk,
+                                    std::nullopt);
 }
 
 TEST(ServiceServerTest, VirtualMatchesOfflineWithSeededLatency) {
-  ExpectDispatchOrderMatchesOffline(uint64_t{42});
+  ExpectDispatchOrderMatchesOffline("csfc", ServiceModel::kFullDisk,
+                                    uint64_t{42});
 }
+
+// Every registered scheduler under both service models. 2,000 requests
+// at 0.5 ms build a backlog ~2,000 deep, which the quadratic schedulers
+// (ssedo, ssedv, dds, scan-rt, sfc-dds) still clear in well under a
+// second.
+class OfflineEquivalenceTest
+    : public ::testing::TestWithParam<std::tuple<std::string, ServiceModel>> {
+};
+
+TEST_P(OfflineEquivalenceTest, VirtualDispatchOrderMatchesOfflineSimulator) {
+  ExpectDispatchOrderMatchesOffline(std::get<0>(GetParam()),
+                                    std::get<1>(GetParam()), std::nullopt);
+}
+
+std::vector<std::string> AllNames() {
+  std::vector<std::string> names;
+  for (std::string_view n : AllSchedulerNames()) names.emplace_back(n);
+  return names;
+}
+
+std::string ParamName(
+    const ::testing::TestParamInfo<OfflineEquivalenceTest::ParamType>& info) {
+  std::string name = std::get<0>(info.param);
+  std::replace(name.begin(), name.end(), '-', '_');
+  return name + (std::get<1>(info.param) == ServiceModel::kFullDisk
+                     ? "_full_disk"
+                     : "_transfer_only");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllSchedulers, OfflineEquivalenceTest,
+    ::testing::Combine(::testing::ValuesIn(AllNames()),
+                       ::testing::Values(ServiceModel::kFullDisk,
+                                         ServiceModel::kTransferOnly)),
+    ParamName);
 
 // Five 2^64 - 1 byte requests price past 2^63 us between them: the
 // pump's completion times must saturate instead of wrapping (undefined
@@ -153,7 +205,7 @@ TEST(ServiceServerTest, HugeRequestsSaturateCompletionTimes) {
   }
   auto handle = MakeServer(BaseConfig());
   ASSERT_TRUE(handle.ok()) << handle.status().ToString();
-  const ServiceStats stats = handle->server->RunVirtual(trace);
+  const ServiceStats stats = RunVirtualOn(*handle->server, trace);
   EXPECT_EQ(stats.dispatched, trace.size());
   EXPECT_EQ(stats.completions, trace.size());
 }
@@ -166,7 +218,7 @@ TEST(ServiceServerTest, RunVirtualTwiceIsBitIdentical) {
     config.WithSlo(80.0).WithStreamRate(400.0, 32.0).WithTraceSink(rec);
     auto handle = MakeServer(config);
     EXPECT_TRUE(handle.ok()) << handle.status().ToString();
-    return handle->server->RunVirtual(trace);
+    return RunVirtualOn(*handle->server, trace);
   };
 
   VectorSink rec_a, rec_b;
@@ -197,7 +249,7 @@ TEST(ServiceServerTest, AdmissionHoldsSloUnderSeededOverload) {
   config.WithSlo(kSloMs);  // MakeServer derives the oracle's costs
   auto handle = MakeServer(config);
   ASSERT_TRUE(handle.ok()) << handle.status().ToString();
-  const ServiceStats stats = handle->server->RunVirtual(trace);
+  const ServiceStats stats = RunVirtualOn(*handle->server, trace);
 
   // The accounting identity over every outcome class.
   const AdmissionController::Counters& k = stats.admission;
@@ -225,7 +277,7 @@ TEST(ServiceServerTest, UngatedOverloadConfirmsTheGateWasLoadBearing) {
   ServerConfig config = BaseConfig();
   auto handle = MakeServer(config);
   ASSERT_TRUE(handle.ok()) << handle.status().ToString();
-  const ServiceStats stats = handle->server->RunVirtual(trace);
+  const ServiceStats stats = RunVirtualOn(*handle->server, trace);
   EXPECT_EQ(stats.admission.admitted, trace.size());
   EXPECT_GT(stats.max_wait_ms, 1000.0);
 }

@@ -10,7 +10,9 @@ with bad values and fails unless every one exits 2 with a usage line on
 stderr, then checks that good values still run (exit 0).
 
 It also checks that csfc_sim rejects a negative relative deadline and
-names --deadline in the error.
+names --deadline in the error, and that it refuses to replay a trace
+whose request names a cylinder past the disk's last one (exit 1, an
+InvalidArgument that names the request id).
 
 Usage: cli_numbers_test.py --sim=PATH --trace-inspect=PATH --curves=PATH
                            --video-server=PATH --nonlinear-editing=PATH
@@ -81,9 +83,29 @@ def main():
                             f"stderr {proc.stderr.strip()[:200]!r}; want a "
                             f"failure that names --deadline")
 
+    # The 3,832-cylinder disk's last cylinder is 3,831.
+    with tempfile.TemporaryDirectory() as tmp:
+        for cylinder, ok in ((3831, True), (3832, False),
+                             (4000000000, False)):
+            trace = os.path.join(tmp, f"cyl{cylinder}.trace")
+            with open(trace, "w") as f:
+                f.write("0 0 -1 100 65536 0 0 1\n")
+                f.write(f"7 1000 -1 {cylinder} 65536 0 0 1\n")
+            cmd = [a.sim, "--json", f"--trace-in={trace}"]
+            if ok:
+                expect_ok(cmd)
+                continue
+            proc = run(cmd)
+            if (proc.returncode != 1 or "InvalidArgument" not in proc.stderr
+                    or "id 7" not in proc.stderr):
+                failures.append(f"{' '.join(cmd)}: exit {proc.returncode}, "
+                                f"stderr {proc.stderr.strip()[:200]!r}; want "
+                                f"exit 1 and an InvalidArgument naming id 7")
+
     if failures:
         sys.exit("FAIL:\n  " + "\n  ".join(failures))
-    print("ok: bad numbers are usage errors; good ones run")
+    print("ok: bad numbers are usage errors; good ones run; off-disk "
+          "cylinders are rejected")
 
 
 if __name__ == "__main__":

@@ -1,8 +1,11 @@
 // Streamed vs materialized workloads. csfc_sim runs the simulator
-// straight off tools::MakeWorkloadGenerator (RunScheduler); csfc_serve,
-// the golden ledger's serve entries and the sweeps drain the same
-// generator (BuildWorkload) and replay the vector (RunSchedulerOnTrace).
-// Both paths must feed the simulator the same stream, and so export the
+// straight off tools::MakeWorkloadGenerator (RunScheduler), and so do
+// csfc_serve --virtual and the golden ledger's serve entries, whose
+// RunVirtual runs the simulator's own event loop (sim/event_loop.h).
+// Callers that need the whole stream up front (csfc_serve's wall-clock
+// producers, perfbench) drain the same generator, as BuildWorkload does,
+// and replay the vector (RunSchedulerOnTrace).
+// Both paths must feed the event loop the same stream, and so export the
 // same bytes: the RunMetrics document and the JSONL lifecycle trace, for
 // every registered scheduler and workload family.
 

@@ -246,9 +246,9 @@ inline void AddWorkloadFlags(FlagSet& flags, WorkloadFlags* w) {
                 &w->cfg.relaxed_deadlines);
 }
 
-/// The generator of the arrival stream the flags describe. csfc_sim runs
-/// the simulator straight off it; BuildWorkload drains it for callers
-/// that need the whole stream up front.
+/// The generator of the arrival stream the flags describe. csfc_sim and
+/// csfc_serve --virtual run straight off it; BuildWorkload drains it for
+/// callers that need the whole stream up front.
 inline Result<std::unique_ptr<RequestGenerator>> MakeWorkloadGenerator(
     const WorkloadFlags& w) {
   if (w.kind == "mpeg") {

@@ -156,15 +156,15 @@ Result<std::string> SimDigest(const std::string& sched,
 }
 
 /// Service front-end run in deterministic virtual time: hashes the event
-/// stream RunVirtual emits plus the settled ServiceStats. A nonzero
+/// stream RunVirtual emits plus the settled ServiceStats. The workload
+/// streams from its generator, as in csfc_serve --virtual. A nonzero
 /// `slo_ms` / `stream_rate_rps` turns the load / rate gate on.
 Result<std::string> ServeDigest(const std::string& sched, double slo_ms,
                                 double stream_rate_rps) {
-  // RunVirtual takes the whole offered stream up front.
   const tools::WorkloadFlags wf =
       PinnedWorkloadFlags("synthetic", /*seed=*/42, /*count=*/1500);
-  auto trace = tools::BuildWorkload(wf);
-  if (!trace.ok()) return trace.status();
+  auto gen = tools::MakeWorkloadGenerator(wf);
+  if (!gen.ok()) return gen.status();
   auto config = PinnedConfig(sched, wf);
   if (!config.ok()) return config.status();
   config->WithSlo(slo_ms).WithStreamRate(stream_rate_rps);
@@ -176,7 +176,7 @@ Result<std::string> ServeDigest(const std::string& sched, double slo_ms,
 
   auto handle = MakeServer(*config);
   if (!handle.ok()) return handle.status();
-  const svc::ServiceStats stats = handle->server->RunVirtual(std::move(*trace));
+  const svc::ServiceStats stats = handle->server->RunVirtual(**gen);
   if (!sink.status().ok()) return sink.status();
 
   obs::JsonWriter jw;

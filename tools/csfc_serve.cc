@@ -7,9 +7,11 @@
 // admission accounting.
 //
 // Modes:
-//   --virtual         deterministic virtual-time run on the main thread;
-//                     dispatch order is bit-identical to csfc_sim fed the
-//                     same admitted set, and traces are stable run-to-run.
+//   --virtual         deterministic virtual-time run on the main thread,
+//                     streamed from the generator (memory stays flat in
+//                     --count); dispatch order is bit-identical to csfc_sim
+//                     fed the same admitted set, and traces are stable
+//                     run-to-run.
 //   (default)         wall-clock mode: --producers threads offer the
 //                     workload open-loop (--pace scales the generated
 //                     arrival times; 0 = offer as fast as possible, the
@@ -197,9 +199,9 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  auto offered = tools::BuildWorkload(wf);
-  if (!offered.ok()) {
-    std::fprintf(stderr, "%s\n", offered.status().ToString().c_str());
+  auto arrivals = tools::MakeWorkloadGenerator(wf);
+  if (!arrivals.ok()) {
+    std::fprintf(stderr, "%s\n", arrivals.status().ToString().c_str());
     return 1;
   }
 
@@ -245,8 +247,11 @@ int main(int argc, char** argv) {
 
   svc::ServiceStats stats;
   if (args.run_virtual) {
-    stats = server.RunVirtual(std::move(*offered));
+    stats = server.RunVirtual(**arrivals);
   } else {
+    // The producers split the workload round-robin, so it is drained
+    // first.
+    const std::vector<Request> offered = DrainGenerator(**arrivals);
     if (args.producers == 0) args.producers = 1;
     if (Status s = server.Start(); !s.ok()) {
       std::fprintf(stderr, "%s\n", s.ToString().c_str());
@@ -255,7 +260,7 @@ int main(int argc, char** argv) {
     std::vector<std::thread> producers;
     producers.reserve(args.producers);
     for (size_t p = 0; p < args.producers; ++p) {
-      producers.emplace_back(ProducerLoop, &server, &*offered, p,
+      producers.emplace_back(ProducerLoop, &server, &offered, p,
                              args.producers, args.pace);
     }
     for (std::thread& t : producers) t.join();

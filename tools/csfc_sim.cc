@@ -59,6 +59,12 @@ int main(int argc, char** argv) {
     return 0;
   }
 
+  ServerConfig config;
+  if (Status s = tools::ApplySchedulerFlags(sf, wf, &config); !s.ok()) {
+    std::fprintf(stderr, "%s\n", s.ToString().c_str());
+    return 2;
+  }
+
   // Workload: a generator streamed into the run, or a trace replayed.
   // `trace` is declared first so it outlives the replay that borrows it.
   std::vector<Request> trace;
@@ -70,6 +76,18 @@ int main(int argc, char** argv) {
       return 1;
     }
     trace = std::move(*loaded);
+    // A replayed request must name a cylinder of the modeled disk: the seek
+    // model would price any other one as a stroke past the edge.
+    const uint32_t cylinders = config.sim.disk.cylinders;
+    for (const Request& r : trace) {
+      if (r.cylinder < cylinders) continue;
+      const Status s = Status::InvalidArgument(
+          "trace request id " + std::to_string(r.id) + ": cylinder " +
+          std::to_string(r.cylinder) + " is not on the " +
+          std::to_string(cylinders) + "-cylinder disk");
+      std::fprintf(stderr, "%s\n", s.ToString().c_str());
+      return 1;
+    }
   } else {
     auto gen = tools::MakeWorkloadGenerator(wf);
     if (!gen.ok()) {
@@ -89,12 +107,6 @@ int main(int argc, char** argv) {
   }
   if (!trace_in.empty() || !trace_out.empty()) {
     arrivals = std::make_unique<TraceReplayGenerator>(trace);
-  }
-
-  ServerConfig config;
-  if (Status s = tools::ApplySchedulerFlags(sf, wf, &config); !s.ok()) {
-    std::fprintf(stderr, "%s\n", s.ToString().c_str());
-    return 2;
   }
 
   // Optional lifecycle trace, streamed to disk as the run progresses.
