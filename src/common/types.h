@@ -7,6 +7,7 @@
 #ifndef CSFC_COMMON_TYPES_H_
 #define CSFC_COMMON_TYPES_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 
@@ -57,6 +58,11 @@ using PriorityLevel = uint32_t;
 
 /// Monotonically increasing request identifier.
 using RequestId = uint64_t;
+
+/// Cache-line size for padding state that different threads write;
+/// hardware_destructive_interference_size is not universally available,
+/// and 64 is correct on every target this repo builds for.
+inline constexpr size_t kCacheLine = 64;
 
 }  // namespace csfc
 

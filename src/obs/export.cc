@@ -160,7 +160,7 @@ Status Export(const RunMetrics& metrics, Writer& writer, ExportFormat format) {
 }
 
 Status Export(const SloMetrics& slo, Writer& writer, ExportFormat format) {
-  const std::vector<SloWindowRow> rows = slo.Rows();
+  // Rows stream from ForEachRow, so gap windows are never held in memory.
   if (format == ExportFormat::kCsv) {
     if (Status s = AppendCsvRow(
             writer, {"start_ms", "offered", "admitted", "rejected",
@@ -170,25 +170,25 @@ Status Export(const SloMetrics& slo, Writer& writer, ExportFormat format) {
         !s.ok()) {
       return s;
     }
-    for (const SloWindowRow& r : rows) {
-      if (Status s = AppendCsvRow(
-              writer, {Num(r.start_ms), std::to_string(r.offered),
-                       std::to_string(r.admitted), std::to_string(r.rejected),
-                       std::to_string(r.rejected_rate),
-                       std::to_string(r.rejected_load),
-                       std::to_string(r.rejected_ring_full), Num(r.shed_rate()),
-                       std::to_string(r.drains), Num(r.p50_ms), Num(r.p99_ms),
-                       Num(r.p999_ms), Num(r.max_ms)});
-          !s.ok()) {
-        return s;
-      }
-    }
-    return Status::OK();
+    return slo.ForEachRow([&writer](const SloWindowRow& r) {
+      return AppendCsvRow(
+          writer, {Num(r.start_ms), std::to_string(r.offered),
+                   std::to_string(r.admitted), std::to_string(r.rejected),
+                   std::to_string(r.rejected_rate),
+                   std::to_string(r.rejected_load),
+                   std::to_string(r.rejected_ring_full), Num(r.shed_rate()),
+                   std::to_string(r.drains), Num(r.p50_ms), Num(r.p99_ms),
+                   Num(r.p999_ms), Num(r.max_ms)});
+    });
   }
+  // kJson wraps the row objects in one array; kJsonl puts one per line.
   const bool jsonl = format == ExportFormat::kJsonl;
-  JsonWriter w;
-  if (!jsonl) w.BeginArray();
-  for (const SloWindowRow& r : rows) {
+  if (!jsonl) {
+    if (Status s = writer.Append("["); !s.ok()) return s;
+  }
+  bool first = true;
+  Status rows = slo.ForEachRow([&](const SloWindowRow& r) {
+    JsonWriter w;
     w.BeginObject();
     w.Field("start_ms", r.start_ms);
     w.Field("offered", r.offered);
@@ -204,16 +204,15 @@ Status Export(const SloMetrics& slo, Writer& writer, ExportFormat format) {
     w.Field("p999_ms", r.p999_ms);
     w.Field("max_ms", r.max_ms);
     w.EndObject();
-    if (jsonl) {
-      if (Status s = writer.Append(w.Take()); !s.ok()) return s;
-      if (Status s = writer.Append("\n"); !s.ok()) return s;
-      w = JsonWriter();
+    if (!jsonl && !first) {
+      if (Status s = writer.Append(","); !s.ok()) return s;
     }
-  }
-  if (jsonl) return Status::OK();
-  w.EndArray();
-  if (Status s = writer.Append(w.Take()); !s.ok()) return s;
-  return writer.Append("\n");
+    first = false;
+    if (Status s = writer.Append(w.Take()); !s.ok()) return s;
+    return jsonl ? writer.Append("\n") : Status::OK();
+  });
+  if (!rows.ok() || jsonl) return rows;
+  return writer.Append("]\n");
 }
 
 Status Export(const TablePrinter& table, Writer& writer, ExportFormat format) {

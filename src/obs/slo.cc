@@ -9,30 +9,26 @@ SloMetrics::SloMetrics(double window_ms)
     : window_ms_(window_ms > 0.0 ? window_ms : 100.0),
       window_span_(std::max<SimTime>(MsToSim(window_ms_), 1)) {}
 
-void SloMetrics::Close() {
-  current_.p50_ms = SimToMs(static_cast<SimTime>(window_hist_.Quantile(0.5)));
-  current_.p99_ms = SimToMs(static_cast<SimTime>(window_hist_.Quantile(0.99)));
-  current_.p999_ms =
-      SimToMs(static_cast<SimTime>(window_hist_.Quantile(0.999)));
-  current_.max_ms = SimToMs(window_hist_.max());
-  closed_.push_back(current_);
+SloWindowRow SloMetrics::OpenRow() const {
+  SloWindowRow row = current_;
+  row.p50_ms = SimToMs(static_cast<SimTime>(window_hist_.Quantile(0.5)));
+  row.p99_ms = SimToMs(static_cast<SimTime>(window_hist_.Quantile(0.99)));
+  row.p999_ms = SimToMs(static_cast<SimTime>(window_hist_.Quantile(0.999)));
+  row.max_ms = SimToMs(window_hist_.max());
+  return row;
 }
 
 void SloMetrics::AdvanceTo(SimTime t) {
   const int64_t index = t / window_span_;
-  if (!started_) {
-    started_ = true;
-    current_index_ = index;
-    current_.start_ms = SimToMs(current_index_ * window_span_);
-    return;
-  }
-  while (index > current_index_) {
-    Close();
-    ++current_index_;
+  if (started_ && index <= current_index_) return;
+  if (started_) {
+    closed_.push_back(Window{current_index_, OpenRow()});
     current_ = SloWindowRow{};
-    current_.start_ms = SimToMs(current_index_ * window_span_);
     window_hist_.Reset();
   }
+  started_ = true;
+  current_index_ = index;
+  current_.start_ms = SimToMs(current_index_ * window_span_);
 }
 
 void SloMetrics::OnEvent(const TraceEvent& e) {
@@ -72,17 +68,24 @@ void SloMetrics::OnEvent(const TraceEvent& e) {
   }
 }
 
-std::vector<SloWindowRow> SloMetrics::Rows() const {
-  std::vector<SloWindowRow> rows = closed_;
-  if (started_) {
-    SloWindowRow open = current_;
-    open.p50_ms = SimToMs(static_cast<SimTime>(window_hist_.Quantile(0.5)));
-    open.p99_ms = SimToMs(static_cast<SimTime>(window_hist_.Quantile(0.99)));
-    open.p999_ms = SimToMs(static_cast<SimTime>(window_hist_.Quantile(0.999)));
-    open.max_ms = SimToMs(window_hist_.max());
-    rows.push_back(open);
+Status SloMetrics::ForEachRow(
+    FunctionRef<Status(const SloWindowRow&)> visit) const {
+  if (!started_) return Status::OK();
+  int64_t next = closed_.empty() ? current_index_ : closed_.front().index;
+  // Visits the gap windows before `index`, then `row`.
+  auto visit_through = [&](int64_t index, const SloWindowRow& row) {
+    for (; next < index; ++next) {
+      SloWindowRow gap;
+      gap.start_ms = SimToMs(next * window_span_);
+      if (Status s = visit(gap); !s.ok()) return s;
+    }
+    ++next;
+    return visit(row);
+  };
+  for (const Window& w : closed_) {
+    if (Status s = visit_through(w.index, w.row); !s.ok()) return s;
   }
-  return rows;
+  return visit_through(current_index_, OpenRow());
 }
 
 }  // namespace obs

@@ -17,7 +17,9 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/function_ref.h"
 #include "common/histogram.h"
+#include "common/status.h"
 #include "obs/trace_event.h"
 
 namespace csfc {
@@ -52,10 +54,12 @@ class SloMetrics : public EventSink {
 
   void OnEvent(const TraceEvent& event) override;
 
-  /// Closed windows plus the currently open one, in time order (gap
-  /// windows between populated ones are materialized with zero counts so
-  /// the series is plottable as-is).
-  std::vector<SloWindowRow> Rows() const;
+  /// Visits every window from the first event's to the latest one's, in
+  /// time order. A window that saw no event is visited as a zero-count
+  /// row, so the series is plottable as-is, but only windows that saw an
+  /// event are stored: memory grows with events, not with run time over
+  /// window width. Stops at, and returns, the first error `visit` returns.
+  Status ForEachRow(FunctionRef<Status(const SloWindowRow&)> visit) const;
 
   /// Whole-run latency distribution across every window.
   const LogHistogram& overall() const { return overall_; }
@@ -63,8 +67,15 @@ class SloMetrics : public EventSink {
   double window_ms() const { return window_ms_; }
 
  private:
+  /// A closed window that saw an event; `index` is its start / span.
+  struct Window {
+    int64_t index;
+    SloWindowRow row;
+  };
+
   void AdvanceTo(SimTime t);
-  void Close();
+  /// The open window's row, its percentiles read from window_hist_.
+  SloWindowRow OpenRow() const;
 
   double window_ms_;
   SimTime window_span_;
@@ -73,7 +84,7 @@ class SloMetrics : public EventSink {
   SloWindowRow current_;
   LogHistogram window_hist_;  ///< wait samples (us) of the open window
   LogHistogram overall_;
-  std::vector<SloWindowRow> closed_;
+  std::vector<Window> closed_;
 };
 
 }  // namespace obs

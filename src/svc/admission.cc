@@ -62,15 +62,27 @@ bool AdmissionController::TakeToken(uint32_t stream, SimTime now) {
   return true;
 }
 
+namespace {
+
+/// Hands out stripe indices, one per producer thread over the process.
+std::atomic<uint32_t> stripe_ticket{0};
+
+}  // namespace
+
+uint32_t AdmissionController::TakeStripe() {
+  return stripe_ticket.fetch_add(1, std::memory_order_relaxed) % kStripes;
+}
+
 AdmitDecision AdmissionController::Admit(uint32_t stream, SimTime now,
                                          size_t queue_depth) {
-  offered_.fetch_add(1, std::memory_order_relaxed);
+  Stripe& mine = Mine();
+  mine.offered.fetch_add(1, std::memory_order_relaxed);
   if (config_.stream_rate_rps > 0.0 && !TakeToken(stream, now)) {
-    rejected_rate_.fetch_add(1, std::memory_order_relaxed);
+    mine.rejected_rate.fetch_add(1, std::memory_order_relaxed);
     return AdmitDecision::kRejectRate;
   }
   if (load_gate() && PredictedWaitMs(queue_depth) > config_.slo_wait_ms) {
-    rejected_load_.fetch_add(1, std::memory_order_relaxed);
+    mine.rejected_load.fetch_add(1, std::memory_order_relaxed);
     return AdmitDecision::kRejectLoad;
   }
   return AdmitDecision::kAdmit;
@@ -78,11 +90,14 @@ AdmitDecision AdmissionController::Admit(uint32_t stream, SimTime now,
 
 AdmissionController::Counters AdmissionController::counters() const {
   Counters c;
-  c.offered = offered_.load(std::memory_order_relaxed);
-  c.admitted = admitted_.load(std::memory_order_relaxed);
-  c.rejected_rate = rejected_rate_.load(std::memory_order_relaxed);
-  c.rejected_load = rejected_load_.load(std::memory_order_relaxed);
-  c.rejected_ring_full = rejected_ring_full_.load(std::memory_order_relaxed);
+  for (const Stripe& s : stripes_) {
+    c.offered += s.offered.load(std::memory_order_relaxed);
+    c.admitted += s.admitted.load(std::memory_order_relaxed);
+    c.rejected_rate += s.rejected_rate.load(std::memory_order_relaxed);
+    c.rejected_load += s.rejected_load.load(std::memory_order_relaxed);
+    c.rejected_ring_full +=
+        s.rejected_ring_full.load(std::memory_order_relaxed);
+  }
   return c;
 }
 

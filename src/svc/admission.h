@@ -30,18 +30,25 @@
 //                + rejected_ring_full
 //
 // Thread safety: producers call Admit()/RecordAdmit()/RecordRingReject()
-// concurrently. The five counters are relaxed atomics: each is monotone,
-// and the identity above holds exactly once producers are quiescent (a
-// mid-run counters() snapshot reads them one by one, so it is not a
-// consistent cut). The internal mutex guards only the token buckets, and
-// is taken only while the rate gate is on: with both gates off, an offer
-// costs two relaxed atomic increments and no lock. The load gate reads
-// its queue-depth argument only when slo_wait_ms > 0, so callers may skip
-// computing the depth otherwise (load_gate()).
+// concurrently. Each producer thread counts on its own stripe: one of
+// kStripes cache-line-aligned sets of the five counters, picked once per
+// thread from a relaxed ticket, so two producers never write one line
+// (up to kStripes producers; more share stripes round-robin). The
+// counters are relaxed atomics, because a shared stripe has two writers.
+// counters() sums the stripes. Each count is monotone, and the identity
+// above holds exactly once producers are quiescent (a mid-run counters()
+// snapshot reads the counters one by one, so it is not a consistent cut).
+// Which stripe a thread picks changes no sum, so virtual-time runs stay
+// deterministic. The internal mutex guards only the token buckets, and is
+// taken only while the rate gate is on: with both gates off, an offer
+// costs two relaxed increments on its own thread's line and no lock. The
+// load gate reads its queue-depth argument only when slo_wait_ms > 0, so
+// callers may skip computing the depth otherwise (load_gate()).
 
 #ifndef CSFC_SVC_ADMISSION_H_
 #define CSFC_SVC_ADMISSION_H_
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <vector>
@@ -106,12 +113,14 @@ class AdmissionController {
   bool load_gate() const { return config_.slo_wait_ms > 0.0; }
 
   /// The admitted offer made it into the ingest ring.
-  void RecordAdmit() { admitted_.fetch_add(1, std::memory_order_relaxed); }
+  void RecordAdmit() {
+    Mine().admitted.fetch_add(1, std::memory_order_relaxed);
+  }
   /// The admitted offer bounced off a full ring (backpressure). The
   /// stream's token stays spent — a full ring should also slow the
   /// offending streams down.
   void RecordRingReject() {
-    rejected_ring_full_.fetch_add(1, std::memory_order_relaxed);
+    Mine().rejected_ring_full.fetch_add(1, std::memory_order_relaxed);
   }
 
   /// The oracle, exposed for tests and the serve CLI's report.
@@ -127,6 +136,30 @@ class AdmissionController {
     SimTime last_refill = 0;
   };
 
+  /// One producer's counters, alone on its cache line.
+  struct alignas(kCacheLine) Stripe {
+    std::atomic<uint64_t> offered{0};
+    std::atomic<uint64_t> admitted{0};
+    std::atomic<uint64_t> rejected_rate{0};
+    std::atomic<uint64_t> rejected_load{0};
+    std::atomic<uint64_t> rejected_ring_full{0};
+  };
+
+  /// Stripes per controller: enough for the soak's and the CLI's
+  /// producers, 512 bytes in all.
+  static constexpr uint32_t kStripes = 8;
+  static constexpr uint32_t kNoStripe = ~uint32_t{0};
+  /// The calling thread's stripe index, taken on its first offer.
+  static inline thread_local uint32_t stripe_index_ = kNoStripe;
+
+  /// The calling thread's stripe.
+  Stripe& Mine() {
+    if (stripe_index_ == kNoStripe) stripe_index_ = TakeStripe();
+    return stripes_[stripe_index_];
+  }
+  /// Next stripe index from the process-wide ticket.
+  static uint32_t TakeStripe();
+
   /// Refills `stream`'s bucket to `now` and takes one token from it;
   /// false when the bucket holds less than one.
   bool TakeToken(uint32_t stream, SimTime now) EXCLUDES(mu_);
@@ -135,11 +168,7 @@ class AdmissionController {
   double burst_;  ///< resolved burst (config_.stream_burst or its default)
   mutable Mutex mu_;
   std::vector<Bucket> buckets_ GUARDED_BY(mu_);
-  std::atomic<uint64_t> offered_{0};
-  std::atomic<uint64_t> admitted_{0};
-  std::atomic<uint64_t> rejected_rate_{0};
-  std::atomic<uint64_t> rejected_load_{0};
-  std::atomic<uint64_t> rejected_ring_full_{0};
+  std::array<Stripe, kStripes> stripes_;
 };
 
 }  // namespace svc

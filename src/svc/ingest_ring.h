@@ -46,14 +46,10 @@
 #include <vector>
 
 #include "common/annotations.h"
+#include "common/types.h"
 
 namespace csfc {
 namespace svc {
-
-/// Cache-line size for padding; hardware_destructive_interference_size is
-/// not universally available, and 64 is correct on every target this repo
-/// builds for.
-inline constexpr size_t kCacheLine = 64;
 
 /// `AtomicSize` is a seam for the deterministic interleaving explorer
 /// (tests/svc/model_check.h): production code always uses the default

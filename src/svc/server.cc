@@ -1,7 +1,9 @@
 #include "svc/server.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
+#include <cstddef>
 #include <span>
 #include <utility>
 
@@ -23,6 +25,51 @@ obs::RejectReason ToReason(AdmitDecision d) {
 }
 
 }  // namespace
+
+// The layout guard: no cache line may hold both a member that Offer reads
+// and one that the pump writes on an untraced pass, or the producers and
+// the pump would pass that line back and forth on every offer. server.h
+// puts the pump's members last, from drain_buf_ on, so it suffices that
+// every member Offer reads ends on a line before drain_buf_'s. offsetof
+// on a class that is not standard-layout is conditionally supported;
+// GCC and Clang support it for classes without virtual bases.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Winvalid-offsetof"
+constexpr bool ServiceServer::OfferLinesStayOffPumpLines() {
+  constexpr size_t pump_begin = offsetof(ServiceServer, drain_buf_);
+  struct Member {
+    size_t offset;
+    size_t size;
+  };
+  // What Offer reads. The ring counts whole: its own alignment keeps its
+  // tail ticket and its head cursor on separate lines.
+  constexpr Member offer_reads[] = {
+      {offsetof(ServiceServer, clock_), sizeof(clock_)},
+      {offsetof(ServiceServer, tracer_), sizeof(tracer_)},
+      {offsetof(ServiceServer, admission_), sizeof(admission_)},
+      {offsetof(ServiceServer, ring_), sizeof(ring_)},
+      {offsetof(ServiceServer, running_), sizeof(running_)},
+      {offsetof(ServiceServer, stop_), sizeof(stop_)},
+      {offsetof(ServiceServer, pump_waiting_), sizeof(pump_waiting_)},
+  };
+  // What the pump writes on an untraced pass.
+  constexpr size_t pump_writes[] = {
+      offsetof(ServiceServer, drain_buf_),   offsetof(ServiceServer, pass_),
+      offsetof(ServiceServer, queue_depth_), offsetof(ServiceServer, stats_mu_),
+      offsetof(ServiceServer, wait_hist_),   offsetof(ServiceServer, enqueued_),
+      offsetof(ServiceServer, dispatched_),  offsetof(ServiceServer, completions_),
+  };
+  for (const Member& m : offer_reads) {
+    if ((m.offset + m.size - 1) / kCacheLine >= pump_begin / kCacheLine) {
+      return false;
+    }
+  }
+  for (size_t offset : pump_writes) {
+    if (offset < pump_begin) return false;
+  }
+  return pump_begin % kCacheLine == 0;
+}
+#pragma GCC diagnostic pop
 
 Status IngestConfig::Validate() const {
   if (ring_capacity < 2) {
@@ -61,6 +108,9 @@ ServiceServer::ServiceServer(SchedulerPtr scheduler,
       options_(options),
       admission_(options.admission),
       ring_(options.ingest.ring_capacity) {
+  static_assert(OfferLinesStayOffPumpLines(),
+                "a member the pump writes shares a cache line with one that "
+                "Offer reads; see the member groups in svc/server.h");
   if (options_.trace_sink != nullptr) {
     locked_sink_.emplace(*options_.trace_sink);
     tracer_ = obs::Tracer(&*locked_sink_);
@@ -124,8 +174,9 @@ bool ServiceServer::Ingest(Request&& r, SimTime now) {
 
 size_t ServiceServer::DrainRing(const DispatchContext& ctx) {
   size_t total = 0;
-  tracer_.set_now(ctx.now);
   const bool tracing = tracer_.enabled();
+  // The tracer shares a line with what every Offer reads.
+  if (tracing) tracer_.set_now(ctx.now);
   const size_t limit = ring_.capacity();
   while (total < limit) {
     const size_t span = std::min(options_.ingest.drain_batch, limit - total);
@@ -159,13 +210,17 @@ size_t ServiceServer::DrainRing(const DispatchContext& ctx) {
 
 bool ServiceServer::TryDispatch(DiskState& disk, double scale) {
   const DispatchContext ctx{.now = disk.now, .head = disk.head};
-  tracer_.set_now(disk.now);
+  const bool tracing = tracer_.enabled();
+  if (tracing) tracer_.set_now(disk.now);
   std::optional<Request> r = sched_->Dispatch(ctx);
   if (!r) return false;
-  const SimTime wait = std::max<SimTime>(disk.now - r->arrival, 0);
+  // An offer stamps its arrival before its push, and the pump reads
+  // `disk.now` after the drain that took it, so no wait is negative.
+  assert(disk.now >= r->arrival);
+  const SimTime wait = disk.now - r->arrival;
   if (pass_.waits.size() == pass_.waits.capacity()) Publish();
   pass_.waits.push_back(wait);
-  if (tracer_.enabled()) {
+  if (tracing) {
     obs::TraceEvent e;
     e.kind = obs::TraceEventKind::kDispatch;
     e.t = disk.now;
@@ -291,7 +346,9 @@ void ServiceServer::PumpLoop() {
     disk.now = clock_.NowUs();
     bool progress = DrainRing(DispatchContext{disk.now, disk.head}) > 0;
     // Serve while the modeled disk finishes by `now`: unpaced, that is
-    // everything just drained; paced, one dispatch per completion.
+    // everything just drained; paced, one dispatch per completion. Each
+    // dispatch reads the clock, so its wait ends when it is served, not
+    // when the pass began.
     for (;;) {
       if (disk.busy) {
         if (disk.completion_time > disk.now) break;
@@ -299,6 +356,7 @@ void ServiceServer::PumpLoop() {
         Complete(disk);
         progress = true;
       }
+      disk.now = clock_.NowUs();
       if (!TryDispatch(disk, options_.time_scale)) break;
       progress = true;
     }

@@ -25,11 +25,13 @@
 //    `time_scale` maps modeled service milliseconds to wall-clock pacing
 //    (0 = no pacing, the closed-loop soak configuration that measures
 //    pure front-end overhead). One pump pass drains at most one ring's
-//    worth, then serves while the modeled disk finishes by the pass's
+//    worth, then serves while the modeled disk finishes by the latest
 //    clock reading: an unpaced pass serves everything it drained (what
 //    DiskServerSimulator::Run does when service takes no time), a paced
-//    pass dispatches once per completion. The backlog therefore waits in
-//    the bounded ring, where ring-full sheds push back on producers.
+//    pass dispatches once per completion. Each dispatch reads the clock,
+//    so its wait ends at its own dispatch, not at the pass's start. The
+//    backlog waits in the bounded ring, where ring-full sheds push back
+//    on producers.
 //    Stop() drains everything already admitted; Cancel() abandons pending
 //    work immediately (the mid-drain cancellation path the TSan stress
 //    exercises).
@@ -184,10 +186,11 @@ class ServiceServer {
   /// empty), and emits enqueue events. Pump thread only.
   size_t DrainRing(const DispatchContext& ctx);
 
-  /// Pops the next request if one is pending: emits dispatch + drain,
-  /// tallies the wait sample, and starts it on the disk for service_ms
-  /// (held busy for service_ms * `scale`). Pump thread only. Returns
-  /// whether a request was dispatched.
+  /// Pops the next request if one is pending at `disk.now`: emits
+  /// dispatch + drain, tallies the wait sample (`disk.now` minus its
+  /// arrival), and starts it on the disk for service_ms (held busy for
+  /// service_ms * `scale`). Pump thread only. Returns whether a request
+  /// was dispatched.
   bool TryDispatch(DiskState& disk, double scale);
 
   /// Wall-clock idle wait: raises pump_waiting_, re-checks for work under
@@ -212,46 +215,62 @@ class ServiceServer {
     return ring_.size() + queue_depth_.load(std::memory_order_relaxed);
   }
 
+  /// Whether every member Offer reads ends on a line before the first
+  /// member the pump writes on an untraced pass; server.cc asserts it.
+  static constexpr bool OfferLinesStayOffPumpLines();
+
+  // Members are grouped by the thread that writes them, and each written
+  // group starts on its own cache line (DESIGN.md section 12 has the
+  // table). Memory-order contracts of the atomics (allowed orders per op,
+  // with rationale) live in tools/csfc_analyze/concurrency.toml;
+  // csfc_analyze enforces call sites against them.
+
+  // Read-mostly: set up by the constructor (pump_ by Start/Stop) and only
+  // read afterwards. Offer reads clock_, tracer_'s sink and the admission
+  // config; the controller keeps each producer's counters on a line of
+  // their own. The pump writes tracer_'s now only when tracing.
   SchedulerPtr sched_;
   ServiceTimeFn service_time_;
   Options options_;
-  AdmissionController admission_;
-  MpscIngestRing<Request> ring_;
   MonotonicClock clock_;
-
   /// All trace emissions funnel through this lock so single-threaded
   /// sinks work behind the server; tracer_ wraps it (or is disabled).
   std::optional<obs::LockedSink> locked_sink_;
   obs::Tracer tracer_;
+  std::thread pump_;
+  AdmissionController admission_;
+
+  /// The ring keeps its producers' tail ticket and the pump's head cursor
+  /// on lines of their own.
+  MpscIngestRing<Request> ring_;
+
+  /// Lifecycle flags: written by Start/Stop/Cancel, read by every Offer.
+  alignas(kCacheLine) std::atomic<bool> running_{false};
+  std::atomic<bool> stop_{false};
+  std::atomic<bool> cancel_{false};
+
+  /// The wake handshake. pump_waiting_ is set (under wake_mu_) while the
+  /// pump is about to sleep or sleeping; an admitted Offer reads it and
+  /// takes wake_mu_ to notify only when it reads true. A busy pump leaves
+  /// this line alone.
+  alignas(kCacheLine) std::atomic<bool> pump_waiting_{false};
+  Mutex wake_mu_;
+  CondVar wake_cv_;
+
+  // Everything below is written by the pump on every pass and read by no
+  // Offer without the load gate.
 
   /// Pump-thread scratch for ring drains; reserved once in the ctor.
   /// drain_ids_ is filled only when tracing.
-  std::vector<Request> drain_buf_;
+  alignas(kCacheLine) std::vector<Request> drain_buf_;
   std::vector<RequestId> drain_ids_;
   /// Pump-thread counts since the last Publish().
   PassTally pass_;
 
-  std::thread pump_;
-  /// Lifecycle flags, read by every Offer; aligned off the pump-written
-  /// pass_ above. Memory-order contracts (allowed orders per op, with
-  /// rationale) live in tools/csfc_analyze/concurrency.toml; csfc_analyze
-  /// enforces call sites against them.
-  alignas(kCacheLine) std::atomic<bool> running_{false};
-  std::atomic<bool> stop_{false};
-  std::atomic<bool> cancel_{false};
-  /// Scheduler queue size mirror for producers' admission checks (the
-  /// scheduler itself is pump-owned), refreshed by each Publish(). On its
-  /// own line: the pump stores it every pass, producers read the flags
-  /// above on every offer.
+  /// What Publish() writes. queue_depth_ mirrors the scheduler's queue
+  /// size for the producers' load gate (the scheduler itself is
+  /// pump-owned); only a gated Offer reads it.
   alignas(kCacheLine) std::atomic<size_t> queue_depth_{0};
-  /// Set (under wake_mu_) while the pump is about to sleep or sleeping;
-  /// an admitted Offer takes wake_mu_ to notify only when it reads true.
-  alignas(kCacheLine) std::atomic<bool> pump_waiting_{false};
-
-  /// Wakes the pump when work arrives or shutdown is requested.
-  Mutex wake_mu_;
-  CondVar wake_cv_;
-
   mutable Mutex stats_mu_;
   LogHistogram wait_hist_ GUARDED_BY(stats_mu_);
   uint64_t enqueued_ GUARDED_BY(stats_mu_) = 0;

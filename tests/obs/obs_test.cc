@@ -256,6 +256,16 @@ TEST(ExportTest, RunMetricsCsvIsRejected) {
 
 // ------------------------------------------------------------ SLO windows
 
+/// Every window ForEachRow visits, gap windows included.
+std::vector<SloWindowRow> RowsOf(const SloMetrics& slo) {
+  std::vector<SloWindowRow> rows;
+  EXPECT_TRUE(slo.ForEachRow([&rows](const SloWindowRow& r) {
+                   rows.push_back(r);
+                   return Status::OK();
+                 }).ok());
+  return rows;
+}
+
 TEST(SloMetricsTest, WindowsAccumulateAndMaterializeGaps) {
   SloMetrics slo(/*window_ms=*/10.0);
   auto feed = [&slo](TraceEvent e) { slo.OnEvent(e); };
@@ -290,7 +300,7 @@ TEST(SloMetricsTest, WindowsAccumulateAndMaterializeGaps) {
     feed(e);
   }
 
-  const std::vector<SloWindowRow> rows = slo.Rows();
+  const std::vector<SloWindowRow> rows = RowsOf(slo);
   ASSERT_EQ(rows.size(), 4u);
   EXPECT_DOUBLE_EQ(rows[0].start_ms, 0.0);
   EXPECT_EQ(rows[0].offered, 2u);
@@ -316,6 +326,36 @@ TEST(SloMetricsTest, WindowsAccumulateAndMaterializeGaps) {
   EXPECT_EQ(slo.overall().total(), 1u);
 }
 
+// ForEachRow walks the gap windows between two events without storing
+// them: here 2 s of 1 us windows, two of which saw an event.
+TEST(SloMetricsTest, GapWindowsStreamInOrder) {
+  SloMetrics slo(/*window_ms=*/0.001);
+  slo.OnEvent(MakeEvent(TraceEventKind::kIngest, 0.0, 0));
+  slo.OnEvent(MakeEvent(TraceEventKind::kIngest, 2000.0, 1));
+
+  uint64_t rows = 0, populated = 0, out_of_order = 0;
+  double last_start_ms = -1.0;
+  ASSERT_TRUE(slo.ForEachRow([&](const SloWindowRow& r) {
+                   ++rows;
+                   populated += r.offered;
+                   if (r.start_ms <= last_start_ms) ++out_of_order;
+                   last_start_ms = r.start_ms;
+                   return Status::OK();
+                 }).ok());
+  EXPECT_EQ(rows, 2000001u);
+  EXPECT_EQ(populated, 2u);
+  EXPECT_EQ(out_of_order, 0u);
+  EXPECT_DOUBLE_EQ(last_start_ms, 2000.0);
+
+  // The visitor's first error ends the walk and is returned.
+  uint64_t visited = 0;
+  const Status stopped = slo.ForEachRow([&visited](const SloWindowRow&) {
+    return ++visited == 3 ? Status::IoError("disk full") : Status::OK();
+  });
+  EXPECT_EQ(stopped.code(), StatusCode::kIoError);
+  EXPECT_EQ(visited, 3u);
+}
+
 TEST(SloMetricsTest, ExportsCsvJsonAndJsonl) {
   SloMetrics slo(/*window_ms=*/5.0);
   for (int i = 0; i < 3; ++i) {
@@ -331,7 +371,7 @@ TEST(SloMetricsTest, ExportsCsvJsonAndJsonl) {
     d.wait_ms = 1.0 + i;
     slo.OnEvent(d);
   }
-  const size_t windows = slo.Rows().size();
+  const size_t windows = RowsOf(slo).size();
   ASSERT_GT(windows, 1u);
 
   StringWriter csv;

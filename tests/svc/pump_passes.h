@@ -1,10 +1,11 @@
 // Helpers for the wall-clock pump's pass-structure tests.
 //
 // PumpPasses reads the pump's passes back out of a recorded event stream.
-// Only the pump emits enqueue and dispatch events, so their order is the
-// pump's own, whatever the producers interleave. An unpaced pass is a run
-// of enqueues (one ring drain) followed by the run of dispatches that
-// serves it.
+// Only the pump emits enqueue, dispatch and drain events, so their order
+// is the pump's own, whatever the producers interleave. An unpaced pass
+// is a run of enqueues (one ring drain) followed by the run of dispatches
+// that serves it; each dispatch is followed by its drain event, which
+// carries the request's wait.
 //
 // MakeSlowPumpServer builds a server whose pump is slower than its
 // producers, as in the pump-bound soak, whatever this machine's speed:
@@ -30,6 +31,8 @@ struct PumpPass {
   uint64_t dispatched = 0;
   /// Scheduler queue depth after the pass's last dispatch.
   uint64_t last_dispatch_depth = 0;
+  /// The reported wait of each dispatch, in dispatch order.
+  std::vector<double> waits_ms;
 };
 
 /// Splits the enqueue/dispatch events into passes: a new pass starts at
@@ -47,6 +50,8 @@ inline std::vector<PumpPass> PumpPasses(
       if (passes.empty()) passes.emplace_back();
       ++passes.back().dispatched;
       passes.back().last_dispatch_depth = e.queue_depth;
+    } else if (e.kind == obs::TraceEventKind::kDrain && !passes.empty()) {
+      passes.back().waits_ms.push_back(e.wait_ms);
     }
   }
   return passes;

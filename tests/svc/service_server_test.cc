@@ -429,6 +429,62 @@ TEST(ServiceServerTest, UnpacedPassServesEverythingItDrains) {
                            << max_drain << ")";
 }
 
+// Each wall-clock dispatch reports its own wait. One producer offers a
+// burst into a ring that holds all of it, and every service-time call
+// spins 25 us, so the k-th dispatch of a pass (counting from 0) is served
+// at least k * 25 us after the pass drained it: its wait is at least that
+// long. A pump that stamps every dispatch of a pass with the pass's start
+// reports the time the burst spent in the ring instead, which is about
+// one short pass, and its p50 falls below the median of those bounds.
+TEST(ServiceServerTest, WallClockWaitsEndAtEachDispatch) {
+  constexpr uint64_t kCount = 2000;
+  constexpr double kServiceMs = 0.025;
+  ServerConfig config = BaseConfig();
+  VectorSink rec;
+  config.WithIngest(/*ring=*/4096, /*batch=*/64)
+      .WithTimeScale(0.0)
+      .WithTraceSink(&rec);
+  auto handle = MakeSlowPumpServer(config, std::chrono::microseconds(25));
+  ASSERT_TRUE(handle.ok()) << handle.status().ToString();
+  ServiceServer& server = *handle->server;
+  const std::vector<Request> reqs = SyntheticTrace(17, kCount, 1.0);
+
+  ASSERT_TRUE(server.Start().ok());
+  for (const Request& r : reqs) {
+    while (!server.Offer(r)) std::this_thread::yield();
+  }
+  server.Stop();
+  const ServiceStats stats = server.Stats();
+  ASSERT_EQ(stats.dispatched, kCount);
+
+  std::vector<double> bounds_ms;  // what each dispatch must have waited
+  uint64_t short_waits = 0;
+  std::string first_short;
+  for (const PumpPass& pass : PumpPasses(rec.events)) {
+    for (size_t k = 0; k < pass.waits_ms.size(); ++k) {
+      const double bound = static_cast<double>(k) * kServiceMs;
+      bounds_ms.push_back(bound);
+      // Waits are whole microseconds, so 1 ns of slack covers rounding.
+      if (pass.waits_ms[k] < bound - 1e-6) {
+        if (short_waits++ == 0) {
+          first_short = "dispatch " + std::to_string(k) + " of a pass of " +
+                        std::to_string(pass.dispatched) + " waited " +
+                        std::to_string(pass.waits_ms[k]) + " ms";
+        }
+      }
+    }
+  }
+  ASSERT_EQ(bounds_ms.size(), kCount);
+  EXPECT_EQ(short_waits, 0u) << first_short;
+  // The reported p50 is at least the median bound, less the histogram's
+  // 1/32 relative error.
+  std::nth_element(bounds_ms.begin(), bounds_ms.begin() + kCount / 2,
+                   bounds_ms.end());
+  const double median_bound_ms = bounds_ms[kCount / 2];
+  EXPECT_GE(stats.p50_wait_ms, median_bound_ms * (1.0 - 1.0 / 32))
+      << "median bound " << median_bound_ms << " ms";
+}
+
 }  // namespace
 }  // namespace svc
 }  // namespace csfc

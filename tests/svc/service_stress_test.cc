@@ -2,7 +2,8 @@
 // service-stress job (mirroring parallel_stress_test for the sweep
 // layer). Every scenario here is about interleavings, not outcomes:
 //
-//  * >= 4 producers hammering Offer against one pump thread;
+//  * >= 4 producers hammering Offer against one pump thread, and more
+//    producers than the admission controller has counter stripes;
 //  * a deliberately tiny ring so ring-full backpressure is constantly
 //    exercised (the producer/consumer seq handshake at the full/empty
 //    boundaries is where an MPSC ring breaks first);
@@ -109,6 +110,31 @@ TEST(ServiceStressTest, FourProducersTinyRingNothingLost) {
   const AdmissionController::Counters& k = stats.admission;
   EXPECT_EQ(k.offered, k.admitted + k.rejected_rate + k.rejected_load +
                            k.rejected_ring_full);
+}
+
+TEST(ServiceStressTest, MoreProducersThanCounterStripesCountEveryOffer) {
+  // Twelve producers over the admission controller's eight counter
+  // stripes: some stripes have two writers, and the summed counters must
+  // still reconcile exactly once the producers have joined.
+  ServerConfig config = StressConfig(/*ring=*/64, /*batch=*/16);
+  auto handle = MakeServer(config);
+  ASSERT_TRUE(handle.ok()) << handle.status().ToString();
+  ServiceServer& server = *handle->server;
+
+  ASSERT_TRUE(server.Start().ok());
+  const uint64_t accepted =
+      ProduceAll(server, /*producers=*/12, /*per_producer=*/1000, nullptr);
+  server.Stop();
+
+  const ServiceStats stats = server.Stats();
+  const AdmissionController::Counters& k = stats.admission;
+  EXPECT_EQ(accepted, 12u * 1000u);
+  EXPECT_EQ(k.offered, k.admitted + k.rejected_rate + k.rejected_load +
+                           k.rejected_ring_full);
+  EXPECT_EQ(k.admitted, accepted);
+  EXPECT_EQ(stats.enqueued, accepted);
+  EXPECT_EQ(stats.dispatched, accepted);
+  EXPECT_EQ(stats.completions, accepted);
 }
 
 TEST(ServiceStressTest, CancelMidDrainWhileProducersRun) {

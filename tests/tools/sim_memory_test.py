@@ -31,6 +31,14 @@ factory measured. Extra pages, 4 KB each, over seeds 1-7:
     asan (Debug)            +215 .. +310   +522 .. +537
     tsan                    +387 .. +398   +2,930 .. +2,940
 
+Check 3, SLO windows. `csfc_serve --virtual --windows=0.001
+--windows-out=/dev/null` cuts the run into 1 us windows, ~25,000 per
+request at 25 ms, and writes a row for every one of them. Only windows
+that saw an event are stored, and the gap rows are written as they
+stream, so peak RSS must stay flat from --count=20 to --count=100 (held to
+the same SLACK_MB). A sink that stored every window peaked at 156 MB and
+685 MB.
+
 Each child is reaped with os.wait4, so its own rusage, and nothing else's,
 gives its peak RSS and page faults.
 
@@ -46,6 +54,7 @@ import subprocess
 import sys
 
 SMALL, LARGE = 4000, 400000
+WINDOW_COUNTS = (20, 100)  # check 3: ~5x10^5 and ~2.5x10^6 windows
 SLACK_MB = 8.0
 SLACK_PAGES = {"": 64, "undefined": 64, "address": 400, "thread": 1000}
 
@@ -75,12 +84,13 @@ def peak_rss_mb(cmd, count, offered="arrivals"):
     return run(cmd, count, offered).ru_maxrss / 1024.0  # Linux reports KB
 
 
-def check_flat(name, cmd, offered="arrivals"):
-    """Check 1 for one binary; returns whether it failed."""
-    small = peak_rss_mb(cmd, SMALL, offered)
-    large = peak_rss_mb(cmd, LARGE, offered)
-    print(f"{name} peak RSS: {small:.1f} MB at --count={SMALL}, "
-          f"{large:.1f} MB at --count={LARGE}")
+def check_flat(name, cmd, offered="arrivals", counts=(SMALL, LARGE)):
+    """Check 1 (or 3) for one command; returns whether it failed."""
+    small_n, large_n = counts
+    small = peak_rss_mb(cmd, small_n, offered)
+    large = peak_rss_mb(cmd, large_n, offered)
+    print(f"{name} peak RSS: {small:.1f} MB at --count={small_n}, "
+          f"{large:.1f} MB at --count={large_n}")
     if large - small > SLACK_MB:
         print(f"FAIL: {name} peak RSS grew by {large - small:.1f} MB "
               f"(allowed {SLACK_MB:g} MB)")
@@ -105,6 +115,10 @@ def main():
     failed = check_flat("csfc_sim", [args.sim])
     failed |= check_flat("csfc_serve --virtual", [args.serve, "--virtual"],
                          offered="offered")
+    failed |= check_flat("csfc_serve --virtual --windows=0.001",
+                         [args.serve, "--virtual", "--windows=0.001",
+                          "--windows-out=/dev/null"],
+                         offered="offered", counts=WINDOW_COUNTS)
 
     csfc = setup_faults(args.sim, "csfc")
     fcfs = setup_faults(args.sim, "fcfs")

@@ -38,6 +38,7 @@
 #include <cstdio>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -55,6 +56,17 @@ struct FanoutSink final : obs::EventSink {
   std::vector<obs::EventSink*> sinks;
   void OnEvent(const obs::TraceEvent& event) override {
     for (obs::EventSink* s : sinks) s->OnEvent(event);
+  }
+};
+
+/// Writes straight to stdout, so a long window series streams out instead
+/// of being held in memory first.
+struct StdoutWriter final : obs::Writer {
+  Status Append(std::string_view data) override {
+    if (std::fwrite(data.data(), 1, data.size(), stdout) != data.size()) {
+      return Status::IoError("write to stdout failed");
+    }
+    return Status::OK();
   }
 };
 
@@ -296,9 +308,8 @@ int main(int argc, char** argv) {
     } else if (!args.json) {
       // Keep stdout parseable in --json mode; the windows go to a file
       // there or not at all.
-      obs::StringWriter w;
+      StdoutWriter w;
       written = obs::Export(*slo, w, obs::ExportFormat::kCsv);
-      if (written.ok()) std::printf("%s", w.str().c_str());
     }
     if (!written.ok()) {
       std::fprintf(stderr, "%s\n", written.ToString().c_str());
