@@ -32,9 +32,11 @@
 // Thread safety: producers call Admit()/RecordAdmit()/RecordRingReject()
 // concurrently. Each producer thread counts on its own stripe: one of
 // kStripes cache-line-aligned sets of the five counters, picked once per
-// thread from a relaxed ticket, so two producers never write one line
-// (up to kStripes producers; more share stripes round-robin). The
-// counters are relaxed atomics, because a shared stripe has two writers.
+// thread from a process-wide relaxed ticket. Up to kStripes threads that
+// take consecutive tickets never write one line; more share stripes
+// round-robin, and since a thread that ends keeps its ticket, a new
+// thread can land on a live one's stripe. The counters are relaxed
+// atomics, because a shared stripe has two writers.
 // counters() sums the stripes. Each count is monotone, and the identity
 // above holds exactly once producers are quiescent (a mid-run counters()
 // snapshot reads the counters one by one, so it is not a consistent cut).
