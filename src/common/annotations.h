@@ -6,18 +6,18 @@
 // priority-inversion argument into "bounded, plus whatever the allocator
 // does"). csfc_analyze verifies that no allocation — `new`, malloc-family
 // calls, `std::function` construction, node-based containers, or
-// unsanctioned container growth — is reachable from a CSFC_HOT function,
-// and that no allocating call sits inside a REQUIRES-annotated lock
-// region reachable from one.
+// unsanctioned container growth — is reachable from a CSFC_HOT function
+// or from a REQUIRES-annotated lock region.
 //
 // Amortized growth that provably settles (slot pools, heap storage,
 // scratch buffers reused across calls) is sanctioned explicitly: put
 //
 //   // csfc:alloc-ok(<short reason>)
 //
-// on the allocating line. The analyzer skips marked lines; the marker
-// keeps every sanctioned allocation visible and greppable rather than
-// silently grandfathered.
+// on the allocating line, or on a call line to sanction everything that
+// call allocates: the analyzer skips a marked line and does not walk into
+// a marked call. The marker keeps every sanctioned allocation visible and
+// greppable rather than silently grandfathered.
 //
 // CSFC_DETERMINISTIC marks a function whose output must be a pure
 // function of its inputs and recorded seeds: the simulator run loop,
@@ -44,19 +44,13 @@
 // since those functions are correctly-rounded nowhere and pinned only
 // per libm build (the golden ledger is what actually pins the values).
 //
-// Under clang the macros expand to `annotate` attributes the AST engine
-// reads directly; other compilers see nothing (the regex fallback engine
-// matches the macro textually, so annotations work under gcc too).
+// Both macros expand to nothing: the analyzer matches them textually and
+// walks the calls from each annotated function.
 
 #ifndef CSFC_COMMON_ANNOTATIONS_H_
 #define CSFC_COMMON_ANNOTATIONS_H_
 
-#if defined(__clang__)
-#define CSFC_HOT __attribute__((annotate("csfc_hot")))
-#define CSFC_DETERMINISTIC __attribute__((annotate("csfc_deterministic")))
-#else
-#define CSFC_HOT  // no-op: the analyzer's regex engine matches the token
-#define CSFC_DETERMINISTIC  // no-op: matched textually by the regex engine
-#endif
+#define CSFC_HOT
+#define CSFC_DETERMINISTIC
 
 #endif  // CSFC_COMMON_ANNOTATIONS_H_

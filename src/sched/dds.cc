@@ -1,27 +1,10 @@
 #include "sched/dds.h"
 
-#include <algorithm>
 #include <utility>
 
+#include "sched/scan_plan.h"
+
 namespace csfc {
-
-uint64_t DdsScheduler::ScanKey(Cylinder cyl, Cylinder head) const {
-  const uint32_t cylinders = disk_->params().cylinders;
-  return cyl >= head ? cyl - head : static_cast<uint64_t>(cyl) + cylinders - head;
-}
-
-bool DdsScheduler::PlanFeasible(const DispatchContext& ctx) const {
-  SimTime clock = ctx.now;
-  Cylinder head = ctx.head;
-  for (const Planned& p : plan_) {
-    const Request& r = p.req;
-    const double ms = disk_->ServiceTimeMs(head, r.cylinder, r.bytes);
-    clock = AddSaturating(clock, MsToSim(ms));
-    if (r.has_deadline() && clock > r.deadline) return false;
-    head = r.cylinder;
-  }
-  return true;
-}
 
 void DdsScheduler::Enqueue(Request r, const DispatchContext& ctx) {
   const PriorityLevel victim_level = r.priority(0);
@@ -31,10 +14,7 @@ void DdsScheduler::Enqueue(Request r, const DispatchContext& ctx) {
 void DdsScheduler::EnqueueRanked(Request r, PriorityLevel victim_level,
                                  const DispatchContext& ctx) {
   // Insert in C-SCAN order relative to the current head.
-  const uint64_t key = ScanKey(r.cylinder, ctx.head);
-  auto pos = std::find_if(plan_.begin(), plan_.end(), [&](const Planned& q) {
-    return ScanKey(q.req.cylinder, ctx.head) > key;
-  });
+  auto pos = ScanSlot(plan_, *disk_, r.cylinder, ctx.head, RequestOf);
   plan_.insert(pos, Planned{std::move(r), victim_level});
 
   // If the insertion broke a deadline, demote the lowest-priority request
@@ -42,7 +22,7 @@ void DdsScheduler::EnqueueRanked(Request r, PriorityLevel victim_level,
   // ("the scheduler chooses the lowest priority disk request in the queue
   // and moves it to the tail"). This also bounds the per-arrival cost to
   // O(queue) even under sustained overload.
-  if (plan_.size() > 1 && !PlanFeasible(ctx)) {
+  if (plan_.size() > 1 && !PlanFeasible(plan_, *disk_, ctx, RequestOf)) {
     // Lowest priority = largest level number; ties demote the later one.
     size_t victim = 0;
     for (size_t i = 1; i + 1 < plan_.size(); ++i) {

@@ -41,14 +41,7 @@ class DdsScheduler final : public Scheduler {
     Request req;
     PriorityLevel victim_level = 0;
   };
-
-  // C-SCAN position key of a cylinder relative to the head: distance of
-  // the upward sweep (with wraparound).
-  uint64_t ScanKey(Cylinder cyl, Cylinder head) const;
-
-  // True iff serving plan_ in order from `ctx` meets every deadline
-  // (estimated seek + expected latency + transfer per step).
-  bool PlanFeasible(const DispatchContext& ctx) const;
+  static const Request& RequestOf(const Planned& p) { return p.req; }
 
   const DiskModel* disk_;
   std::vector<Planned> plan_;  // service order; front is served next

@@ -1,35 +1,21 @@
 #include "sched/scan_rt.h"
 
-#include <algorithm>
 #include <utility>
 
+#include "sched/scan_plan.h"
+
 namespace csfc {
+namespace {
 
-uint64_t ScanRtScheduler::ScanKey(Cylinder cyl, Cylinder head) const {
-  const uint32_t cylinders = disk_->params().cylinders;
-  return cyl >= head ? cyl - head : static_cast<uint64_t>(cyl) + cylinders - head;
-}
+const Request& Self(const Request& r) { return r; }
 
-bool ScanRtScheduler::PlanFeasible(const DispatchContext& ctx) const {
-  SimTime clock = ctx.now;
-  Cylinder head = ctx.head;
-  for (const Request& r : plan_) {
-    const double ms = disk_->ServiceTimeMs(head, r.cylinder, r.bytes);
-    clock = AddSaturating(clock, MsToSim(ms));
-    if (r.has_deadline() && clock > r.deadline) return false;
-    head = r.cylinder;
-  }
-  return true;
-}
+}  // namespace
 
 void ScanRtScheduler::Enqueue(Request r, const DispatchContext& ctx) {
-  const uint64_t key = ScanKey(r.cylinder, ctx.head);
-  auto pos = std::find_if(plan_.begin(), plan_.end(), [&](const Request& q) {
-    return ScanKey(q.cylinder, ctx.head) > key;
-  });
+  auto pos = ScanSlot(plan_, *disk_, r.cylinder, ctx.head, Self);
   const size_t idx = static_cast<size_t>(pos - plan_.begin());
   plan_.insert(pos, std::move(r));
-  if (!PlanFeasible(ctx)) {
+  if (!PlanFeasible(plan_, *disk_, ctx, Self)) {
     // Back out the SCAN insertion and append instead.
     Request backed = std::move(plan_[idx]);
     plan_.erase(plan_.begin() + static_cast<ptrdiff_t>(idx));

@@ -27,9 +27,6 @@ class ScanRtScheduler final : public Scheduler {
   size_t queue_size() const override { return plan_.size(); }
 
  private:
-  uint64_t ScanKey(Cylinder cyl, Cylinder head) const;
-  bool PlanFeasible(const DispatchContext& ctx) const;
-
   const DiskModel* disk_;
   std::vector<Request> plan_;
 };

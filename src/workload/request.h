@@ -47,14 +47,6 @@ struct Request {
   /// for stream workloads and trace fidelity).
   bool is_write = false;
 
-  // Explicitly defaulted, so they stay trivial; declared noexcept so the
-  // compiler rejects a member that would make a move throwing.
-  Request() = default;
-  Request(const Request&) = default;
-  Request& operator=(const Request&) = default;
-  Request(Request&&) noexcept = default;
-  Request& operator=(Request&&) noexcept = default;
-
   bool has_deadline() const { return deadline != kNoDeadline; }
 
   /// The priority level on dimension `k`, or 0 if the request has fewer
@@ -74,6 +66,11 @@ struct Request {
 static_assert(std::is_trivially_copyable_v<Request>,
               "Request must stay trivially copyable: every queue hop is a "
               "memcpy");
+// A throwing move would silently degrade every vector growth and slot
+// recycle to copies.
+static_assert(std::is_nothrow_move_constructible_v<Request> &&
+                  std::is_nothrow_move_assignable_v<Request>,
+              "Request's moves must be noexcept");
 static_assert(sizeof(Request) == 96, "Request must stay 96 bytes");
 
 }  // namespace csfc

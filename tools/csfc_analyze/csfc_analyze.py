@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""csfc_analyze: AST-backed contract analyzer for the csfc codebase.
+"""csfc_analyze: textual contract analyzer for the csfc codebase.
 
 Thirteen rule families. Ten read the three checked-in manifests
 (tools/csfc_analyze/layers.toml, tools/csfc_analyze/concurrency.toml and
@@ -9,24 +9,24 @@ no manifest needs to spell out:
   layering       src/ include edges must follow the layer DAG declared in
                  layers.toml, plus the tracer seam and per-file exceptions
                  declared there.
-  hot-alloc      Functions annotated CSFC_HOT (common/annotations.h) and
-                 functions that hold a lock (REQUIRES(...)) must not
+  hot-alloc      Functions annotated CSFC_HOT (common/annotations.h),
+                 functions that hold a lock (REQUIRES(...)), and every
+                 function the call walk reaches from them must not
                  allocate: no operator new / malloc family /
                  make_unique|make_shared / std::function / node-based
                  containers / std::string construction / container growth
                  calls. A sanctioned amortized allocation is marked on its
-                 own line with `// csfc:alloc-ok(<reason>)`. Code compiled
-                 out of release builds (#ifndef NDEBUG) is exempt.
+                 own line with `// csfc:alloc-ok(<reason>)`; the same
+                 marker on a call line stops the walk at that call. Code
+                 compiled out of release builds (#ifndef NDEBUG) is exempt.
   hot-coverage   The manifest's [hot] entry_points list pins which
                  functions MUST carry the CSFC_HOT annotation. hot-alloc
                  only audits what is annotated; this closes the loop so a
                  backend rewrite cannot silently drop the per-request path
                  out of the audit.
-  exc-safety     Types on the zero-copy queue path (Request) must declare
-                 explicit noexcept move operations, and
-                 Status / Result must be [[nodiscard]] at class level —
-                 a throwing move silently degrades every vector growth
-                 and slot-pool recycle back to copies.
+  exc-safety     Status / Result must be [[nodiscard]] at class level, so
+                 dropped error returns fail to compile. (That Request's
+                 moves are nothrow is a static_assert in request.h.)
   atomics-discipline
                  Every atomic operation in src/ must spell an explicit
                  std::memory_order, and every atomic variable must have an
@@ -48,12 +48,13 @@ no manifest needs to spell out:
                  functions of their inputs and recorded seeds: the
                  manifest's [deterministic] entry_points list pins the
                  annotations (like hot-coverage pins CSFC_HOT), annotated
-                 bodies may not read wall clocks, branch on thread ids, or
-                 cast pointers to integers, and std::unordered_ use there
-                 needs a `// csfc:unordered-ok(<reason>)` marker. Tree-wide,
-                 wall clocks live only behind the clock seam
-                 (common/clock.h) and every getenv needs an [[envread]]
-                 row.
+                 bodies and every function the call walk reaches from
+                 them (outside the clock/rng seam files) may not read wall
+                 clocks, branch on thread ids, or cast pointers to
+                 integers, and std::unordered_ use there needs a
+                 `// csfc:unordered-ok(<reason>)` marker. Tree-wide, wall
+                 clocks live only behind the clock seam (common/clock.h)
+                 and every getenv needs an [[envread]] row.
   fp-contract    Every TU under [fp].contract_scope must compile with
                  -ffp-contract=off and without fast-math flags (verified
                  from compile_commands.json — contracted FMA and licensed
@@ -79,47 +80,34 @@ no manifest needs to spell out:
                  use is the SchedulerFactory alias in sched/scheduler.h,
                  a cold-path factory seam).
 
-Engines:
-
-  libclang   (preferred) python3-clang + libclang over the build tree's
-             compile_commands.json. The hot-alloc rule walks the real call
-             graph: every project-defined function *reachable* from a
-             CSFC_HOT or REQUIRES root is scanned; traversal stops at
-             virtual and external calls. noexcept and [[nodiscard]] are
-             verified on the AST (exception specifications and the
-             WarnUnusedResult attribute), not by pattern match.
-  regex      fallback when libclang is unavailable (the dev container is
-             gcc-only). Implements all rules textually; the hot-alloc
-             scan degrades to the direct bodies of annotated functions —
-             no transitive call graph. The degradation is announced on
-             stderr so a clean exit is never mistaken for full AST
-             coverage.
-
-The three concurrency families are textual in BOTH engines: memory_order
-arguments, MutexLock statements, and spin markers are lexical facts, and
-sharing one implementation makes engine agreement structural (the same
-stance layering already takes). The three determinism families take the
-same stance — annotations, markers, manifest rows, and compile commands
-are all lexical facts — and the libclang engine additionally walks the
-call graph so functions *reachable* from a CSFC_DETERMINISTIC root are
-taint-scanned too (traversal stops at virtual and external calls, and at
-the clock/rng seam files).
-The three repo-contract families are textual in both engines as well.
+Every family is textual: it reads the scrubbed source (comments
+stripped, string contents blanked), the manifests and the compile
+commands, and needs no compiler. The call walk behind hot-alloc and
+determinism-taint resolves calls by name over src/: `Cls::f(` reaches
+Cls's `f` (a qualifier that names no class reaches every free `f`); a
+bare `f(` reaches the enclosing class's own `f`, else every `f`; `x.f(`
+and `x->f(` reach every `f`. A name some src/ class declares `virtual`
+or `override` is not followed. What this does not give: calls resolve
+by name, not by type (an overload set is followed whole, a call through
+a function pointer or an operator not at all), and no exception
+specification is read.
 
 `--self-test` seeds one violation per rule against synthetic trees and
 verifies each is caught. `--seed-violation=RULE` injects a violation into
-the real tree (in memory — forces the regex engine) so the CLI test can
-assert exit codes end to end. Exit 0 = clean, 1 = findings, 2 =
-usage/engine error.
+the real tree (in memory) so the CLI test can assert exit codes end to
+end. Exit 0 = clean, 1 = findings, 2 = usage error.
 """
 
 from __future__ import annotations
 
 import argparse
+import bisect
+import functools
 import re
 import sys
 from pathlib import Path
-from typing import Dict, List, NamedTuple, Optional, Set, Tuple
+from typing import (Callable, Dict, FrozenSet, List, NamedTuple, Optional,
+                    Set, Tuple)
 
 try:
     import tomllib
@@ -196,26 +184,11 @@ def parse_manifest(text: str) -> Manifest:
 
 # --- contract tables --------------------------------------------------------
 
-
-class Contracts(NamedTuple):
-    # (header path, type name): must declare explicit noexcept move ops.
-    nothrow_move: List[Tuple[str, str]]
-    # (header path, type name): must be `class [[nodiscard]]`.
-    nodiscard: List[Tuple[str, str]]
-
-
-DEFAULT_CONTRACTS = Contracts(
-    nothrow_move=[
-        # Slot-pool entries live inside Request. Its priority vector is a
-        # fixed inline array, so request.h static_asserts that Request is
-        # trivially copyable instead of listing SmallVector here; CValue
-        # is a trivial double alias and needs no declaration.
-        ("src/workload/request.h", "Request"),
-    ],
-    nodiscard=[
-        ("src/common/status.h", "Status"),
-        ("src/common/status.h", "Result"),
-    ])
+# (header path, type name): must be `class [[nodiscard]]`.
+NODISCARD_TYPES: List[Tuple[str, str]] = [
+    ("src/common/status.h", "Status"),
+    ("src/common/status.h", "Result"),
+]
 
 
 # --- text utilities ---------------------------------------------------------
@@ -224,6 +197,12 @@ DEFAULT_CONTRACTS = Contracts(
 RAW_STRING_RE = re.compile(r'(?:u8|[uUL])?R"([^()\\ \t\n]{0,16})\(')
 
 
+# The pure text helpers below are memoized on the file text: every rule
+# family scrubs the same files, and the CLI test runs every seed against
+# one loaded tree, so each file is scanned once per process.
+
+
+@functools.lru_cache(maxsize=None)
 def strip_comments(text: str) -> str:
     """Blanks // and /* */ comments, preserving line numbers.
 
@@ -328,13 +307,31 @@ def blank_strings(code: str) -> str:
     return "".join(out)
 
 
+@functools.lru_cache(maxsize=None)
 def scrub(text: str) -> str:
     """Comments stripped, string contents blanked. Offsets preserved."""
     return blank_strings(strip_comments(text))
 
 
+@functools.lru_cache(maxsize=None)
+def _line_starts(text: str) -> Tuple[int, ...]:
+    return (0,) + tuple(m.end() for m in re.finditer("\n", text))
+
+
+@functools.lru_cache(maxsize=None)
+def split_lines(text: str) -> Tuple[str, ...]:
+    return tuple(text.splitlines())
+
+
 def line_of(text: str, offset: int) -> int:
-    return text.count("\n", 0, offset) + 1
+    return bisect.bisect_right(_line_starts(text), offset)
+
+
+@functools.lru_cache(maxsize=None)
+def matches(pattern: re.Pattern, code: str) -> Tuple[Tuple, ...]:
+    """(line, matched text, *groups) of every match of `pattern`."""
+    return tuple((line_of(code, m.start()), m.group(0)) + m.groups()
+                 for m in pattern.finditer(code))
 
 
 def match_delim(code: str, open_idx: int, open_c: str, close_c: str) -> int:
@@ -350,7 +347,8 @@ def match_delim(code: str, open_idx: int, open_c: str, close_c: str) -> int:
     return len(code)
 
 
-def ndebug_exempt_lines(code: str) -> Set[int]:
+@functools.lru_cache(maxsize=None)
+def ndebug_exempt_lines(code: str) -> FrozenSet[int]:
     """0-based indices of lines inside `#ifndef NDEBUG` regions.
 
     Release builds (RelWithDebInfo defines NDEBUG) compile these out, so
@@ -375,10 +373,11 @@ def ndebug_exempt_lines(code: str) -> Set[int]:
                     stack.pop()
         if "ndebug" in stack:
             exempt.add(idx)
-    return exempt
+    return frozenset(exempt)
 
 
-def class_scopes(code: str) -> List[Tuple[int, int, str]]:
+@functools.lru_cache(maxsize=None)
+def class_scopes(code: str) -> Tuple[Tuple[int, int, str], ...]:
     """(body_start, body_end, name) for every class/struct body in `code`.
 
     Expects scrubbed text. Used to qualify out-of-line definition lookups
@@ -391,10 +390,10 @@ def class_scopes(code: str) -> List[Tuple[int, int, str]]:
         open_idx = m.end() - 1
         scopes.append((open_idx, match_delim(code, open_idx, "{", "}"),
                        m.group(1)))
-    return scopes
+    return tuple(scopes)
 
 
-def enclosing_class(scopes: List[Tuple[int, int, str]],
+def enclosing_class(scopes: Tuple[Tuple[int, int, str], ...],
                     offset: int) -> Optional[str]:
     best = None
     for start, end, name in scopes:
@@ -453,7 +452,7 @@ def check_layering(tree: Tree, manifest: Manifest) -> List[Finding]:
     return findings
 
 
-# --- rule 2: hot-path allocation freedom (regex engine) ---------------------
+# --- rule 2: hot-path allocation freedom -----------------------------------
 
 ALLOC_PATTERNS: List[Tuple[re.Pattern, str]] = [
     (re.compile(r"\bnew\b"), "operator new"),
@@ -478,15 +477,20 @@ HOT_MESSAGE = ("CSFC_HOT code must stay allocation-free; if this allocation "
                "// csfc:alloc-ok(reason)")
 
 
+def _body_lines(code: str, start: int, end: int) -> range:
+    """0-based indices of the lines a body [start, end) spans."""
+    last = line_of(code, min(end, len(code) - 1) if code else 0)
+    return range(line_of(code, start) - 1,
+                 min(last, len(split_lines(code))))
+
+
 def _scan_body(path: str, text: str, code: str, start: int, end: int,
-               label: str, exempt: Set[int], why: str,
-               seen: Set[Tuple[str, int, str]],
+               where: str, seen: Set[Tuple[str, int, str]],
                findings: List[Finding]) -> None:
-    orig_lines = text.splitlines()
-    code_lines = code.splitlines()
-    first = line_of(code, start) - 1
-    last = line_of(code, min(end, len(code) - 1) if code else 0) - 1
-    for idx in range(first, min(last + 1, len(code_lines))):
+    orig_lines = split_lines(text)
+    code_lines = split_lines(code)
+    exempt = ndebug_exempt_lines(code)
+    for idx in _body_lines(code, start, end):
         if idx in exempt:
             continue
         if idx < len(orig_lines) and ALLOC_OK_MARKER in orig_lines[idx]:
@@ -503,7 +507,7 @@ def _scan_body(path: str, text: str, code: str, start: int, end: int,
             seen.add(key)
             findings.append(Finding(
                 "hot-alloc", path, idx + 1,
-                f"{what} in {why} `{label}` — {HOT_MESSAGE}"))
+                f"{what} in {where} — {HOT_MESSAGE}"))
 
 
 def _body_after_signature(code: str, j: int) -> Optional[int]:
@@ -524,18 +528,37 @@ def _body_after_signature(code: str, j: int) -> Optional[int]:
     return None
 
 
-def _definition_bodies(code: str, cls: Optional[str],
-                       name: str) -> List[Tuple[int, int]]:
-    """(body_start, body_end) of out-of-line definitions of cls::name."""
-    qual = rf"\b{re.escape(cls)}\s*::\s*{re.escape(name)}\s*\(" if cls \
-        else rf"\b{re.escape(name)}\s*\("
-    bodies: List[Tuple[int, int]] = []
-    for m in re.finditer(qual, code):
-        close = match_delim(code, m.end() - 1, "(", ")")
-        body = _body_after_signature(code, close)
-        if body is not None:
-            bodies.append((body, match_delim(code, body, "{", "}")))
-    return bodies
+ANNOTATIONS_FILE = "src/common/annotations.h"
+
+
+@functools.lru_cache(maxsize=None)
+def annotated_functions(code: str, token: str
+                        ) -> Tuple[Tuple[Optional[str], str, int, int], ...]:
+    """(class, name, body_start, body_end) of every function `token`
+    (CSFC_HOT or CSFC_DETERMINISTIC) annotates in scrubbed `code`. The
+    class is the `Cls::` qualifier of an annotated out-of-line definition,
+    else the enclosing class; body_start is -1 for a declaration."""
+    found: List[Tuple[Optional[str], str, int, int]] = []
+    for m in re.finditer(rf"\b{token}\b", code):
+        line_start = code.rfind("\n", 0, m.start()) + 1
+        if code[line_start:m.start()].lstrip().startswith("#"):
+            continue  # the macro definition itself
+        brace = code.find("{", m.end())
+        semi = code.find(";", m.end())
+        head_end = min(x for x in (brace, semi, len(code)) if x >= 0)
+        head = code[m.end():head_end]
+        paren = head.find("(")
+        name_m = re.search(r"(?:(\w+)\s*::\s*)?(\w+)\s*$", head[:paren])
+        if paren < 0 or not name_m:
+            continue
+        cls = name_m.group(1) or enclosing_class(class_scopes(code),
+                                                 m.start())
+        if brace != -1 and (semi == -1 or brace < semi):
+            found.append((cls, name_m.group(2), brace,
+                          match_delim(code, brace, "{", "}")))
+        else:
+            found.append((cls, name_m.group(2), -1, -1))
+    return tuple(found)
 
 
 def hot_function_bodies(
@@ -561,40 +584,193 @@ def hot_function_bodies(
             bodies.append((path, label, start, end))
 
     for path, code in sorted(scrubbed.items()):
-        if path == "src/common/annotations.h":
+        if path == ANNOTATIONS_FILE:
             continue
-        scopes = None
-        for m in re.finditer(rf"\b{token}\b", code):
-            line_start = code.rfind("\n", 0, m.start()) + 1
-            if code[line_start:m.start()].lstrip().startswith("#"):
-                continue  # the macro definition itself
-            brace = code.find("{", m.end())
-            semi = code.find(";", m.end())
-            head_end = min(x for x in (brace, semi, len(code)) if x >= 0)
-            head = code[m.end():head_end]
-            paren = head.find("(")
-            if paren < 0:
-                continue
-            name_m = re.search(r"(\w+)\s*$", head[:paren])
-            if not name_m:
-                continue
-            name = name_m.group(1)
-            if brace != -1 and (semi == -1 or brace < semi):
-                add(path, name, brace, match_delim(code, brace, "{", "}"))
-                continue
-            if scopes is None:
-                scopes = class_scopes(code)
-            cls = enclosing_class(scopes, m.start())
+        for cls, name, start, end in annotated_functions(code, token):
             label = f"{cls}::{name}" if cls else name
-            candidates = [path]
-            sib = sibling_path(path)
-            if sib in scrubbed:
-                candidates.append(sib)
-            for cand in candidates:
-                for start, end in _definition_bodies(scrubbed[cand], cls,
-                                                     name):
-                    add(cand, label, start, end)
+            if start >= 0:
+                add(path, label, start, end)
+                continue
+            for cand in (path, sibling_path(path)):
+                for d in function_definitions(cand, scrubbed.get(cand, "")):
+                    if d.name == name and d.cls == cls:
+                        add(cand, label, d.start, d.end)
     return bodies
+
+
+@functools.lru_cache(maxsize=None)
+def requires_regions(code: str
+                     ) -> Tuple[Tuple[str, Tuple[str, ...], int, int], ...]:
+    """(function, held capabilities, body_start, body_end) of every
+    function defined with REQUIRES(caps): it holds each cap throughout."""
+    found = []
+    for m in re.finditer(r"\bREQUIRES\s*\(([^()]*)\)", code):
+        line_start = code.rfind("\n", 0, m.start()) + 1
+        if code[line_start:m.start()].lstrip().startswith("#"):
+            continue  # the macro definition
+        body = _body_after_signature(code, m.end())
+        if body is None:
+            continue
+        names = list(re.finditer(r"(\w+)\s*\(",
+                                 code[max(0, m.start() - 400):m.start()]))
+        caps = tuple(ids[-1] for ids in (re.findall(r"\w+", cap)
+                                         for cap in m.group(1).split(","))
+                     if ids)
+        found.append((names[-1].group(1) if names else "<lock region>", caps,
+                      body, match_delim(code, body, "{", "}")))
+    return tuple(found)
+
+
+def requires_bodies(scrubbed: Dict[str, str]
+                    ) -> List[Tuple[str, str, int, int]]:
+    """(path, label, body_start, body_end) for every function defined
+    with REQUIRES(...): it runs under a capability, so allocating there
+    stretches the critical section by a potential syscall."""
+    return [(path, label, start, end)
+            for path, code in sorted(scrubbed.items())
+            if path != ANNOTATIONS_FILE
+            for label, _, start, end in requires_regions(code)]
+
+
+# --- the call walk (hot-alloc and determinism-taint) ------------------------
+
+# Words followed by `(` that are not calls or definitions of functions.
+NOT_FUNCTIONS = frozenset((
+    "if", "for", "while", "switch", "return", "catch", "throw", "new",
+    "delete", "sizeof", "alignof", "alignas", "decltype", "noexcept",
+    "static_assert", "typeid", "static_cast", "const_cast",
+    "reinterpret_cast", "dynamic_cast", "constexpr", "requires",
+    "operator", "defined", "assert", "bool", "char", "int", "long",
+    "short", "unsigned", "signed", "double", "float", "void", "auto"))
+
+# `Cls::f(`, `x.f(`, `x->f(` or `f(`, with optional template arguments.
+CALL_RE = re.compile(
+    r"(?:(\w+)\s*::\s*|(\.|->)\s*)?\b(\w+)\s*(?:<[^<>;(){}]*>\s*)?\(")
+ACCESS_RE = re.compile(r"\b(?:public|private|protected)\s*$")
+
+
+class FunctionDef(NamedTuple):
+    path: str
+    cls: Optional[str]
+    name: str
+    start: int  # the body's `{`
+    end: int  # just past its `}`
+
+
+def _is_function_name(name: str) -> bool:
+    # ALL_CAPS words are macros (REQUIRES, EXCLUDES, ...).
+    return name not in NOT_FUNCTIONS and not name.isupper()
+
+
+@functools.lru_cache(maxsize=None)
+def function_definitions(path: str, code: str) -> Tuple[FunctionDef, ...]:
+    """Every function body defined in scrubbed `code`: inline members
+    (class = the enclosing class), out-of-line `Cls::f` definitions and
+    free functions (class None). Lambdas stay part of their enclosing
+    body."""
+    scopes = class_scopes(code)
+    defs: List[FunctionDef] = []
+    for m in CALL_RE.finditer(code):
+        qual, member, name = m.groups()
+        if member or not _is_function_name(name):
+            continue
+        j = m.start() - 1
+        while j >= 0 and code[j].isspace():
+            j -= 1
+        if j >= 0 and (code[j] == "," or (
+                code[j] == ":" and code[j - 1] != ":"
+                and not ACCESS_RE.search(code, max(0, j - 12), j))):
+            continue  # a constructor's member or base initializer
+        close = match_delim(code, m.end() - 1, "(", ")")
+        body = _body_after_signature(code, close)
+        if body is None:
+            continue
+        defs.append(FunctionDef(path, qual or enclosing_class(scopes,
+                                                              m.start()),
+                                name, body,
+                                match_delim(code, body, "{", "}")))
+    return tuple(defs)
+
+
+@functools.lru_cache(maxsize=None)
+def virtual_names(code: str) -> FrozenSet[str]:
+    """Names scrubbed `code` declares `virtual` or `override`: a call to
+    one dispatches at run time, so the walk does not follow it."""
+    names: Set[str] = set()
+    for m in re.finditer(r"\bvirtual\b", code):
+        n = re.search(r"(~?)(\w+)\s*\(", code[m.end():m.end() + 400])
+        if n and not n.group(1):
+            names.add(n.group(2))
+    for m in re.finditer(r"\boverride\b", code):
+        start = max(code.rfind(c, 0, m.start()) for c in ";{}") + 1
+        n = re.search(r"(\w+)\s*\(", code[start:m.start()])
+        if n:
+            names.add(n.group(1))
+    return frozenset(names)
+
+
+@functools.lru_cache(maxsize=None)
+def _body_calls(code: str, start: int, end: int
+                ) -> Tuple[Tuple[Optional[str], bool, str, int], ...]:
+    """(qualifier, is_member_call, name, offset) of every call in a body."""
+    return tuple((m.group(1), m.group(2) is not None, m.group(3), m.start(3))
+                 for m in CALL_RE.finditer(code, start, end)
+                 if _is_function_name(m.group(3)))
+
+
+def reachable_bodies(
+        scrubbed: Dict[str, str],
+        roots: List[Tuple[str, str, int, int]],
+        stop: Callable[[str, int], bool] = lambda path, idx: False
+) -> List[Tuple[str, str, int, int]]:
+    """(path, where, body_start, body_end) of every function body the
+    call walk reaches from `roots` (given as (path, where, start, end)),
+    roots excluded. Calls resolve by name (module docstring); a call on a
+    line `stop(path, 0-based line)` accepts is not followed."""
+    by_name: Dict[str, List[FunctionDef]] = {}
+    cls_of: Dict[Tuple[str, int], Optional[str]] = {}
+    virtual: Set[str] = set()
+    classes: Set[str] = set()
+    for path, code in scrubbed.items():
+        for d in function_definitions(path, code):
+            by_name.setdefault(d.name, []).append(d)
+            cls_of[(path, d.start)] = d.cls
+        virtual |= virtual_names(code)
+        classes.update(name for _, _, name in class_scopes(code))
+
+    def resolve(cls: Optional[str], qual: Optional[str], member: bool,
+                name: str) -> List[FunctionDef]:
+        defs = by_name.get(name, [])
+        if qual is not None:
+            want = qual if qual in classes else None
+            return [d for d in defs if d.cls == want]
+        if not member and cls is not None:
+            own = [d for d in defs if d.cls == cls]
+            if own:
+                return own
+        return defs
+
+    seen = {(path, start) for path, _, start, _ in roots}
+    queue = [(path, start, end,
+              cls_of.get((path, start),
+                         enclosing_class(class_scopes(scrubbed[path]),
+                                         start)), where)
+             for path, where, start, end in roots]
+    reached: List[Tuple[str, str, int, int]] = []
+    for path, start, end, cls, root in queue:  # grows as bodies are found
+        code = scrubbed[path]
+        for qual, member, name, off in _body_calls(code, start, end):
+            if name in virtual or stop(path, line_of(code, off) - 1):
+                continue
+            for d in resolve(cls, qual, member, name):
+                if (d.path, d.start) in seen:
+                    continue
+                seen.add((d.path, d.start))
+                label = f"{d.cls}::{d.name}" if d.cls else d.name
+                where = f"`{label}` (reachable from {root})"
+                reached.append((d.path, where, d.start, d.end))
+                queue.append((d.path, d.start, d.end, d.cls, root))
+    return reached
 
 
 def check_hot_alloc(tree: Tree) -> List[Finding]:
@@ -602,33 +778,21 @@ def check_hot_alloc(tree: Tree) -> List[Finding]:
     seen: Set[Tuple[str, int, str]] = set()
     scrubbed = {p: scrub(t) for p, t in tree.items()
                 if p.startswith("src/")}
-    exempt = {p: ndebug_exempt_lines(c) for p, c in scrubbed.items()}
+    roots = ([(path, f"hot function `{label}`", start, end)
+              for path, label, start, end in hot_function_bodies(scrubbed)]
+             + [(path, f"lock-holding function `{label}`", start, end)
+                for path, label, start, end in requires_bodies(scrubbed)])
 
-    for path, label, start, end in hot_function_bodies(scrubbed):
-        _scan_body(path, tree[path], scrubbed[path], start, end, label,
-                   exempt[path], "hot function", seen, findings)
+    def stop(path: str, idx: int) -> bool:
+        # Release builds compile NDEBUG blocks out, and a call line marked
+        # alloc-ok sanctions whatever that call allocates.
+        return (idx in ndebug_exempt_lines(scrubbed[path])
+                or ALLOC_OK_MARKER in split_lines(tree[path])[idx])
 
-    for path, code in sorted(scrubbed.items()):
-        if path == "src/common/annotations.h":
-            continue
-        text = tree[path]
-        # Lock-holding functions: REQUIRES(...) marks a region that runs
-        # under a capability; allocating there stretches the critical
-        # section by a potential syscall.
-        for m in re.finditer(r"\bREQUIRES\s*\(", code):
-            line_start = code.rfind("\n", 0, m.start()) + 1
-            if code[line_start:m.start()].lstrip().startswith("#"):
-                continue  # the macro definition
-            close = match_delim(code, m.end() - 1, "(", ")")
-            body = _body_after_signature(code, close)
-            if body is None:
-                continue
-            seg = code[max(0, m.start() - 400):m.start()]
-            names = list(re.finditer(r"(\w+)\s*\(", seg))
-            label = names[-1].group(1) if names else "<lock region>"
-            _scan_body(path, text, code, body,
-                       match_delim(code, body, "{", "}"), label,
-                       exempt[path], "lock-holding function", seen, findings)
+    for path, where, start, end in roots + reachable_bodies(scrubbed, roots,
+                                                             stop):
+        _scan_body(path, tree[path], scrubbed[path], start, end, where,
+                   seen, findings)
     return findings
 
 
@@ -638,38 +802,13 @@ def check_hot_alloc(tree: Tree) -> List[Finding]:
 def annotated_hot_names(tree: Tree, token: str = HOT_TOKEN) -> Set[str]:
     """Every name `token` (CSFC_HOT by default) is attached to, as both
     `Cls::Name` (when resolvable) and bare `Name`. Works on declarations
-    and definitions alike; out-of-line `CSFC_HOT T Cls::Name(...)` forms
-    contribute their qualified name directly."""
+    and definitions alike."""
     covered: Set[str] = set()
     for path, text in tree.items():
-        if not path.startswith("src/") or path == "src/common/annotations.h":
+        if not path.startswith("src/") or path == ANNOTATIONS_FILE:
             continue
-        code = scrub(text)
-        scopes = None
-        for m in re.finditer(rf"\b{token}\b", code):
-            line_start = code.rfind("\n", 0, m.start()) + 1
-            if code[line_start:m.start()].lstrip().startswith("#"):
-                continue
-            brace = code.find("{", m.end())
-            semi = code.find(";", m.end())
-            head_end = min(x for x in (brace, semi, len(code)) if x >= 0)
-            head = code[m.end():head_end]
-            paren = head.find("(")
-            if paren < 0:
-                continue
-            qual_m = re.search(r"(\w+)\s*::\s*(\w+)\s*$", head[:paren])
-            if qual_m:
-                covered.add(f"{qual_m.group(1)}::{qual_m.group(2)}")
-                covered.add(qual_m.group(2))
-                continue
-            name_m = re.search(r"(\w+)\s*$", head[:paren])
-            if not name_m:
-                continue
-            name = name_m.group(1)
+        for cls, name, _, _ in annotated_functions(scrub(text), token):
             covered.add(name)
-            if scopes is None:
-                scopes = class_scopes(code)
-            cls = enclosing_class(scopes, m.start())
             if cls:
                 covered.add(f"{cls}::{name}")
     return covered
@@ -690,34 +829,12 @@ def check_hot_coverage(tree: Tree, manifest: Manifest) -> List[Finding]:
     return findings
 
 
-# --- rule 4: exception safety (textual form) --------------------------------
+# --- rule 4: exception safety ----------------------------------------------
 
 
-def check_exc_safety(tree: Tree, contracts: Contracts) -> List[Finding]:
+def check_exc_safety(tree: Tree) -> List[Finding]:
     findings: List[Finding] = []
-    for path, tname in contracts.nothrow_move:
-        text = tree.get(path)
-        if text is None:
-            findings.append(Finding(
-                "noexcept-move", path, 0,
-                f"contract type {tname}: file not found — update the "
-                f"manifest in tools/csfc_analyze if the type moved"))
-            continue
-        code = strip_comments(text)
-        t = re.escape(tname)
-        if not re.search(rf"\b{t}\s*\(\s*{t}\s*&&[^)]*\)\s*noexcept", code):
-            findings.append(Finding(
-                "noexcept-move", path, 0,
-                f"{tname} must declare an explicit noexcept move "
-                f"constructor — a throwing (or suppressed) move degrades "
-                f"vector growth and slot recycling to copies"))
-        if not re.search(rf"operator=\s*\(\s*{t}\s*&&[^)]*\)\s*noexcept",
-                         code):
-            findings.append(Finding(
-                "noexcept-move", path, 0,
-                f"{tname} must declare an explicit noexcept move "
-                f"assignment operator"))
-    for path, tname in contracts.nodiscard:
+    for path, tname in NODISCARD_TYPES:
         text = tree.get(path)
         if text is None:
             findings.append(Finding(
@@ -854,22 +971,37 @@ def find_atomic_decls(scrubbed: Dict[str, str],
     tests instantiate with instrumented atomics). References, template
     default arguments, and using-aliases contribute no declaration.
     """
-    decls: List[Tuple[str, str, int]] = []
-    extra = [re.compile(rf"\b{re.escape(t)}\s+(\w+)\s*[;{{=]")
-             for t in extra_types]
-    for path, code in sorted(scrubbed.items()):
-        for m in re.finditer(r"\bstd::atomic\s*<", code):
-            close = _match_angle(code, m.end() - 1)
-            if close is None:
-                continue
-            name_m = re.match(r"\s*(\w+)\s*[;{=,]", code[close:])
-            if name_m:
-                decls.append((path, name_m.group(1),
-                              line_of(code, m.start())))
-        for pat in extra:
-            for m in pat.finditer(code):
-                decls.append((path, m.group(1), line_of(code, m.start())))
-    return decls
+    extra = tuple(re.compile(rf"\b{re.escape(t)}\s+(\w+)\s*[;{{=]")
+                  for t in extra_types)
+    return [(path, name, line) for path, code in sorted(scrubbed.items())
+            for name, line in _atomic_decls(code, extra)]
+
+
+@functools.lru_cache(maxsize=None)
+def _atomic_decls(code: str, extra: Tuple[re.Pattern, ...]
+                  ) -> Tuple[Tuple[str, int], ...]:
+    decls: List[Tuple[str, int]] = []
+    for m in re.finditer(r"\bstd::atomic\s*<", code):
+        close = _match_angle(code, m.end() - 1)
+        if close is None:
+            continue
+        name_m = re.match(r"\s*(\w+)\s*[;{=,]", code[close:close + 200])
+        if name_m:
+            decls.append((name_m.group(1), line_of(code, m.start())))
+    for pat in extra:
+        decls.extend((name, line) for line, _, name in matches(pat, code))
+    return tuple(decls)
+
+
+@functools.lru_cache(maxsize=None)
+def _atomic_ops(code: str) -> Tuple[Tuple[str, str, int, Tuple[str, ...]], ...]:
+    """(variable, op, line, memory orders named in the call) per op."""
+    ops = []
+    for m in ATOMIC_OP_RE.finditer(code):
+        args_end = match_delim(code, m.end() - 1, "(", ")")
+        ops.append((m.group(1), m.group(2), line_of(code, m.start()),
+                    tuple(MEMORY_ORDER_RE.findall(code[m.end():args_end]))))
+    return tuple(ops)
 
 
 def check_atomics(tree: Tree, cman: ConcurrencyManifest) -> List[Finding]:
@@ -914,14 +1046,10 @@ def check_atomics(tree: Tree, cman: ConcurrencyManifest) -> List[Finding]:
             findings.append(f)
 
     for path, code in sorted(scrubbed.items()):
-        for m in ATOMIC_OP_RE.finditer(code):
-            name, op = m.group(1), m.group(2)
+        for name, op, line, orders in _atomic_ops(code):
             if name not in names:
                 continue
             kind = _ATOMIC_OPS[op]
-            line = line_of(code, m.start())
-            args_end = match_delim(code, m.end() - 1, "(", ")")
-            orders = MEMORY_ORDER_RE.findall(code[m.end():args_end])
             if not orders:
                 emit(Finding(
                     "atomics-discipline", path, line,
@@ -954,7 +1082,8 @@ MUTEX_ACQUIRE_RE = re.compile(r"\bMutexLock\s+\w+\s*\(\s*([^()]*?)\s*\)")
 MUTEX_IMPL_FILE = "src/common/mutex.h"
 
 
-def _brace_pairs(code: str) -> List[Tuple[int, int]]:
+@functools.lru_cache(maxsize=None)
+def _brace_pairs(code: str) -> Tuple[Tuple[int, int], ...]:
     pairs: List[Tuple[int, int]] = []
     stack: List[int] = []
     for i, c in enumerate(code):
@@ -962,7 +1091,30 @@ def _brace_pairs(code: str) -> List[Tuple[int, int]]:
             stack.append(i)
         elif c == "}" and stack:
             pairs.append((stack.pop(), i))
-    return pairs
+    return tuple(pairs)
+
+
+@functools.lru_cache(maxsize=None)
+def _lock_sites(code: str) -> Tuple[Tuple[int, int, str, int], ...]:
+    """MutexLock acquisitions as (offset, hold end, member, line)."""
+    pairs = _brace_pairs(code)
+
+    def hold_end(off: int) -> int:
+        # The scoped lock lives to the end of its innermost block.
+        best = -1
+        end = len(code)
+        for o, c in pairs:
+            if o < off < c and o > best:
+                best, end = o, c
+        return end
+
+    acqs = []
+    for m in MUTEX_ACQUIRE_RE.finditer(code):
+        ids = re.findall(r"\w+", m.group(1))
+        if ids:
+            acqs.append((m.start(), hold_end(m.start()), ids[-1],
+                         line_of(code, m.start())))
+    return tuple(acqs)
 
 
 def check_lock_hierarchy(tree: Tree,
@@ -972,10 +1124,9 @@ def check_lock_hierarchy(tree: Tree,
                 if p.startswith("src/") and p != MUTEX_IMPL_FILE}
     rank = {n: i for i, n in enumerate(cman.lock_order)}
 
-    decls: List[Tuple[str, str, int]] = []
-    for path, code in sorted(scrubbed.items()):
-        for m in MUTEX_DECL_RE.finditer(code):
-            decls.append((path, m.group(1), line_of(code, m.start())))
+    decls = [(path, member, line)
+             for path, code in sorted(scrubbed.items())
+             for line, _, member in matches(MUTEX_DECL_RE, code)]
     by_key = {(r.file, r.member): r for r in cman.locks}
     for path, member, line in decls:
         if (path, member) not in by_key:
@@ -1016,24 +1167,8 @@ def check_lock_hierarchy(tree: Tree,
                 f"before `{outer}`; acquire in order or restructure"))
 
     for path, code in sorted(scrubbed.items()):
-        pairs = _brace_pairs(code)
-
-        def hold_end(off: int) -> int:
-            # The scoped lock lives to the end of its innermost block.
-            best = -1
-            end = len(code)
-            for o, c in pairs:
-                if o < off < c and o > best:
-                    best, end = o, c
-            return end
-
         acqs: List[Tuple[int, int, Optional[str], int]] = []
-        for m in MUTEX_ACQUIRE_RE.finditer(code):
-            ids = re.findall(r"\w+", m.group(1))
-            if not ids:
-                continue
-            member = ids[-1]
-            line = line_of(code, m.start())
+        for off, hold_end, member, line in _lock_sites(code):
             cands = resolve(path, member)
             if not cands:
                 findings.append(Finding(
@@ -1051,23 +1186,12 @@ def check_lock_hierarchy(tree: Tree,
                 node = None
             else:
                 node = cands[0].name
-            acqs.append((m.start(), hold_end(m.start()), node, line))
+            acqs.append((off, hold_end, node, line))
 
-        # REQUIRES(cap) regions hold `cap` for the whole body.
         regions: List[Tuple[int, int, str]] = []
-        for m in re.finditer(r"\bREQUIRES\s*\(([^()]*)\)", code):
-            line_start = code.rfind("\n", 0, m.start()) + 1
-            if code[line_start:m.start()].lstrip().startswith("#"):
-                continue  # the macro definition
-            body = _body_after_signature(code, m.end())
-            if body is None:
-                continue
-            end = match_delim(code, body, "{", "}")
-            for cap in m.group(1).split(","):
-                ids = re.findall(r"\w+", cap)
-                if not ids:
-                    continue
-                cands = resolve(path, ids[-1])
+        for _, caps, body, end in requires_regions(code):
+            for cap in caps:
+                cands = resolve(path, cap)
                 if len(cands) == 1:
                     regions.append((body, end, cands[0].name))
 
@@ -1116,19 +1240,17 @@ def check_hot_blocking(tree: Tree,
     findings: List[Finding] = []
     scrubbed = {p: scrub(t) for p, t in tree.items()
                 if p.startswith("src/")}
-    exempt = {p: ndebug_exempt_lines(c) for p, c in scrubbed.items()}
     atomic_names = set(cman.atomics) | {
         n for _, n, _ in find_atomic_decls(scrubbed, cman.extra_types)}
     seen: Set[Tuple[str, int, str]] = set()
 
     for path, label, start, end in hot_function_bodies(scrubbed):
         code = scrubbed[path]
-        orig_lines = tree[path].splitlines()
-        code_lines = code.splitlines()
-        first = line_of(code, start) - 1
-        last = line_of(code, min(end, len(code) - 1) if code else 0) - 1
-        for idx in range(first, min(last + 1, len(code_lines))):
-            if idx in exempt[path]:
+        orig_lines = split_lines(tree[path])
+        code_lines = split_lines(code)
+        exempt = ndebug_exempt_lines(code)
+        for idx in _body_lines(code, start, end):
+            if idx in exempt:
                 continue
             sline = code_lines[idx]
             for pat, what in BLOCKING_PATTERNS:
@@ -1146,7 +1268,7 @@ def check_hot_blocking(tree: Tree,
         # Unbounded spin loops over atomics need a progress argument.
         for m in UNBOUNDED_LOOP_RE.finditer(code, start, end):
             idx = line_of(code, m.start()) - 1
-            if idx in exempt[path]:
+            if idx in exempt:
                 continue
             lb = code.find("{", m.end())
             if lb < 0 or code[m.end():lb].strip():
@@ -1174,7 +1296,7 @@ def check_hot_blocking(tree: Tree,
 
 def run_concurrency_checks(tree: Tree,
                            cman: ConcurrencyManifest) -> List[Finding]:
-    """Rules 5-7. Textual in both engines (see module docstring)."""
+    """Rules 5-7."""
     return (check_atomics(tree, cman)
             + check_lock_hierarchy(tree, cman)
             + check_hot_blocking(tree, cman))
@@ -1246,8 +1368,8 @@ WALLCLOCK_RE = re.compile(
     r"|\btime\s*\(\s*(?:NULL|nullptr|0)?\s*\)"
     r"|\bclock_gettime\s*\(|\bgettimeofday\s*\(")
 
-# Scanned inside CSFC_DETERMINISTIC bodies (and, under libclang,
-# everything reachable from one). Entropy sources (random_device, rand)
+# Scanned inside CSFC_DETERMINISTIC bodies and everything the call walk
+# reaches from one. Entropy sources (random_device, rand)
 # are tree-wide rng-seed-flow facts and are not duplicated here.
 DET_BODY_PATTERNS: List[Tuple[re.Pattern, str]] = [
     (WALLCLOCK_RE, "wall-clock read"),
@@ -1268,12 +1390,13 @@ DET_MESSAGE = ("CSFC_DETERMINISTIC code must be a pure function of its "
                "bit-identity pin and the golden ledger ride on it")
 
 
-def _det_scan_body(path: str, orig_lines: List[str], code_lines: List[str],
-                   first: int, last: int, label: str,
-                   seen: Set[Tuple[str, int, str]],
+def _det_scan_body(path: str, text: str, code: str, start: int, end: int,
+                   where: str, seen: Set[Tuple[str, int, str]],
                    findings: List[Finding]) -> None:
-    """Taint-scans lines [first, last] of a deterministic function."""
-    for idx in range(max(0, first), min(last + 1, len(code_lines))):
+    """Taint-scans the body [start, end) of a deterministic function."""
+    orig_lines = split_lines(text)
+    code_lines = split_lines(code)
+    for idx in _body_lines(code, start, end):
         raw = orig_lines[idx] if idx < len(orig_lines) else ""
         sline = code_lines[idx]
         for pat, what in DET_BODY_PATTERNS:
@@ -1285,18 +1408,17 @@ def _det_scan_body(path: str, orig_lines: List[str], code_lines: List[str],
             seen.add(key)
             findings.append(Finding(
                 "determinism-taint", path, idx + 1,
-                f"{what} in deterministic function {label} — "
-                f"{DET_MESSAGE}"))
+                f"{what} in {where} — {DET_MESSAGE}"))
         if "std::unordered_" in sline and UNORDERED_OK_MARKER not in raw:
             key = (path, idx + 1, "unordered")
             if key not in seen:
                 seen.add(key)
                 findings.append(Finding(
                     "determinism-taint", path, idx + 1,
-                    f"std::unordered_ container in deterministic function "
-                    f"{label} — iteration order is hash/insertion "
-                    f"dependent; prove order cannot reach output and mark "
-                    f"the line with // csfc:unordered-ok(reason)"))
+                    f"std::unordered_ container in {where} — iteration "
+                    f"order is hash/insertion dependent; prove order "
+                    f"cannot reach output and mark the line with "
+                    f"// csfc:unordered-ok(reason)"))
 
 
 GETENV_RE = re.compile(r"\b(?:std::\s*)?getenv\s*\(")
@@ -1323,36 +1445,34 @@ def check_det_taint(tree: Tree, dman: DeterminismManifest) -> List[Finding]:
                 if p.startswith("src/")}
     seen: Set[Tuple[str, int, str]] = set()
 
-    # Annotated bodies: direct taint scan (the libclang engine extends
-    # this to everything reachable).
-    for path, label, start, end in hot_function_bodies(scrubbed,
-                                                       token=DET_TOKEN):
-        code = scrubbed[path]
-        _det_scan_body(
-            path, tree[path].splitlines(), code.splitlines(),
-            line_of(code, start) - 1,
-            line_of(code, min(end, len(code) - 1) if code else 0) - 1,
-            f"`{label}`", seen, findings)
+    # Annotated bodies, and every body the call walk reaches from them
+    # outside the clock and rng seams.
+    roots = [(path, f"deterministic function `{label}`", start, end)
+             for path, label, start, end in hot_function_bodies(
+                 scrubbed, token=DET_TOKEN)]
+    seam = set(dman.clock_seam) | set(dman.rng_seam)
+    for path, where, start, end in roots + [
+            r for r in reachable_bodies(scrubbed, roots) if r[0] not in seam]:
+        _det_scan_body(path, tree[path], scrubbed[path], start, end, where,
+                       seen, findings)
 
     # Tree-wide: wall clocks live only behind the clock seam, and every
     # environment read needs an [[envread]] row.
     for path, code in sorted(scrubbed.items()):
-        orig_lines = tree[path].splitlines()
+        orig_lines = split_lines(tree[path])
         if path not in dman.clock_seam:
-            for m in WALLCLOCK_RE.finditer(code):
-                line = line_of(code, m.start())
+            for line, read in matches(WALLCLOCK_RE, code):
                 key = (path, line, "tree-clock")
                 if key in seen:
                     continue
                 seen.add(key)
                 findings.append(Finding(
                     "determinism-taint", path, line,
-                    f"wall-clock read `{m.group(0).strip()}` outside the "
+                    f"wall-clock read `{read.strip()}` outside the "
                     f"clock seam ({', '.join(dman.clock_seam) or 'none'}) "
                     f"— real time enters through common/clock so runs "
                     f"replay bit-identically"))
-        for m in GETENV_RE.finditer(code):
-            line = line_of(code, m.start())
+        for line, _ in matches(GETENV_RE, code):
             idx = line - 1
             raw = orig_lines[idx] if idx < len(orig_lines) else ""
             if any(f == path and var in raw
@@ -1383,6 +1503,7 @@ LIBM_RE = re.compile(
     r"\bstd::(?:log1p|log10|log2|log|expm1|exp2|exp|pow|sinh|cosh|tanh|"
     r"asinh|acosh|atanh|asin|acos|atan2|atan|sin|cos|tan|cbrt|hypot|"
     r"tgamma|lgamma|erfc|erf)\s*\(")
+LONG_DOUBLE_RE = re.compile(r"\blong\s+double\b")
 
 
 def check_fp_contract(tree: Tree, dman: DeterminismManifest,
@@ -1412,23 +1533,22 @@ def check_fp_contract(tree: Tree, dman: DeterminismManifest,
         if not path.startswith(dman.fp_scope):
             continue
         code = scrub(text)
-        for m in re.finditer(r"\blong\s+double\b", code):
+        for line, _ in matches(LONG_DOUBLE_RE, code):
             findings.append(Finding(
-                "fp-contract", path, line_of(code, m.start()),
+                "fp-contract", path, line,
                 "long double — x87 80-bit intermediates vary by ABI and "
                 "codegen; the determinism contract pins all FP to IEEE "
                 "binary64"))
-        orig_lines = text.splitlines()
-        for idx, sline in enumerate(code.splitlines()):
-            m = LIBM_RE.search(sline)
-            if m is None:
+        orig_lines = split_lines(text)
+        flagged: Set[int] = set()
+        for line, call in matches(LIBM_RE, code):
+            raw = orig_lines[line - 1] if line <= len(orig_lines) else ""
+            if LIBM_OK_MARKER in raw or line in flagged:
                 continue
-            raw = orig_lines[idx] if idx < len(orig_lines) else ""
-            if LIBM_OK_MARKER in raw:
-                continue
+            flagged.add(line)
             findings.append(Finding(
-                "fp-contract", path, idx + 1,
-                f"libm transcendental `{m.group(0).rstrip('(').strip()}` "
+                "fp-contract", path, line,
+                f"libm transcendental `{call.rstrip('(').strip()}` "
                 f"— correctly rounded nowhere, pinned only per libm "
                 f"build; justify reproducibility with "
                 f"// csfc:libm-ok(reason) (the golden ledger pins the "
@@ -1461,25 +1581,25 @@ def check_rng_seed_flow(tree: Tree,
     decls: List[Tuple[str, str, int]] = []
     for path, code in sorted(scrubbed.items()):
         for pat in RNG_DECL_RES:
-            for m in pat.finditer(code):
-                decls.append((path, m.group(1), line_of(code, m.start())))
-        for m in RNG_DEFAULT_RE.finditer(code):
+            decls.extend((path, name, line)
+                         for line, _, name in matches(pat, code))
+        for line, _ in matches(RNG_DEFAULT_RE, code):
             findings.append(Finding(
-                "rng-seed-flow", path, line_of(code, m.start()),
+                "rng-seed-flow", path, line,
                 "default-constructed Rng — the default seed hides the "
                 "stream identity from the manifest; pass the recorded "
                 "seed explicitly"))
-        for m in STD_ENGINE_RE.finditer(code):
+        for line, engine in matches(STD_ENGINE_RE, code):
             findings.append(Finding(
-                "rng-seed-flow", path, line_of(code, m.start()),
-                f"`{m.group(0)}` outside the rng seam "
+                "rng-seed-flow", path, line,
+                f"`{engine}` outside the rng seam "
                 f"({', '.join(dman.rng_seam) or 'none'}) — all randomness "
                 f"flows through common/random's Rng with an explicit "
                 f"recorded seed; raw engines and entropy sources cannot "
                 f"replay"))
-        for m in C_RAND_RE.finditer(code):
+        for line, _ in matches(C_RAND_RE, code):
             findings.append(Finding(
-                "rng-seed-flow", path, line_of(code, m.start()),
+                "rng-seed-flow", path, line,
                 "C rand()/srand() — global hidden state with no "
                 "per-stream seed; all randomness flows through "
                 "common/random's Rng"))
@@ -1520,8 +1640,7 @@ def check_rng_seed_flow(tree: Tree,
 def run_determinism_checks(tree: Tree, dman: DeterminismManifest,
                            compdb_entries: Optional[List[Tuple[str, str]]]
                            ) -> List[Finding]:
-    """Rules 8-10. Textual in both engines (see module docstring); the
-    libclang engine adds the transitive reachability walk on top."""
+    """Rules 8-10."""
     return (check_det_taint(tree, dman)
             + check_fp_contract(tree, dman, compdb_entries)
             + check_rng_seed_flow(tree, dman))
@@ -1640,467 +1759,23 @@ def check_no_std_function(tree: Tree) -> List[Finding]:
 
 
 def run_contract_checks(tree: Tree) -> List[Finding]:
-    """Rules 11-13. Textual in both engines: registrations, enumerators,
-    wire names and documentation are lexical facts."""
+    """Rules 11-13: registrations, enumerators, wire names and
+    documentation are lexical facts."""
     return (check_registry(tree) + check_trace_contract(tree)
             + check_no_std_function(tree))
 
 
-def run_regex_engine(tree: Tree, manifest: Manifest, contracts: Contracts,
-                     cman: ConcurrencyManifest, dman: DeterminismManifest,
-                     compdb_entries: Optional[List[Tuple[str, str]]] = None
-                     ) -> List[Finding]:
+def run_checks(tree: Tree, manifest: Manifest, cman: ConcurrencyManifest,
+               dman: DeterminismManifest,
+               compdb_entries: Optional[List[Tuple[str, str]]] = None
+               ) -> List[Finding]:
     return (check_layering(tree, manifest)
             + check_hot_alloc(tree)
             + check_hot_coverage(tree, manifest)
-            + check_exc_safety(tree, contracts)
+            + check_exc_safety(tree)
             + run_concurrency_checks(tree, cman)
             + run_determinism_checks(tree, dman, compdb_entries)
             + run_contract_checks(tree))
-
-
-# --- libclang engine --------------------------------------------------------
-
-
-def load_libclang():
-    """Returns the clang.cindex module with a working library, or None."""
-    try:
-        from clang import cindex  # type: ignore
-    except Exception:
-        return None
-    try:
-        cindex.Index.create()
-        return cindex
-    except Exception:
-        pass
-    import glob
-    candidates = sorted(
-        glob.glob("/usr/lib/llvm-*/lib/libclang.so*")
-        + glob.glob("/usr/lib/*/libclang-*.so*"), reverse=True)
-    for cand in candidates:
-        try:
-            cindex.Config.set_library_file(cand)
-            cindex.Index.create()
-            return cindex
-        except Exception:
-            continue
-    return None
-
-
-C_ALLOC_FNS = {"malloc", "calloc", "realloc", "strdup"}
-STD_ALLOC_FNS = {"make_unique", "make_shared", "make_unique_for_overwrite",
-                 "make_shared_for_overwrite", "to_string"}
-GROWTH_METHODS = {"push_back", "emplace_back", "emplace", "emplace_hint",
-                  "resize", "reserve", "insert", "append", "assign",
-                  "push_front"}
-ALLOC_CTOR_CLASSES = {"basic_string", "function", "map", "multimap", "set",
-                      "multiset", "list", "forward_list", "deque",
-                      "unordered_map", "unordered_multimap", "unordered_set",
-                      "unordered_multiset"}
-
-
-class LibclangEngine:
-    """AST engine: transitive hot-alloc call-graph walk plus AST-level
-    exception-spec / attribute verification. Layering stays textual —
-    include edges are lexical facts either way."""
-
-    def __init__(self, cindex, repo: Path, compdb: Path):
-        self.cx = cindex
-        self.repo = repo
-        self.compdb_dir = compdb.parent if compdb.is_file() else compdb
-        self.index = cindex.Index.create()
-        self._files: Dict[str, List[str]] = {}
-        # usr -> {qual, file, line, hot, requires, calls: [usr],
-        #         allocs: [(file, line, what)]}
-        self.funcs: Dict[str, dict] = {}
-        # (rel_path, type name) -> {move_ctor, move_assign, nodiscard}
-        self.records: Dict[Tuple[str, str], dict] = {}
-
-    # -- source access -------------------------------------------------------
-
-    def _lines(self, fname: str) -> List[str]:
-        if fname not in self._files:
-            try:
-                self._files[fname] = Path(fname).read_text(
-                    encoding="utf-8", errors="replace").splitlines()
-            except OSError:
-                self._files[fname] = []
-        return self._files[fname]
-
-    def _source_line(self, fname: str, line: int) -> str:
-        lines = self._lines(fname)
-        return lines[line - 1] if 0 < line <= len(lines) else ""
-
-    def _rel(self, fname: str) -> str:
-        try:
-            return Path(fname).resolve().relative_to(self.repo).as_posix()
-        except ValueError:
-            return fname
-
-    def _in_repo_src(self, cursor) -> bool:
-        loc = cursor.location
-        if loc.file is None:
-            return False
-        return self._rel(loc.file.name).startswith("src/")
-
-    # -- collection ----------------------------------------------------------
-
-    def parse_all(self) -> List[str]:
-        cx = self.cx
-        warnings: List[str] = []
-        db = cx.CompilationDatabase.fromDirectory(str(self.compdb_dir))
-        seen_files: Set[str] = set()
-        for cmd in db.getAllCompileCommands():
-            fname = cmd.filename
-            if not Path(fname).is_absolute():
-                fname = str(Path(cmd.directory) / fname)
-            if fname in seen_files:
-                continue
-            seen_files.add(fname)
-            if not self._rel(fname).startswith("src/"):
-                continue
-            args, skip = [], False
-            for a in list(cmd.arguments)[1:]:
-                if skip:
-                    skip = False
-                    continue
-                if a == "-o":
-                    skip = True
-                    continue
-                if a in ("-c", fname, cmd.filename):
-                    continue
-                args.append(a)
-            try:
-                tu = self.index.parse(fname, args=args)
-            except Exception as e:  # noqa: BLE001 - report, keep going
-                warnings.append(f"parse failed for {fname}: {e}")
-                continue
-            errors = [d for d in tu.diagnostics if d.severity >= 3]
-            if errors:
-                warnings.append(
-                    f"{self._rel(fname)}: {len(errors)} parse error(s), "
-                    f"first: {errors[0].spelling}")
-            self._walk_top(tu.cursor)
-        return warnings
-
-    def _walk_top(self, cursor) -> None:
-        cx = self.cx
-        K = cx.CursorKind
-        func_kinds = {K.FUNCTION_DECL, K.CXX_METHOD, K.CONSTRUCTOR,
-                      K.DESTRUCTOR, K.FUNCTION_TEMPLATE,
-                      K.CONVERSION_FUNCTION}
-        record_kinds = {K.CLASS_DECL, K.STRUCT_DECL, K.CLASS_TEMPLATE}
-        for c in cursor.get_children():
-            if not self._in_repo_src(c):
-                continue
-            if c.kind in func_kinds and c.is_definition():
-                self._register_function(c)
-            elif c.kind in record_kinds and c.is_definition():
-                self._register_record(c)
-                self._walk_top(c)  # inline member definitions
-            elif c.kind in (K.NAMESPACE, K.UNEXPOSED_DECL,
-                            K.LINKAGE_SPEC):
-                self._walk_top(c)
-
-    def _qualname(self, cursor) -> str:
-        cx = self.cx
-        parts = [cursor.spelling]
-        p = cursor.semantic_parent
-        while p is not None and p.kind != cx.CursorKind.TRANSLATION_UNIT:
-            if p.spelling and p.kind != cx.CursorKind.NAMESPACE:
-                parts.append(p.spelling)
-            elif p.spelling and p.spelling != "csfc":
-                parts.append(p.spelling)
-            p = p.semantic_parent
-        return "::".join(reversed(parts))
-
-    def _has_annotation(self, cursor, text: str) -> bool:
-        cx = self.cx
-        for decl in {cursor, cursor.canonical}:
-            for ch in decl.get_children():
-                if (ch.kind == cx.CursorKind.ANNOTATE_ATTR
-                        and ch.spelling == text):
-                    return True
-        return False
-
-    def _pre_body_text(self, cursor) -> str:
-        """Source from the declaration start to its body (the signature
-        and attributes), for both the definition and its first decl."""
-        cx = self.cx
-        out = []
-        for decl in {cursor, cursor.canonical}:
-            ext = decl.extent
-            if ext.start.file is None:
-                continue
-            lines = self._lines(ext.start.file.name)
-            body_line = ext.end.line
-            for ch in decl.get_children():
-                if ch.kind == cx.CursorKind.COMPOUND_STMT:
-                    body_line = ch.extent.start.line
-                    break
-            out.append("\n".join(lines[ext.start.line - 1:body_line]))
-        return "\n".join(out)
-
-    def _in_std(self, cursor) -> bool:
-        cx = self.cx
-        p = cursor.semantic_parent
-        while p is not None and p.kind != cx.CursorKind.TRANSLATION_UNIT:
-            if (p.kind == cx.CursorKind.NAMESPACE
-                    and p.spelling in ("std", "__cxx11", "__1")):
-                return True
-            p = p.semantic_parent
-        return False
-
-    def _register_function(self, cursor) -> None:
-        usr = cursor.get_usr()
-        if not usr or usr in self.funcs:
-            return
-        pre = self._pre_body_text(cursor)
-        ext = cursor.extent
-        info = {
-            "qual": self._qualname(cursor),
-            "file": cursor.location.file.name,
-            "line": cursor.location.line,
-            "end_line": (ext.end.line if ext.end.file is not None
-                         else cursor.location.line),
-            "hot": self._has_annotation(cursor, "csfc_hot"),
-            "det": self._has_annotation(cursor, "csfc_deterministic"),
-            "requires": ("REQUIRES(" in pre
-                         or "requires_capability" in pre),
-            "calls": [],
-            "allocs": [],
-        }
-        self.funcs[usr] = info
-        self._collect_body(cursor, info)
-
-    def _collect_body(self, cursor, info: dict) -> None:
-        cx = self.cx
-        K = cx.CursorKind
-        for c in cursor.get_children():
-            loc = c.location
-            if c.kind == K.CXX_NEW_EXPR and loc.file is not None:
-                info["allocs"].append(
-                    (loc.file.name, loc.line, "operator new"))
-            elif c.kind == K.CALL_EXPR and loc.file is not None:
-                ref = c.referenced
-                if ref is not None:
-                    name = ref.spelling
-                    in_std = self._in_std(ref)
-                    what = None
-                    if name in C_ALLOC_FNS and not in_std:
-                        what = f"C heap allocation ({name})"
-                    elif in_std and name in STD_ALLOC_FNS:
-                        what = f"std::{name}"
-                    elif in_std and name in GROWTH_METHODS:
-                        what = f"std container growth ({name})"
-                    elif (ref.kind == K.CONSTRUCTOR and in_std
-                          and ref.semantic_parent is not None
-                          and ref.semantic_parent.spelling
-                          in ALLOC_CTOR_CLASSES):
-                        what = (f"allocating std type construction "
-                                f"({ref.semantic_parent.spelling})")
-                    if what is not None:
-                        info["allocs"].append(
-                            (loc.file.name, loc.line, what))
-                    elif not in_std:
-                        try:
-                            virtual = ref.is_virtual_method()
-                        except Exception:
-                            virtual = False
-                        if not virtual:
-                            u = ref.get_usr()
-                            if u:
-                                info["calls"].append(u)
-            self._collect_body(c, info)
-
-    def _register_record(self, cursor) -> None:
-        cx = self.cx
-        K = cx.CursorKind
-        key = (self._rel(cursor.location.file.name), cursor.spelling)
-        rec = self.records.setdefault(
-            key, {"move_ctor": None, "move_assign": None, "nodiscard": False})
-        esk = getattr(self.cx, "ExceptionSpecificationKind", None)
-
-        def noexcept_of(c) -> Optional[bool]:
-            if esk is None:
-                return None
-            try:
-                k = c.exception_specification_kind
-            except Exception:
-                return None
-            return k in (esk.BASIC_NOEXCEPT, esk.COMPUTED_NOEXCEPT)
-
-        warn_attr = getattr(K, "WARN_UNUSED_RESULT_ATTR", None)
-        for ch in cursor.get_children():
-            if ch.kind == K.CONSTRUCTOR:
-                try:
-                    is_move = ch.is_move_constructor()
-                except Exception:
-                    is_move = False
-                if is_move:
-                    rec["move_ctor"] = noexcept_of(ch)
-            elif ch.kind == K.CXX_METHOD and ch.spelling == "operator=":
-                args = list(ch.get_arguments())
-                if args and args[0].type.kind == \
-                        self.cx.TypeKind.RVALUEREFERENCE:
-                    rec["move_assign"] = noexcept_of(ch)
-            elif warn_attr is not None and ch.kind == warn_attr:
-                rec["nodiscard"] = True
-
-    # -- rule evaluation -----------------------------------------------------
-
-    def hot_alloc_findings(self) -> List[Finding]:
-        roots = [u for u, f in self.funcs.items()
-                 if f["hot"] or f["requires"]]
-        findings: List[Finding] = []
-        seen_sites: Set[Tuple[str, int, str]] = set()
-        visited: Set[str] = set()
-        stack = [(u, self.funcs[u]["qual"]) for u in roots]
-        while stack:
-            usr, root = stack.pop()
-            if usr in visited:
-                continue
-            visited.add(usr)
-            f = self.funcs[usr]
-            for fname, line, what in f["allocs"]:
-                if ALLOC_OK_MARKER in self._source_line(fname, line):
-                    continue
-                rel = self._rel(fname)
-                key = (rel, line, what)
-                if key in seen_sites:
-                    continue
-                seen_sites.add(key)
-                via = (f"hot function `{f['qual']}`" if f["qual"] == root
-                       else f"`{f['qual']}` (reachable from CSFC_HOT "
-                            f"`{root}`)")
-                findings.append(Finding(
-                    "hot-alloc", rel, line, f"{what} in {via} — "
-                    f"{HOT_MESSAGE}"))
-            for callee in f["calls"]:
-                if callee in self.funcs and callee not in visited:
-                    stack.append((callee, root))
-        return findings
-
-    def det_taint_findings(self, dman: DeterminismManifest,
-                           tree: Tree) -> List[Finding]:
-        """Transitive determinism taint: every project-defined function
-        reachable from a CSFC_DETERMINISTIC root is body-scanned with the
-        shared textual patterns. Annotated bodies themselves are covered
-        by the shared textual pass (run_determinism_checks), so only the
-        unannotated reachable interior is scanned here; traversal stops
-        at virtual and external calls and the seam files are exempt."""
-        roots = [u for u, f in self.funcs.items() if f["det"]]
-        seam = set(dman.clock_seam) | set(dman.rng_seam)
-        findings: List[Finding] = []
-        seen: Set[Tuple[str, int, str]] = set()
-        scrub_cache: Dict[str, List[str]] = {}
-        visited: Set[str] = set()
-        stack = [(u, self.funcs[u]["qual"]) for u in roots]
-        while stack:
-            usr, root = stack.pop()
-            if usr in visited:
-                continue
-            visited.add(usr)
-            f = self.funcs[usr]
-            rel = self._rel(f["file"])
-            if (rel.startswith("src/") and rel not in seam
-                    and not f["det"] and rel in tree):
-                if rel not in scrub_cache:
-                    scrub_cache[rel] = scrub(tree[rel]).splitlines()
-                _det_scan_body(
-                    rel, tree[rel].splitlines(), scrub_cache[rel],
-                    f["line"] - 1, f["end_line"] - 1,
-                    f"`{f['qual']}` (reachable from CSFC_DETERMINISTIC "
-                    f"`{root}`)", seen, findings)
-            for callee in f["calls"]:
-                if callee in self.funcs and callee not in visited:
-                    stack.append((callee, root))
-        return findings
-
-    def hot_coverage_findings(self, manifest: Manifest,
-                              tree: Tree) -> List[Finding]:
-        if not manifest.hot_entry_points:
-            return []
-        covered: Set[str] = set()
-        for f in self.funcs.values():
-            if f["hot"]:
-                covered.add(f["qual"])
-                covered.add(f["qual"].split("::")[-1])
-        # Union with the lexical scan: a header no TU in the compilation
-        # database happens to reach would otherwise read as uncovered.
-        # The rule asserts the annotation exists — a lexical fact — so the
-        # AST can only add evidence, never veto it.
-        covered |= annotated_hot_names(tree)
-        findings: List[Finding] = []
-        for entry in manifest.hot_entry_points:
-            if entry not in covered:
-                findings.append(Finding(
-                    "hot-coverage", "tools/csfc_analyze/layers.toml", 0,
-                    f"hot entry point `{entry}` carries no CSFC_HOT "
-                    f"annotation (or no longer exists) — annotate it, or "
-                    f"remove it from [hot] entry_points with a rationale"))
-        return findings
-
-    def exc_safety_findings(self, contracts: Contracts,
-                            tree: Tree) -> List[Finding]:
-        findings: List[Finding] = []
-        textual = check_exc_safety(tree, contracts)
-        for path, tname in contracts.nothrow_move:
-            rec = self.records.get((path, tname))
-            if rec is None or rec["move_ctor"] is None \
-                    or rec["move_assign"] is None and rec["move_ctor"]:
-                # Record or exception-spec API unavailable: keep the
-                # textual verdict for this type.
-                findings.extend(f for f in textual
-                                if f.path == path and tname in f.message
-                                and f.rule == "noexcept-move")
-                continue
-            if not rec["move_ctor"]:
-                findings.append(Finding(
-                    "noexcept-move", path, 0,
-                    f"{tname}: move constructor is missing or not noexcept "
-                    f"(AST exception specification)"))
-            if not rec["move_assign"]:
-                findings.append(Finding(
-                    "noexcept-move", path, 0,
-                    f"{tname}: move assignment is missing or not noexcept "
-                    f"(AST exception specification)"))
-        for path, tname in contracts.nodiscard:
-            rec = self.records.get((path, tname))
-            if rec is None:
-                findings.extend(f for f in textual
-                                if f.path == path and tname in f.message
-                                and f.rule == "nodiscard")
-                continue
-            if not rec["nodiscard"]:
-                # The attribute cursor is version-sensitive; fall back to
-                # the textual check before declaring a violation.
-                findings.extend(f for f in textual
-                                if f.path == path and tname in f.message
-                                and f.rule == "nodiscard")
-        return findings
-
-    def analyze(self, manifest: Manifest, contracts: Contracts,
-                cman: ConcurrencyManifest, dman: DeterminismManifest,
-                tree: Tree,
-                compdb_entries: Optional[List[Tuple[str, str]]] = None
-                ) -> Tuple[List[Finding], List[str]]:
-        warnings = self.parse_all()
-        findings = check_layering(tree, manifest)
-        findings += self.hot_alloc_findings()
-        findings += self.hot_coverage_findings(manifest, tree)
-        findings += self.exc_safety_findings(contracts, tree)
-        # The concurrency (5-7) and determinism (8-10) families share the
-        # textual implementation with the regex engine: memory_order
-        # arguments, MutexLock statements, markers, manifest rows and
-        # compile commands are lexical facts, so running the same code
-        # makes the required engine agreement structural.
-        findings += run_concurrency_checks(tree, cman)
-        findings += run_determinism_checks(tree, dman, compdb_entries)
-        findings += run_contract_checks(tree)
-        # What the AST adds: the call-graph walk from deterministic roots.
-        findings += self.det_taint_findings(dman, tree)
-        return findings, warnings
 
 
 # --- self-test --------------------------------------------------------------
@@ -2124,10 +1799,6 @@ layers = ["core", "sched"]
 file = "src/sched/registry.h"
 allow = ["core/x.h"]
 """
-
-SELFTEST_CONTRACTS = Contracts(
-    nothrow_move=[("src/common/request.h", "Request")],
-    nodiscard=[("src/common/status.h", "Status")])
 
 SELFTEST_CONCURRENCY = """
 [locks]
@@ -2194,13 +1865,9 @@ def _clean_tree() -> Tree:
         "src/common/annotations.h":
             "#define CSFC_HOT\n"
             "#define CSFC_DETERMINISTIC\n",
-        "src/common/request.h":
-            "class Request {\n"
-            " public:\n"
-            "  Request(Request&&) noexcept = default;\n"
-            "  Request& operator=(Request&&) noexcept = default;\n"
-            "};\n",
-        "src/common/status.h": "class [[nodiscard]] Status {};\n",
+        "src/common/status.h":
+            "class [[nodiscard]] Status {};\n"
+            "template <typename T> class [[nodiscard]] Result {};\n",
         "src/common/mutex.h":
             "struct Mu {};\n"
             "class Cv {\n"
@@ -2238,12 +1905,17 @@ def _clean_tree() -> Tree:
             "  CSFC_DETERMINISTIC double Step() {\n"
             "    double v = std::log(2.0);"
             "  // csfc:libm-ok(selftest pinned value)\n"
-            "    return v + rng_.Uniform();\n"
+            "    return Mix(v) + rng_.Uniform();\n"
             "  }\n"
             "  const char* Mode() { return std::getenv(\"CSFC_MODE\"); }\n"
             " private:\n"
             "  Rng rng_;\n"
             "};\n",
+        # Unannotated helpers the call walk reaches: Hot::Pop -> Tidy ->
+        # Settle, and Det::Step -> Mix.
+        "src/core/tidy.h": "inline void Tidy(int v) { Settle(v); }\n",
+        "src/core/settle.h": "inline void Settle(int v) { (void)v; }\n",
+        "src/core/mix.h": "inline double Mix(double v) { return v; }\n",
         "src/core/hot.h":
             "#include \"common/annotations.h\"\n"
             "#include \"obs/tracer.h\"\n"
@@ -2263,6 +1935,7 @@ def _clean_tree() -> Tree:
             "  delete shadow;\n"
             "#endif\n"
             "  std::map<int, int>::iterator it;\n"
+            "  Tidy(1);\n"
             "  return 0;\n"
             "}\n",
         "src/core/ring.h":
@@ -2338,18 +2011,15 @@ def _clean_tree() -> Tree:
 
 def self_test() -> int:
     manifest = parse_manifest(SELFTEST_MANIFEST)
-    contracts = SELFTEST_CONTRACTS
     cman = parse_concurrency(SELFTEST_CONCURRENCY)
     dman = parse_determinism(SELFTEST_DETERMINISM)
     failures: List[str] = []
 
-    def run(tree: Tree, c: Contracts = contracts,
-            cm: Optional[ConcurrencyManifest] = None,
+    def run(tree: Tree, cm: Optional[ConcurrencyManifest] = None,
             dm: Optional[DeterminismManifest] = None,
             compdb: Optional[List[Tuple[str, str]]] = None) -> List[Finding]:
-        return run_regex_engine(tree, manifest, c, cm or cman, dm or dman,
-                                SELFTEST_COMPDB if compdb is None
-                                else compdb)
+        return run_checks(tree, manifest, cm or cman, dm or dman,
+                          SELFTEST_COMPDB if compdb is None else compdb)
 
     def expect(name: str, findings: List[Finding], rule: str,
                fragment: str) -> None:
@@ -2358,6 +2028,12 @@ def self_test() -> int:
             failures.append(
                 f"{name}: expected a [{rule}] finding mentioning "
                 f"{fragment!r}, got {[f.render() for f in findings]}")
+
+    def expect_none(name: str, findings: List[Finding], rule: str) -> None:
+        hits = [f.render() for f in findings if f.rule == rule]
+        if hits:
+            failures.append(f"{name}: expected no [{rule}] finding, got "
+                            f"{hits}")
 
     residue = run(_clean_tree())
     if residue:
@@ -2415,16 +2091,34 @@ def self_test() -> int:
         "CSFC_HOT int Dispatch(long now);", "")
     expect("hot-coverage-gone", run(t), "hot-coverage", "FooSched::Dispatch")
 
-    # 3. Exception safety: move ctor loses noexcept.
+    # 2f. The call walk: an allocation two calls deep, in an unannotated
+    # helper in another file (Hot::Pop -> Tidy -> Settle).
+    growth = "inline void Settle(int v) { pool.push_back(v); }\n"
     t = _clean_tree()
-    t["src/common/request.h"] = t["src/common/request.h"].replace(
-        "Request(Request&&) noexcept = default;", "Request(Request&&);")
-    expect("move-noexcept", run(t), "noexcept-move", "move\nconstructor"
-           .replace("\n", " "))
+    t["src/core/settle.h"] = growth
+    expect("walk-two-deep", run(t), "hot-alloc",
+           "`Settle` (reachable from hot function `Hot::Pop`)")
 
-    # 3b. Status without [[nodiscard]].
+    # 2g. The same chain through a name some class declares override is a
+    # run-time dispatch the walk does not follow.
     t = _clean_tree()
-    t["src/common/status.h"] = "class Status {};\n"
+    t["src/core/settle.h"] = growth
+    t["src/core/tidy.h"] += ("struct Tidier : Base {\n"
+                             "  void Tidy(int v) override;\n"
+                             "};\n")
+    expect_none("walk-override", run(t), "hot-alloc")
+
+    # 2h. An alloc-ok marker on the call line stops the walk there.
+    t = _clean_tree()
+    t["src/core/settle.h"] = growth
+    t["src/core/hot.cc"] = t["src/core/hot.cc"].replace(
+        "  Tidy(1);\n", "  Tidy(1);  // csfc:alloc-ok(selftest cold call)\n")
+    expect_none("walk-call-marker", run(t), "hot-alloc")
+
+    # 3. Status without [[nodiscard]].
+    t = _clean_tree()
+    t["src/common/status.h"] = t["src/common/status.h"].replace(
+        "class [[nodiscard]] Status", "class Status")
     expect("nodiscard", run(t), "nodiscard", "[[nodiscard]]")
 
     # 5. Atomics: implicit seq_cst (no memory_order argument).
@@ -2531,10 +2225,10 @@ def self_test() -> int:
     # 8b. Wall-clock read inside a deterministic body.
     t = _clean_tree()
     t["src/core/det.h"] = t["src/core/det.h"].replace(
-        "    return v + rng_.Uniform();\n",
+        "    return Mix(v) + rng_.Uniform();\n",
         "    v += std::chrono::steady_clock::now()"
         ".time_since_epoch().count();\n"
-        "    return v + rng_.Uniform();\n")
+        "    return Mix(v) + rng_.Uniform();\n")
     expect("det-clock", run(t), "determinism-taint",
            "wall-clock read in deterministic function")
 
@@ -2562,28 +2256,41 @@ def self_test() -> int:
     # 8e. Unordered container in a deterministic body, no marker.
     t = _clean_tree()
     t["src/core/det.h"] = t["src/core/det.h"].replace(
-        "    return v + rng_.Uniform();\n",
+        "    return Mix(v) + rng_.Uniform();\n",
         "    std::unordered_map<int, int> m;\n"
-        "    return v + rng_.Uniform() + m.size();\n")
+        "    return Mix(v) + rng_.Uniform() + m.size();\n")
     expect("det-unordered", run(t), "determinism-taint",
            "csfc:unordered-ok")
 
     # 8f. Pointer-to-integer cast (address-dependent ordering).
     t = _clean_tree()
     t["src/core/det.h"] = t["src/core/det.h"].replace(
-        "    return v + rng_.Uniform();\n",
+        "    return Mix(v) + rng_.Uniform();\n",
         "    v += reinterpret_cast<unsigned long>(&v);\n"
-        "    return v + rng_.Uniform();\n")
+        "    return Mix(v) + rng_.Uniform();\n")
     expect("det-ptr-cast", run(t), "determinism-taint",
            "pointer-to-integer")
 
-    # 8g. Thread-id-dependent branching.
+    # 8g. Thread-id-dependent branching in a callee of the annotated root
+    # (Det::Step -> Mix, in another file).
+    t = _clean_tree()
+    t["src/core/mix.h"] = (
+        "inline double Mix(double v) {\n"
+        "  auto tid = std::this_thread::get_id();\n"
+        "  (void)tid;\n"
+        "  return v;\n"
+        "}\n")
+    expect("det-walk-thread-id", run(t), "determinism-taint",
+           "thread-id dependence in `Mix` (reachable from deterministic "
+           "function `Det::Step`)")
+
+    # 8h. Thread-id-dependent branching.
     t = _clean_tree()
     t["src/core/det.h"] = t["src/core/det.h"].replace(
-        "    return v + rng_.Uniform();\n",
+        "    return Mix(v) + rng_.Uniform();\n",
         "    auto tid = std::this_thread::get_id();\n"
         "    (void)tid;\n"
-        "    return v + rng_.Uniform();\n")
+        "    return Mix(v) + rng_.Uniform();\n")
     expect("det-thread-id", run(t), "determinism-taint", "thread-id")
 
     # 9. FP contract: a TU missing -ffp-contract=off.
@@ -2602,7 +2309,7 @@ def self_test() -> int:
     # 9c. long double in src/.
     t = _clean_tree()
     t["src/core/det.h"] = t["src/core/det.h"].replace(
-        "    return v + rng_.Uniform();\n",
+        "    return Mix(v) + rng_.Uniform();\n",
         "    long double wide = v;\n"
         "    return static_cast<double>(wide) + rng_.Uniform();\n")
     expect("fp-long-double", run(t), "fp-contract", "long double")
@@ -2639,9 +2346,9 @@ def self_test() -> int:
     # 10d. Default-constructed Rng hides the stream identity.
     t = _clean_tree()
     t["src/core/det.h"] = t["src/core/det.h"].replace(
-        "    return v + rng_.Uniform();\n",
+        "    return Mix(v) + rng_.Uniform();\n",
         "    Rng scratch = Rng();\n"
-        "    return v + scratch.Uniform();\n")
+        "    return Mix(v) + scratch.Uniform();\n")
     expect("rng-default", run(t), "rng-seed-flow", "default-constructed")
 
     # 10e. Raw std engine outside the seam.
@@ -2653,9 +2360,9 @@ def self_test() -> int:
     # 10f. Entropy source.
     t = _clean_tree()
     t["src/core/det.h"] = t["src/core/det.h"].replace(
-        "    return v + rng_.Uniform();\n",
+        "    return Mix(v) + rng_.Uniform();\n",
         "    std::random_device rd;\n"
-        "    return v + rng_.Uniform() + rd();\n")
+        "    return Mix(v) + rng_.Uniform() + rd();\n")
     expect("rng-entropy", run(t), "rng-seed-flow", "random_device")
 
     # 11. Unregistered scheduler subclass.
@@ -2756,14 +2463,8 @@ SEEDS: Dict[str, Dict[str, str]] = {
             "#include \"common/annotations.h\"\n"
             "CSFC_HOT inline int* SeededLeak() { return new int(7); }\n",
     },
-    "exc-safety": {
-        "src/workload/_seeded_mover.h":
-            "class SeededMover {\n"
-            " public:\n"
-            "  SeededMover(SeededMover&& o);\n"
-            "  SeededMover& operator=(SeededMover&& o);\n"
-            "};\n",
-    },
+    # apply_seed strips [[nodiscard]] from the real Status.
+    "exc-safety": {},
     "hot-coverage": {
         # A hot-path-shaped class with no CSFC_HOT anywhere; apply_seed
         # pins its Push as a required entry point.
@@ -2827,7 +2528,7 @@ SEEDS: Dict[str, Dict[str, str]] = {
     },
     "fp-contract": {
         # Textual violation so the seed works with or without a
-        # compilation database (seed runs force the regex engine).
+        # compilation database.
         "src/core/_seeded_fp.h":
             "inline long double SeededWiden(double v) { return v; }\n",
     },
@@ -2857,20 +2558,18 @@ SEEDS: Dict[str, Dict[str, str]] = {
 }
 
 
-def apply_seed(
-        rule: str, tree: Tree, contracts: Contracts, manifest: Manifest,
-        cman: ConcurrencyManifest
-) -> Tuple[Contracts, Manifest, ConcurrencyManifest]:
+def apply_seed(rule: str, tree: Tree, manifest: Manifest,
+               cman: ConcurrencyManifest
+               ) -> Tuple[Manifest, ConcurrencyManifest]:
     tree.update(SEEDS[rule])
     if rule == "trace-contract":
         header = "src/obs/trace_event.h"
         tree[header] = re.sub(r"(enum\s+class\s+TraceEventKind[^{]*\{)",
                               r"\1 kSeededGhost,", tree[header], count=1)
     elif rule == "exc-safety":
-        contracts = Contracts(
-            nothrow_move=contracts.nothrow_move
-            + [("src/workload/_seeded_mover.h", "SeededMover")],
-            nodiscard=contracts.nodiscard)
+        status = "src/common/status.h"
+        tree[status] = re.sub(r"class\s*\[\[\s*nodiscard\s*\]\]\s*Status\b",
+                              "class Status", tree[status], count=1)
     elif rule == "hot-coverage":
         manifest = manifest._replace(
             hot_entry_points=manifest.hot_entry_points
@@ -2884,7 +2583,7 @@ def apply_seed(
                         "seeded_inner_mu_"),
             ],
             lock_order=cman.lock_order + ["seeded_outer", "seeded_inner"])
-    return contracts, manifest, cman
+    return manifest, cman
 
 
 # --- CLI --------------------------------------------------------------------
@@ -2893,9 +2592,7 @@ def apply_seed(
 def parse_compdb(path: Path, repo: Path) -> Optional[List[Tuple[str, str]]]:
     """(repo-relative file, full command) per TU, or None without a db.
 
-    Textual on purpose: the fp-contract family reads the flags both
-    engines compile under, so it must work in the gcc-only dev container
-    where libclang is unavailable.
+    The fp-contract family reads the flags each TU compiles under.
     """
     import json
     try:
@@ -2920,6 +2617,13 @@ def parse_compdb(path: Path, repo: Path) -> Optional[List[Tuple[str, str]]]:
     return entries
 
 
+# The default manifests next to this script, with their parsers, in the
+# order of --layers, --concurrency and --determinism.
+MANIFESTS = (("layers.toml", parse_manifest),
+             ("concurrency.toml", parse_concurrency),
+             ("determinism.toml", parse_determinism))
+
+
 def main(argv: List[str]) -> int:
     parser = argparse.ArgumentParser(
         description=__doc__,
@@ -2939,17 +2643,13 @@ def main(argv: List[str]) -> int:
     parser.add_argument("--determinism", type=Path, default=None,
                         help="determinism manifest (default: "
                              "determinism.toml next to this script)")
-    parser.add_argument("--engine", choices=("auto", "libclang", "regex"),
-                        default="auto",
-                        help="auto prefers libclang and falls back to the "
-                             "regex engine with a notice")
     parser.add_argument("--self-test", action="store_true",
                         help="verify every rule catches a seeded violation")
     parser.add_argument("--seed-violation", choices=sorted(SEEDS),
                         default=None,
                         help="inject one in-memory violation of the given "
-                             "rule into the real tree (forces the regex "
-                             "engine); the run must then exit 1")
+                             "rule into the real tree; the run must then "
+                             "exit 1")
     args = parser.parse_args(argv)
 
     if args.self_test:
@@ -2960,111 +2660,45 @@ def main(argv: List[str]) -> int:
         print(f"csfc_analyze: {repo} does not look like the repo root",
               file=sys.stderr)
         return 2
-    layers_path = args.layers or Path(__file__).resolve().parent / \
-        "layers.toml"
-    if not layers_path.is_file():
-        print(f"csfc_analyze: layer manifest {layers_path} not found",
-              file=sys.stderr)
-        return 2
-    try:
-        manifest = parse_manifest(layers_path.read_text(encoding="utf-8"))
-    except Exception as e:  # noqa: BLE001 - toml errors are user errors
-        print(f"csfc_analyze: bad manifest {layers_path}: {e}",
-              file=sys.stderr)
-        return 2
-    conc_path = args.concurrency or Path(__file__).resolve().parent / \
-        "concurrency.toml"
-    if not conc_path.is_file():
-        print(f"csfc_analyze: concurrency manifest {conc_path} not found",
-              file=sys.stderr)
-        return 2
-    try:
-        cman = parse_concurrency(conc_path.read_text(encoding="utf-8"))
-    except Exception as e:  # noqa: BLE001 - toml errors are user errors
-        print(f"csfc_analyze: bad manifest {conc_path}: {e}",
-              file=sys.stderr)
-        return 2
-    det_path = args.determinism or Path(__file__).resolve().parent / \
-        "determinism.toml"
-    if not det_path.is_file():
-        print(f"csfc_analyze: determinism manifest {det_path} not found",
-              file=sys.stderr)
-        return 2
-    try:
-        dman = parse_determinism(det_path.read_text(encoding="utf-8"))
-    except Exception as e:  # noqa: BLE001 - toml errors are user errors
-        print(f"csfc_analyze: bad manifest {det_path}: {e}",
-              file=sys.stderr)
-        return 2
-
-    tree = load_tree(repo)
-    contracts = DEFAULT_CONTRACTS
-    if args.seed_violation:
-        if args.engine == "libclang":
-            print("csfc_analyze: --seed-violation injects in-memory files "
-                  "the libclang engine cannot see; use --engine=auto or "
-                  "regex", file=sys.stderr)
-            return 2
-        contracts, manifest, cman = apply_seed(args.seed_violation, tree,
-                                               contracts, manifest, cman)
-
-    compdb = args.compdb or repo / "build" / "compile_commands.json"
-    compdb_file = compdb / "compile_commands.json" if compdb.is_dir() \
-        else compdb
-    compdb_entries = parse_compdb(compdb_file, repo)
-    if compdb_entries is None:
-        print(f"csfc_analyze: no compilation database at {compdb_file}; "
-              f"fp-contract flag verification skipped (the textual FP "
-              f"checks still run)", file=sys.stderr)
-    use_libclang = False
-    if args.engine in ("auto", "libclang") and not args.seed_violation:
-        cx = load_libclang()
-        if cx is not None and compdb.exists():
-            use_libclang = True
-        elif args.engine == "libclang":
-            reason = ("python clang bindings / libclang not available"
-                      if cx is None else f"{compdb} not found")
-            print(f"csfc_analyze: libclang engine forced but {reason}",
+    here = Path(__file__).resolve().parent
+    parsed = []
+    for (default, parse), given in zip(
+            MANIFESTS, (args.layers, args.concurrency, args.determinism)):
+        path = given or here / default
+        if not path.is_file():
+            print(f"csfc_analyze: manifest {path} not found",
                   file=sys.stderr)
             return 2
-        else:
-            reason = ("libclang unavailable" if cx is None
-                      else f"no compilation database at {compdb}")
-            print(f"csfc_analyze: {reason}; falling back to regex engine "
-                  f"(hot-path scan covers annotated bodies only, no "
-                  f"transitive call graph)", file=sys.stderr)
-
-    if use_libclang:
         try:
-            engine = LibclangEngine(cx, repo, compdb)
-            findings, warnings = engine.analyze(manifest, contracts, cman,
-                                                dman, tree, compdb_entries)
-            for w in warnings:
-                print(f"csfc_analyze: warning: {w}", file=sys.stderr)
-            label = "libclang"
-        except Exception as e:  # noqa: BLE001
-            if args.engine == "libclang":
-                print(f"csfc_analyze: libclang engine failed: {e}",
-                      file=sys.stderr)
-                return 2
-            print(f"csfc_analyze: libclang engine failed ({e}); falling "
-                  f"back to regex engine", file=sys.stderr)
-            findings = run_regex_engine(tree, manifest, contracts, cman,
-                                        dman, compdb_entries)
-            label = "regex"
-    else:
-        findings = run_regex_engine(tree, manifest, contracts, cman, dman,
-                                    compdb_entries)
-        label = "regex"
+            parsed.append(parse(path.read_text(encoding="utf-8")))
+        except Exception as e:  # noqa: BLE001 - toml errors are user errors
+            print(f"csfc_analyze: bad manifest {path}: {e}",
+                  file=sys.stderr)
+            return 2
+    manifest, cman, dman = parsed
 
+    tree = load_tree(repo)
+    if args.seed_violation:
+        manifest, cman = apply_seed(args.seed_violation, tree, manifest,
+                                    cman)
+
+    compdb = args.compdb or repo / "build" / "compile_commands.json"
+    if compdb.is_dir():
+        compdb = compdb / "compile_commands.json"
+    compdb_entries = parse_compdb(compdb, repo)
+    if compdb_entries is None:
+        print(f"csfc_analyze: no compilation database at {compdb}; "
+              f"fp-contract flag verification skipped (the textual FP "
+              f"checks still run)", file=sys.stderr)
+
+    findings = run_checks(tree, manifest, cman, dman, compdb_entries)
     for f in findings:
         print(f.render(), file=sys.stderr)
     if findings:
-        print(f"csfc_analyze[{label}]: {len(findings)} finding(s) in "
-              f"{len(tree)} files", file=sys.stderr)
+        print(f"csfc_analyze: {len(findings)} finding(s) in {len(tree)} "
+              f"files", file=sys.stderr)
         return 1
-    print(f"csfc_analyze[{label}]: OK ({len(tree)} files, "
-          f"13 rule families)")
+    print(f"csfc_analyze: OK ({len(tree)} files, 13 rule families)")
     return 0
 
 
